@@ -78,6 +78,8 @@ func registerStdBuiltins(mc *Machine) {
 		if err != nil {
 			return 0, err
 		}
+		// Resolving src may have grown the stack arena under db.
+		db, _ = m.mem(dst, int(n))
 		copy(db, sb)
 		return dst, nil
 	})

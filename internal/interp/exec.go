@@ -57,8 +57,11 @@ func (mc *Machine) RunContext(ctx context.Context, f *core.Function, args ...uin
 			v = 0
 		}
 		mc.runDepth--
-		// Record once per outermost run so re-entrant calls (builtins that
-		// call back into the machine) are not double-counted.
+		// Fold and record once per outermost run so re-entrant calls
+		// (builtins that call back into the machine) are not double-counted.
+		if mc.runDepth == 0 && mc.prog != nil && mc.tier == TierAuto {
+			mc.foldHeat()
+		}
 		if mc.runDepth == 0 && mc.Metrics != nil {
 			mc.Metrics.Counter("llvm_interp_runs_total").Inc()
 			mc.Metrics.Counter("llvm_interp_instructions_total").Add(float64(mc.Steps - steps0))
@@ -602,16 +605,30 @@ func (mc *Machine) alloca(n uint64) (uint64, error) {
 		n = 1
 	}
 	top := (mc.stackTop + 7) &^ 7
-	if top+n > uint64(len(mc.stack)) {
+	if n > stackSize || top+n > stackSize {
 		return 0, ErrStackOverflow
 	}
+	mc.growStack(top + n)
 	addr := stackBase + top
 	// Zero the region: prior frames may have left data behind.
-	for i := top; i < top+n; i++ {
-		mc.stack[i] = 0
-	}
+	clear(mc.stack[top : top+n])
 	mc.stackTop = top + n
 	return addr, nil
+}
+
+// growStack makes the first end bytes of the stack arena addressable. The
+// arena is allocated as the program touches it, doubling up to stackSize,
+// so a machine pays for the stack it uses and not for the 4 MiB it may
+// use; new bytes are zero, as the whole arena was when it was allocated
+// at once. Slices mem returned earlier go stale when this reallocates.
+func (mc *Machine) growStack(end uint64) {
+	if end <= uint64(len(mc.stack)) {
+		return
+	}
+	size := max(2*uint64(len(mc.stack)), end, minStack)
+	grown := make([]byte, min(size, stackSize))
+	copy(grown, mc.stack)
+	mc.stack = grown
 }
 
 // mulNoOverflow multiplies allocation sizes, reporting overflow instead of

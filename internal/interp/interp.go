@@ -25,7 +25,8 @@ const (
 	DefaultMaxSteps     = 200_000_000
 	DefaultMaxDepth     = 10_000
 	DefaultMaxHeapBytes = 1 << 30 // heap arena cap (1 GiB)
-	stackSize           = 1 << 22 // per-machine stack arena (4 MiB)
+	stackSize           = 1 << 22 // per-machine stack arena limit (4 MiB)
+	minStack            = 1 << 12 // first allocation of the stack arena
 	// cancelCheckMask gates context polling to every 1024th step so
 	// cooperative cancellation stays off the hot path.
 	cancelCheckMask = 1<<10 - 1
@@ -158,7 +159,6 @@ func NewMachine(m *core.Module, out io.Writer) (*Machine, error) {
 		HotCalls:     DefaultHotCalls,
 		HotTicks:     DefaultHotTicks,
 		heap:         make([]byte, 8), // address 0 reserved (null)
-		stack:        make([]byte, stackSize),
 		stackTop:     8,
 		allocs:       map[uint64]uint64{},
 		globals:      map[*core.GlobalVariable]uint64{},
@@ -249,7 +249,8 @@ func (mc *Machine) Free(addr uint64) error {
 }
 
 // Memory addressing: the stack arena occupies addresses [stackBase,
-// stackBase+len(stack)); everything below is heap/globals.
+// stackBase+stackSize), of which mc.stack backs the part touched so far;
+// everything below is heap/globals.
 const stackBase = 1 << 40
 
 func (mc *Machine) mem(addr uint64, n int) ([]byte, error) {
@@ -264,8 +265,11 @@ func (mc *Machine) mem(addr uint64, n int) ([]byte, error) {
 	}
 	if addr >= stackBase {
 		off := addr - stackBase
-		if off+uint64(n) > uint64(len(mc.stack)) {
-			return nil, ErrOutOfBounds
+		if end := off + uint64(n); end > uint64(len(mc.stack)) {
+			if end > stackSize {
+				return nil, ErrOutOfBounds
+			}
+			mc.growStack(end)
 		}
 		return mc.stack[off : off+uint64(n)], nil
 	}

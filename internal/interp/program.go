@@ -7,7 +7,8 @@ package interp
 // executing the same module object resolves identical constant bits and
 // can share one translation per (module, function). llvm-serve attaches a
 // Program to each /run machine so repeated requests for a cached module
-// never retranslate — the Reused counters prove it.
+// never retranslate — the Reused counters prove it — and start every
+// function at the tier the requests before them had reached.
 
 import (
 	"errors"
@@ -20,7 +21,8 @@ import (
 )
 
 // Program caches tier-1 and tier-2 translations per function for one
-// module. Safe for concurrent use by machines on different goroutines.
+// module, and keeps TierAuto's hotness where every machine for the module
+// sees it. Safe for concurrent use by machines on different goroutines.
 type Program struct {
 	mod *core.Module
 	mu  sync.Mutex
@@ -30,6 +32,8 @@ type Program struct {
 	// profiling and non-profiling machines sharing one Program each get
 	// the code shape they need without invalidating the other's.
 	t2p map[*core.Function]*codegen.EFunction
+	// heat is what TierAuto machines have learned about each function.
+	heat map[*core.Function]*funcHeat
 
 	t1Compiles atomic.Int64
 	t1Reused   atomic.Int64
@@ -40,11 +44,39 @@ type Program struct {
 // NewProgram creates an empty translation cache for m.
 func NewProgram(m *core.Module) *Program {
 	return &Program{
-		mod: m,
-		t1:  map[*core.Function]*jitFunc{},
-		t2:  map[*core.Function]*codegen.EFunction{},
-		t2p: map[*core.Function]*codegen.EFunction{},
+		mod:  m,
+		t1:   map[*core.Function]*jitFunc{},
+		t2:   map[*core.Function]*codegen.EFunction{},
+		t2p:  map[*core.Function]*codegen.EFunction{},
+		heat: map[*core.Function]*funcHeat{},
 	}
+}
+
+// funcHeat is one function's hotness on the Program: the calls and ticks
+// TierAuto machines folded in at the end of their runs, whether one of
+// them promoted it (sticky), and whether its CFG has a loop.
+type funcHeat struct {
+	calls, ticks int64
+	hot, loop    bool
+}
+
+// heatOf returns (creating on first use) f's record; callers hold mu.
+func (p *Program) heatOf(f *core.Function) *funcHeat {
+	h := p.heat[f]
+	if h == nil {
+		h = &funcHeat{loop: hasLoop(f)}
+		p.heat[f] = h
+	}
+	return h
+}
+
+// startsHot reports whether a machine with the given thresholds should run
+// f at tier 2 from its first call.
+func (p *Program) startsHot(f *core.Function, hotCalls, hotTicks int64) bool {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	h := p.heatOf(f)
+	return h.loop || h.hot || h.calls >= hotCalls || h.ticks >= hotTicks
 }
 
 // AttachProgram points the machine at a shared translation cache. The

@@ -313,3 +313,110 @@ entry:
 		}
 	}
 }
+
+const deepAllocaSrc = `
+%depth = global long 0
+
+int %dive(int %d) {
+entry:
+	%buf = alloca [1024 x int]
+	%n = load long* %depth
+	%n1 = add long %n, 1
+	store long %n1, long* %depth
+	%slot = getelementptr [1024 x int]* %buf, long 0, long 0
+	store int %d, int* %slot
+	%d1 = add int %d, 1
+	%r = call int %dive(int %d1)
+	ret int %r
+}
+
+int %main() {
+entry:
+	%r = call int %dive(int 0)
+	ret int %r
+}
+
+int %ok(int %x) {
+entry:
+	%p = alloca int
+	store int %x, int* %p
+	%v = load int* %p
+	%r = add int %v, 7
+	ret int %r
+}
+`
+
+// TestStackArenaGrowsOnDemand: the arena is backed as the program touches
+// it, and the limit it grows to is the 4 MiB it used to be allocated at —
+// the overflow trap fires in the same activation at every tier.
+func TestStackArenaGrowsOnDemand(t *testing.T) {
+	for _, p := range []TierPolicy{TierInterp, TierBaseline, TierOpt, TierAuto} {
+		mc := sandboxMachine(t, deepAllocaSrc)
+		mc.SetTier(p)
+		if len(mc.stack) != 0 {
+			t.Fatalf("tier %s: a new machine already holds %d bytes of stack", p, len(mc.stack))
+		}
+		checkReusable(t, mc, "ok", 7)
+		if len(mc.stack) > minStack {
+			t.Fatalf("tier %s: one int on the stack backed %d bytes", p, len(mc.stack))
+		}
+
+		_, err := mc.RunFunction(mc.Mod.Func("main"))
+		if !errors.Is(err, ErrStackOverflow) {
+			t.Fatalf("tier %s: want ErrStackOverflow, got %v", p, err)
+		}
+		// Frames are 4 KiB and the arena starts 8 bytes in, so the last
+		// frame that does not fit is number stackSize/4096.
+		depth, rerr := mc.ReadWord(mc.GlobalAddr(mc.Mod.Global("depth")))
+		if rerr != nil || depth != stackSize/4096-1 {
+			t.Fatalf("tier %s: overflowed after %d frames (%v), want %d", p, depth, rerr, stackSize/4096-1)
+		}
+		if len(mc.stack) != stackSize {
+			t.Fatalf("tier %s: arena is %d bytes at the limit, want %d", p, len(mc.stack), stackSize)
+		}
+		checkReusable(t, mc, "ok", 7)
+	}
+}
+
+// TestStackArenaWildAccess: what a program may observe of the arena does
+// not depend on how much of it is backed. Any address inside the 4 MiB
+// reads zero until written, addresses past it trap, and memcpy survives a
+// growth between resolving its two operands.
+func TestStackArenaWildAccess(t *testing.T) {
+	const src = `
+declare sbyte* %memcpy(sbyte*, sbyte*, uint)
+
+long %peek(long %idx) {
+entry:
+	%p = alloca long
+	%q = getelementptr long* %p, long %idx
+	%v = load long* %q
+	ret long %v
+}
+
+long %copy(long %idx) {
+entry:
+	%d = alloca long
+	store long 7, long* %d
+	%s = getelementptr long* %d, long %idx
+	%db = cast long* %d to sbyte*
+	%sb = cast long* %s to sbyte*
+	%r = call sbyte* %memcpy(sbyte* %db, sbyte* %sb, uint 8)
+	%v = load long* %d
+	ret long %v
+}
+`
+	for _, p := range []TierPolicy{TierInterp, TierBaseline, TierOpt} {
+		mc := sandboxMachine(t, src)
+		mc.SetTier(p)
+		if v, err := mc.RunFunction(mc.Mod.Func("peek"), 1<<17); err != nil || v != 0 {
+			t.Fatalf("tier %s: read 1 MiB past the frame: %d, %v; want 0", p, v, err)
+		}
+		if _, err := mc.RunFunction(mc.Mod.Func("peek"), 1<<20); !errors.Is(err, ErrOutOfBounds) {
+			t.Fatalf("tier %s: read 8 MiB past the frame: %v, want ErrOutOfBounds", p, err)
+		}
+		if v, err := mc.RunFunction(mc.Mod.Func("copy"), 1<<18); err != nil || v != 0 {
+			t.Fatalf("tier %s: memcpy from untouched stack left %d, %v; want 0", p, v, err)
+		}
+	}
+}

@@ -4,11 +4,16 @@ package interp
 // tiered design (§3.4/§3.6): tier 0 is the tree-walking interpreter,
 // tier 1 the baseline slot-register translation (jit.go), tier 2 the
 // optimizing flat register-allocated form (codegen/execlower.go, run by
-// tier2.go). Under TierAuto, per-function call and step counters trip a
-// hotness threshold that recompiles the function to tier 2 in place
-// mid-run — safe to do between activations because all tiers are
-// bit-identical — and cross-run profile counts (SeedProfile) mark
-// functions hot at start so warm paths skip the baseline tier entirely.
+// tier2.go). The TierAuto policy, in three lines:
+//
+//   - a function whose CFG has a loop runs at tier 2 from its first call;
+//   - any other function runs at the baseline tier until HotCalls calls or
+//     HotTicks steps, counted across machines on the attached Program;
+//   - SeedProfile marks functions a persisted profile shows hot.
+//
+// Tiers change only at function entry, which is safe because all tiers are
+// bit-identical. A promotion is sticky on the Program, so the next machine
+// for the same module starts where this one ended.
 
 import (
 	"errors"
@@ -33,9 +38,11 @@ const (
 	// TierOpt forces the optimizing tier: flat pc-indexed code, dense
 	// register file, φs as edge copies, width-specialized opcodes.
 	TierOpt
-	// TierAuto starts functions at the baseline tier and promotes them to
-	// the optimizing tier once profile counters cross the hotness
-	// thresholds (HotCalls / HotTicks), or immediately when seeded hot.
+	// TierAuto picks a tier per function: the optimizing tier from the
+	// first call for a function with a loop, one SeedProfile marked, or one
+	// already promoted on the attached Program; otherwise the baseline tier
+	// until the function crosses HotCalls / HotTicks, counted across every
+	// machine that shares the Program.
 	TierAuto
 )
 
@@ -67,9 +74,9 @@ func (p TierPolicy) String() string {
 	return "0"
 }
 
-// Default hotness thresholds: a function tiers up after this many calls,
-// or once this many instructions have been executed inside it (inclusive
-// of callees).
+// Default hotness thresholds: a loop-free function tiers up after this many
+// calls, or once this many instructions have been executed inside it
+// (inclusive of callees).
 const (
 	DefaultHotCalls = 32
 	DefaultHotTicks = 4096
@@ -87,13 +94,17 @@ const (
 type funcState struct {
 	fn   *core.Function
 	tier int8 // current tier under TierAuto
-	// seedHot marks the function hot from a persisted cross-run profile:
-	// it goes straight to tier 2 on its first call.
-	seedHot  bool
+	// startHot sends the function straight to tier 2 on its first call: a
+	// persisted cross-run profile (SeedProfile), a loop in its CFG, or
+	// heat other machines left on the shared Program.
+	startHot bool
 	t2Failed bool // tier-2 lowering failed; stop retrying
 
 	calls int64 // activations (profile counter)
 	ticks int64 // steps executed inside activations at tiers 0/1
+	// foldedCalls/foldedTicks are the part of calls/ticks already added
+	// to the attached Program.
+	foldedCalls, foldedTicks int64
 
 	t1 *jitFunc
 	t2 *codegen.EFunction
@@ -180,7 +191,7 @@ func (mc *Machine) SeedProfile(funcs map[string][]int64) {
 			total += c
 		}
 		if total >= mc.HotTicks || (len(counts) > 0 && counts[0] >= mc.HotCalls) {
-			mc.fstate(f).seedHot = true
+			mc.fstate(f).startHot = true
 		}
 	}
 }
@@ -279,20 +290,69 @@ func (fs *funcState) putFrame(regs []uint64) {
 	}
 }
 
-// autoCall dispatches one activation under TierAuto: baseline by default,
-// promoted in place to tier 2 when the hotness counters (or a seeded
-// profile) say so, degraded to the interpreter if translation fails.
+// startsHot is the static and cross-machine half of the TierAuto policy:
+// f has a loop, or machines that ran before this one left it hot.
+func (mc *Machine) startsHot(f *core.Function) bool {
+	if mc.prog != nil {
+		return mc.prog.startsHot(f, mc.HotCalls, mc.HotTicks)
+	}
+	return hasLoop(f)
+}
+
+// hasLoop reports whether f's CFG contains a cycle: a depth-first walk
+// from the entry finds an edge back to a block still on its path.
+func hasLoop(f *core.Function) bool {
+	const onPath, done = 1, 2
+	state := make(map[*core.BasicBlock]int8, len(f.Blocks))
+	var walk func(b *core.BasicBlock) bool
+	walk = func(b *core.BasicBlock) bool {
+		state[b] = onPath
+		for _, s := range b.Succs() {
+			if state[s] == onPath || (state[s] == 0 && walk(s)) {
+				return true
+			}
+		}
+		state[b] = done
+		return false
+	}
+	return walk(f.Entry())
+}
+
+// foldHeat adds what this machine counted since its last fold to the
+// attached Program, and makes its promotions sticky there.
+func (mc *Machine) foldHeat() {
+	p := mc.prog
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	for f, fs := range mc.fstates {
+		h := p.heatOf(f)
+		h.calls += fs.calls - fs.foldedCalls
+		h.ticks += fs.ticks - fs.foldedTicks
+		fs.foldedCalls, fs.foldedTicks = fs.calls, fs.ticks
+		if fs.tier == tierT2 {
+			h.hot = true
+		}
+	}
+}
+
+// autoCall dispatches one activation under TierAuto: tier 2 from the first
+// call for a function that starts hot, otherwise baseline and promoted in
+// place when the hotness counters say so, degraded to the interpreter if
+// translation fails.
 func (mc *Machine) autoCall(f *core.Function, args []uint64) (uint64, execResult, error) {
 	fs := mc.fstate(f)
 	fs.calls++
+	if fs.calls == 1 && !fs.startHot {
+		fs.startHot = mc.startsHot(f)
+	}
 	if fs.tier != tierT2 && !fs.t2Failed &&
-		(fs.seedHot || fs.calls >= mc.HotCalls || fs.ticks >= mc.HotTicks) {
+		(fs.startHot || fs.calls >= mc.HotCalls || fs.ticks >= mc.HotTicks) {
 		if err := mc.ensureT2(fs); err != nil {
 			fs.t2Failed = true
 		} else {
 			if fs.calls > 1 {
 				// An in-place promotion of a function that already ran at a
-				// lower tier; seeded functions start at tier 2 instead.
+				// lower tier; functions that start hot begin at tier 2.
 				mc.tierUps++
 			}
 			fs.tier = tierT2

@@ -12,6 +12,8 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
+	"sync"
 	"testing"
 
 	"repro/internal/asm"
@@ -53,6 +55,15 @@ func describeErr(err error) string {
 // runTier executes m's main at the given tier and captures the outcome.
 func runTier(t *testing.T, m *core.Module, p interp.TierPolicy) tierOutcome {
 	t.Helper()
+	out, _ := runOn(t, m, nil, p, false)
+	return out
+}
+
+// runOn executes m's main at the given tier on a machine sharing prog (nil
+// for none), counting blocks if profile is set, and captures the outcome
+// and the per-block profile.
+func runOn(t *testing.T, m *core.Module, prog *interp.Program, p interp.TierPolicy, profile bool) (tierOutcome, map[string][]int64) {
+	t.Helper()
 	var buf bytesBuffer
 	mc, err := interp.NewMachine(m, &buf)
 	if err != nil {
@@ -60,8 +71,14 @@ func runTier(t *testing.T, m *core.Module, p interp.TierPolicy) tierOutcome {
 	}
 	mc.SetTier(p)
 	mc.MaxSteps = 50_000_000
+	if err := mc.AttachProgram(prog); err != nil {
+		t.Fatal(err)
+	}
+	if profile {
+		mc.EnableProfile()
+	}
 	v, runErr := mc.RunMain()
-	return tierOutcome{val: uint64(v), out: buf.String(), steps: mc.Steps, err: describeErr(runErr)}
+	return tierOutcome{val: uint64(v), out: buf.String(), steps: mc.Steps, err: describeErr(runErr)}, mc.BlockCounts()
 }
 
 // bytesBuffer avoids importing bytes alongside the dot-heavy import block.
@@ -79,6 +96,29 @@ func requireTierAgreement(t *testing.T, m *core.Module) {
 		if got != ref {
 			t.Errorf("tier %s diverged from interpreter:\n  tier 0: val=%d steps=%d err=%q out=%q\n  tier %s: val=%d steps=%d err=%q out=%q",
 				p, ref.val, ref.steps, ref.err, ref.out, p, got.val, got.steps, got.err, got.out)
+		}
+	}
+	requireWarmAutoAgreement(t, m, ref)
+}
+
+// requireWarmAutoAgreement is the "TierAuto on a warm Program" arm of the
+// goldens: the machines after the first start from the heat the ones before
+// them folded into the shared Program, and each must still match tier 0 in
+// result, output, steps, trap position and block counts.
+func requireWarmAutoAgreement(t *testing.T, m *core.Module, ref tierOutcome) {
+	t.Helper()
+	refOut, refCounts := runOn(t, m, nil, interp.TierInterp, true)
+	if refOut != ref {
+		t.Fatalf("profiling changed the interpreter's behavior: %+v vs %+v", refOut, ref)
+	}
+	prog := interp.NewProgram(m)
+	for run := 1; run <= 3; run++ {
+		got, counts := runOn(t, m, prog, interp.TierAuto, true)
+		if got != ref {
+			t.Errorf("auto run %d on a shared Program diverged from interpreter:\n  tier 0: %+v\n  auto:   %+v", run, ref, got)
+		}
+		if !reflect.DeepEqual(counts, refCounts) {
+			t.Errorf("auto run %d on a shared Program: block counts differ from the interpreter's", run)
 		}
 	}
 }
@@ -291,6 +331,132 @@ func TestSeedProfileSkipsBaseline(t *testing.T) {
 	}
 	if st.Calls[2] == 0 {
 		t.Fatal("no tier-2 activations recorded")
+	}
+}
+
+// autoMachine prepares a TierAuto machine for m sharing prog (nil for none).
+func autoMachine(t *testing.T, m *core.Module, prog *interp.Program) *interp.Machine {
+	t.Helper()
+	mc, err := interp.NewMachine(m, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mc.SetTier(interp.TierAuto)
+	if err := mc.AttachProgram(prog); err != nil {
+		t.Fatal(err)
+	}
+	return mc
+}
+
+// TestLoopFunctionStartsAtTier2: with no Program and no seeded profile, a
+// function whose CFG has a loop runs at tier 2 from its first call, while a
+// loop-free one still earns its promotion by calls.
+func TestLoopFunctionStartsAtTier2(t *testing.T) {
+	m := parseTierUpModule(t)
+	ref := runTier(t, m, interp.TierInterp)
+	mc := autoMachine(t, m, nil)
+	v, err := mc.RunMain()
+	if err != nil || uint64(v) != ref.val || mc.Steps != ref.steps {
+		t.Fatalf("auto run: val=%d steps=%d err=%v, want val=%d steps=%d", v, mc.Steps, err, ref.val, ref.steps)
+	}
+	st := mc.TierStats()
+	// %main (one call, a loop) never saw the baseline tier; %work (100
+	// calls, straight-line) ran there until call DefaultHotCalls.
+	if st.Compiles[1] != 1 || st.Compiles[2] != 2 {
+		t.Fatalf("want one baseline and two tier-2 translations, got %v", st.Compiles)
+	}
+	if want := int64(interp.DefaultHotCalls - 1); st.Calls[1] != want || st.Calls[2] != 101-want {
+		t.Fatalf("calls per tier %v, want %d at tier 1 and %d at tier 2", st.Calls, want, 101-want)
+	}
+	if st.TierUps != 1 {
+		t.Fatalf("only %%work is promoted in place, got %d tier-ups", st.TierUps)
+	}
+}
+
+// TestWarmProgramStartsAtTier2: the second TierAuto machine on a Program
+// starts where the first ended — every function at tier 2, nothing
+// translated, the baseline tier never entered.
+func TestWarmProgramStartsAtTier2(t *testing.T) {
+	m := parseTierUpModule(t)
+	ref := runTier(t, m, interp.TierInterp)
+	prog := interp.NewProgram(m)
+
+	first := autoMachine(t, m, prog)
+	if _, err := first.RunMain(); err != nil {
+		t.Fatal(err)
+	}
+	if st := first.TierStats(); st.Calls[1] == 0 || st.TierUps != 1 {
+		t.Fatalf("first machine should promote %%work mid-run: %+v", st)
+	}
+
+	second := autoMachine(t, m, prog)
+	v, err := second.RunMain()
+	if err != nil || uint64(v) != ref.val || second.Steps != ref.steps {
+		t.Fatalf("warm run: val=%d steps=%d err=%v, want val=%d steps=%d", v, second.Steps, err, ref.val, ref.steps)
+	}
+	st := second.TierStats()
+	if st.Calls[1] != 0 || st.Calls[2] != 101 || st.Compiles != [3]int64{} || st.TierUps != 0 {
+		t.Fatalf("warm machine should run everything at tier 2 and translate nothing: %+v", st)
+	}
+	if len(st.Funcs) != 2 {
+		t.Fatalf("want %%main and %%work, got %+v", st.Funcs)
+	}
+	for _, f := range st.Funcs {
+		if f.Tier != 2 {
+			t.Fatalf("%%%s is at tier %d on a warm Program", f.Name, f.Tier)
+		}
+	}
+}
+
+// TestHeatAccumulatesAcrossMachines: calls below the threshold in any one
+// run still add up on the Program, and the machine that finds the sum past
+// its threshold starts the function at tier 2.
+func TestHeatAccumulatesAcrossMachines(t *testing.T) {
+	m := parseTierUpModule(t)
+	prog := interp.NewProgram(m)
+	// %work is called 100 times a run: 100, then 200 >= 150.
+	for run, wantT1 := range []int64{100, 100, 0} {
+		mc := autoMachine(t, m, prog)
+		mc.HotCalls = 150
+		if _, err := mc.RunMain(); err != nil {
+			t.Fatal(err)
+		}
+		if st := mc.TierStats(); st.Calls[1] != wantT1 || st.TierUps != 0 {
+			t.Fatalf("run %d: %d baseline calls and %d tier-ups, want %d and 0", run+1, st.Calls[1], st.TierUps, wantT1)
+		}
+	}
+}
+
+// TestConcurrentMachinesShareHeat runs TierAuto machines on one Program
+// from many goroutines; under -race this pins the fold and the lookup.
+func TestConcurrentMachinesShareHeat(t *testing.T) {
+	m := parseTierUpModule(t)
+	ref := runTier(t, m, interp.TierInterp)
+	prog := interp.NewProgram(m)
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 4; i++ {
+				mc, err := interp.NewMachine(m, nil)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				mc.SetTier(interp.TierAuto)
+				mc.AttachProgram(prog)
+				if v, err := mc.RunMain(); err != nil || uint64(v) != ref.val || mc.Steps != ref.steps {
+					t.Errorf("concurrent run: val=%d steps=%d err=%v", v, mc.Steps, err)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	after := autoMachine(t, m, prog)
+	after.RunMain()
+	if st := after.TierStats(); st.Calls[1] != 0 {
+		t.Fatalf("a machine after the crowd still entered the baseline tier: %+v", st)
 	}
 }
 

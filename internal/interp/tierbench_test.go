@@ -3,7 +3,6 @@ package interp_test
 import (
 	"fmt"
 	"io"
-	"runtime"
 	"testing"
 
 	"repro/internal/core"
@@ -49,16 +48,13 @@ func benchModule(b *testing.B) *core.Module {
 }
 
 // benchTier runs main to completion once per iteration at the given
-// policy, sharing one translation cache across iterations so the loop
-// measures steady-state execution, not translation.
+// policy, on a fresh machine over one warm shared Program (one untimed run
+// has translated and, under TierAuto, folded its heat in), so the loop
+// measures what a resident module's next request costs.
 func benchTier(b *testing.B, policy interp.TierPolicy) {
 	m := benchModule(b)
 	prog := interp.NewProgram(m)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		// Machine setup allocates the whole 4MB stack; pay its GC debt
-		// outside the timed region so the loop measures execution.
-		b.StopTimer()
+	run := func() {
 		mc, err := interp.NewMachine(m, io.Discard)
 		if err != nil {
 			b.Fatal(err)
@@ -68,14 +64,18 @@ func benchTier(b *testing.B, policy interp.TierPolicy) {
 		if err := mc.AttachProgram(prog); err != nil {
 			b.Fatal(err)
 		}
-		runtime.GC()
-		b.StartTimer()
 		if _, err := mc.RunMain(); err != nil {
 			b.Fatal(err)
 		}
+	}
+	run()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		run()
 	}
 }
 
 func BenchmarkTierInterp(b *testing.B)   { benchTier(b, interp.TierInterp) }
 func BenchmarkTierBaseline(b *testing.B) { benchTier(b, interp.TierBaseline) }
 func BenchmarkTierOpt(b *testing.B)      { benchTier(b, interp.TierOpt) }
+func BenchmarkTierAuto(b *testing.B)     { benchTier(b, interp.TierAuto) }

@@ -222,6 +222,45 @@ func TestRunReusesTranslations(t *testing.T) {
 	}
 }
 
+// TestRunSecondRequestStartsAtTier2: hotness lives on the resident Program
+// and loop functions skip the baseline tier, so neither the first /run of
+// hotSrc (both functions loop) nor the second enters tier 1, the second
+// translates nothing, and its reply is the first's — profiled or not.
+func TestRunSecondRequestStartsAtTier2(t *testing.T) {
+	for _, query := range []string{"", "?profile=0"} {
+		s, ts := newTestServer(t, Config{DisableReopt: true})
+		mod := hotModuleText(t)
+		calls := func(tier string) float64 {
+			return s.metrics.Counter("llvm_interp_tier_calls_total", "tier", tier).Value()
+		}
+
+		var r1, r2 runResponse
+		postJSON(t, ts.URL+"/run"+query, mod, &r1)
+		st1, _ := s.progs.stats()
+		t2First := calls("2")
+		postJSON(t, ts.URL+"/run"+query, mod, &r2)
+		st2, _ := s.progs.stats()
+
+		if r1.Trap != "" || r1.Steps == 0 {
+			t.Fatalf("/run%s: first reply %+v", query, r1)
+		}
+		// The profile epoch is the store's, not the run's.
+		r2.ProfileEpoch, r2.EpochAdvanced = r1.ProfileEpoch, r1.EpochAdvanced
+		if r1 != r2 {
+			t.Fatalf("/run%s: second reply differs from the first:\n  %+v\n  %+v", query, r1, r2)
+		}
+		if n := calls("1"); n != 0 {
+			t.Fatalf("/run%s: %v baseline-tier calls for loop functions, want 0", query, n)
+		}
+		if t2First == 0 || calls("2") != 2*t2First {
+			t.Fatalf("/run%s: tier-2 calls %v then %v, want the same again", query, t2First, calls("2"))
+		}
+		if st1.T2Compiles == 0 || st2.T2Compiles != st1.T2Compiles || st2.T1Compiles != 0 {
+			t.Fatalf("/run%s: translations %+v then %+v", query, st1, st2)
+		}
+	}
+}
+
 // TestRunOutputAndTrap: program output is captured, and traps surface as
 // diagnostics, not failures.
 func TestRunOutputAndTrap(t *testing.T) {

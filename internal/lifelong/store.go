@@ -275,7 +275,8 @@ func modulePath(hash string) string { return filepath.Join(modulesDir, hash+".bc
 
 // PutModule stores a module under its content address, returning the hash
 // and the canonical bytes (already present is not an error — the write is
-// skipped and the entry's recency bumped).
+// skipped and the entry's recency bumped in memory, like a read's; it
+// reaches index.json with the next write's flush).
 func (s *Store) PutModule(m *core.Module) (hash string, canonical []byte, err error) {
 	canonical, err = bytecode.Encode(m)
 	if err != nil {
@@ -287,7 +288,7 @@ func (s *Store) PutModule(m *core.Module) (hash string, canonical []byte, err er
 	rel := modulePath(hash)
 	if _, ok := s.idx.Entries[rel]; ok {
 		s.touchLocked(rel)
-		return hash, canonical, s.flushIndexLocked()
+		return hash, canonical, nil
 	}
 	return hash, canonical, s.putBlobLocked(rel, "", canonical)
 }

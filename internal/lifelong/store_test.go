@@ -1,6 +1,7 @@
 package lifelong
 
 import (
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"testing"
@@ -197,6 +198,68 @@ func TestStoreLRUEviction(t *testing.T) {
 	}
 	if st := s.Stats(); st.Evictions != 1 {
 		t.Fatalf("evictions = %d, want 1", st.Evictions)
+	}
+}
+
+// TestStoreKnownPutModuleKeepsIndexOffDisk: re-interning a module the store
+// already holds bumps its recency in memory only — index.json is not
+// rewritten — and the next eviction still honours that recency.
+func TestStoreKnownPutModuleKeepsIndexOffDisk(t *testing.T) {
+	m := parse(t, storeSrc)
+	canonical, err := bytecode.Encode(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Room for the module and one 1 KiB artifact, not two.
+	s := openStore(t, int64(len(canonical))+1024+100)
+	hash, _, err := s.PutModule(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	blob := make([]byte, 1024)
+	if err := s.PutArtifact("aaaa", "std", 0, blob); err != nil {
+		t.Fatal(err)
+	}
+
+	indexPath := filepath.Join(s.Dir(), indexFile)
+	before, err := os.ReadFile(indexPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 10; i++ {
+		if h, _, err := s.PutModule(m); err != nil || h != hash {
+			t.Fatalf("known PutModule: %s, %v", h, err)
+		}
+	}
+	after, err := os.ReadFile(indexPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(before) != string(after) {
+		t.Fatal("PutModule of a known module rewrote index.json")
+	}
+
+	// The module was put first but used last: the artifact is the victim.
+	if err := s.PutArtifact("bbbb", "std", 0, blob); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := s.GetModuleBytes(hash); !ok {
+		t.Fatal("re-interned module evicted: its in-memory recency was ignored")
+	}
+	if _, ok := s.GetArtifact("aaaa", "std", 0); ok {
+		t.Fatal("LRU artifact survived past the cap")
+	}
+	// That write's flush carried the bumped recency to disk.
+	flushed, err := os.ReadFile(indexPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var idx index
+	if err := json.Unmarshal(flushed, &idx); err != nil {
+		t.Fatal(err)
+	}
+	if e := idx.Entries[modulePath(hash)]; e == nil || e.Used <= 2 {
+		t.Fatalf("module recency on disk after the next write: %+v", e)
 	}
 }
 
