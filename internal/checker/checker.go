@@ -262,6 +262,7 @@ type fnCtx struct {
 	in     map[*core.BasicBlock][]objState
 	guards map[core.Value][]*core.BasicBlock
 	dt     *analysis.DomTree
+	pr     *core.FuncPrinter // every position string of f goes through it
 
 	// Summary collection flags, set during transfer.
 	argMayFree []bool
@@ -278,6 +279,7 @@ func (c *Checker) newFnCtx(f *core.Function, sums map[*core.Function]*funcSummar
 		sums:       sums,
 		mr:         mr,
 		reach:      analysis.ReachableBlocks(f),
+		pr:         core.NewFuncPrinter(f),
 		argMayFree: make([]bool, len(f.Args)),
 		argStored:  make([]bool, len(f.Args)),
 	}
@@ -297,7 +299,7 @@ func (fc *fnCtx) pos(inst core.Instruction) diag.Pos {
 	return diag.Pos{
 		Fn:    fc.f.Name(),
 		Block: inst.Parent().Name(),
-		Inst:  core.InstDebugString(inst),
+		Inst:  fc.pr.InstString(inst),
 	}
 }
 
@@ -814,7 +816,7 @@ func (c *Checker) checkFunction(f *core.Function, sums map[*core.Function]*funcS
 		out = append(out, fc.lintUnreachable()...)
 		out = append(out, fc.lintDeadStores()...)
 	}
-	sortDiags(f, out)
+	sortDiags(f, fc.pr, out)
 	return out
 }
 
@@ -825,8 +827,7 @@ func (fc *fnCtx) lintUnreachable() []diag.Diagnostic {
 		if fc.reach[b] || len(b.Instrs) == 0 {
 			continue
 		}
-		out = append(out, diag.New(KindUnreachable, diag.Warning,
-			diag.Pos{Fn: fc.f.Name(), Block: b.Name(), Inst: core.InstDebugString(b.Instrs[0])},
+		out = append(out, diag.New(KindUnreachable, diag.Warning, fc.pos(b.Instrs[0]),
 			"block %%%s is unreachable from entry", b.Name()))
 	}
 	return out
@@ -955,14 +956,19 @@ func (fc *fnCtx) genCall(args []core.Value, live []bool) {
 
 // sortDiags orders diagnostics by block layout order, then instruction
 // order, then kind — a stable order independent of emission interleaving.
-func sortDiags(f *core.Function, ds []diag.Diagnostic) {
+// pr is f's printer, so the position strings it matches are the ones the
+// diagnostics carry.
+func sortDiags(f *core.Function, pr *core.FuncPrinter, ds []diag.Diagnostic) {
+	if len(ds) < 2 {
+		return
+	}
 	blockIdx := map[string]int{}
 	instIdx := map[string]map[string]int{}
 	for bi, b := range f.Blocks {
 		blockIdx[b.Name()] = bi
 		im := map[string]int{}
 		for ii, inst := range b.Instrs {
-			s := core.InstDebugString(inst)
+			s := pr.InstString(inst)
 			if _, dup := im[s]; !dup {
 				im[s] = ii
 			}

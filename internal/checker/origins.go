@@ -123,12 +123,12 @@ func (o *originSet) unionFrom(src *originSet) bool {
 }
 
 // siteName renders a value's spelling for messages.
-func siteName(v core.Value) string {
+func (fc *fnCtx) siteName(v core.Value) string {
 	if n := v.Name(); n != "" {
 		return "%" + n
 	}
 	if inst, ok := v.(core.Instruction); ok {
-		return "'" + core.InstDebugString(inst) + "'"
+		return "'" + fc.pr.InstString(inst) + "'"
 	}
 	return fmt.Sprintf("<%T>", v)
 }
@@ -138,7 +138,7 @@ func siteName(v core.Value) string {
 func (fc *fnCtx) collectSites() {
 	fc.siteOf = map[core.Value]int{}
 	add := func(kind siteKind, v core.Value, argIdx int) {
-		s := &site{kind: kind, val: v, idx: len(fc.sites), argIndex: argIdx, name: siteName(v)}
+		s := &site{kind: kind, val: v, idx: len(fc.sites), argIndex: argIdx, name: fc.siteName(v)}
 		fc.sites = append(fc.sites, s)
 		fc.siteOf[v] = s.idx
 	}

@@ -306,6 +306,27 @@ func InstDebugString(inst Instruction) string {
 	return inst.Opcode().String() + " " + strings.Join(parts, ", ")
 }
 
+// FuncPrinter renders the instructions of one function as InstDebugString
+// does, naming the function's values once on first use instead of once per
+// call, so printing every instruction of f costs O(|f|) rather than
+// O(|f|²). Only instructions of f may be printed, and f must not change
+// while the printer is in use. Not safe for concurrent use.
+type FuncPrinter struct {
+	f *Function
+	p *funcPrinter
+}
+
+// NewFuncPrinter returns a printer for f's instructions.
+func NewFuncPrinter(f *Function) *FuncPrinter { return &FuncPrinter{f: f} }
+
+// InstString equals InstDebugString(inst) for an instruction of f.
+func (fp *FuncPrinter) InstString(inst Instruction) string {
+	if fp.p == nil {
+		fp.p = newFuncPrinter(fp.f)
+	}
+	return fp.p.instString(inst)
+}
+
 // SortedFuncNames returns the module's function names sorted, a convenience
 // for deterministic reporting.
 func (m *Module) SortedFuncNames() []string {

@@ -90,7 +90,19 @@ func Compile(st *Store, m *core.Module, spec string) (*CompileResult, error) {
 }
 
 // CompileWith is Compile with observability attached.
-func CompileWith(st *Store, m *core.Module, spec string, opts CompileOpts) (res *CompileResult, err error) {
+func CompileWith(st *Store, m *core.Module, spec string, opts CompileOpts) (*CompileResult, error) {
+	hash, canonical, err := st.PutModule(m)
+	if err != nil {
+		return nil, err
+	}
+	return compileCanonical(st, hash, canonical, spec, opts)
+}
+
+// compileCanonical is Compile for a module already interned in st:
+// canonical is its canonical bytecode and hash their content address. The
+// bytes are decoded and verified only on an artifact miss, before the
+// pipeline runs on that private copy.
+func compileCanonical(st *Store, hash string, canonical []byte, spec string, opts CompileOpts) (res *CompileResult, err error) {
 	ctx := opts.Ctx
 	if ctx == nil {
 		ctx = context.Background()
@@ -111,10 +123,6 @@ func CompileWith(st *Store, m *core.Module, spec string, opts CompileOpts) (res 
 			}
 			sp.EndArgs(args)
 		}()
-	}
-	hash, canonical, err := st.PutModule(m)
-	if err != nil {
-		return nil, err
 	}
 	res = &CompileResult{ModuleHash: hash, Spec: spec}
 	if f, ok := st.GetProfile(hash); ok {
@@ -163,6 +171,9 @@ func CompileWith(st *Store, m *core.Module, spec string, opts CompileOpts) (res 
 	work, err := bytecode.Decode(canonical)
 	if err != nil {
 		return nil, fmt.Errorf("lifelong: re-decoding %s: %w", shortHash(hash), err)
+	}
+	if err := core.Verify(work); err != nil {
+		return nil, fmt.Errorf("lifelong: module %s: %w", shortHash(hash), err)
 	}
 	pm := passes.NewPassManager()
 	pm.Tracer = opts.Tracer

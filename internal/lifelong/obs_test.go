@@ -103,10 +103,14 @@ func TestRequestMetricLabelCardinality(t *testing.T) {
 func TestStatsAgreesWithMetrics(t *testing.T) {
 	_, ts := newTestServer(t, Config{DisableReopt: true})
 	mod := hotModuleText(t)
-	for i := 0; i < 3; i++ {
-		post(t, ts.URL+"/compile", mod)
+	canon := canonicalBytes(t, mod)
+	// The text teaches the daemon the module; its canonical bytes are then
+	// served by content address, except on the /run that makes it resident.
+	post(t, ts.URL+"/compile", mod)
+	for i := 0; i < 2; i++ {
+		post(t, ts.URL+"/compile", canon)
+		post(t, ts.URL+"/run", canon)
 	}
-	post(t, ts.URL+"/run", mod)
 	post(t, ts.URL+"/check", mod)
 
 	var st statsResponse
@@ -120,22 +124,25 @@ func TestStatsAgreesWithMetrics(t *testing.T) {
 	}
 	out := scrape(t, ts.URL)
 	for series, want := range map[string]uint64{
-		`llvm_serve_requests_total{endpoint="compile"}`: st.Requests.Compile,
-		`llvm_serve_requests_total{endpoint="run"}`:     st.Requests.Run,
-		`llvm_serve_requests_total{endpoint="check"}`:   st.Requests.Check,
-		"llvm_serve_rejected_total":                     st.Requests.Rejected,
-		"llvm_store_artifact_hits_total":                st.Store.ArtifactHits,
-		"llvm_store_artifact_misses_total":              st.Store.ArtifactMisses,
-		"llvm_store_evictions_total":                    st.Store.Evictions,
-		"llvm_reopt_builds_total":                       st.Reopt.ArtifactsBuilt,
+		`llvm_serve_requests_total{endpoint="compile"}`:    st.Requests.Compile,
+		`llvm_serve_requests_total{endpoint="run"}`:        st.Requests.Run,
+		`llvm_serve_requests_total{endpoint="check"}`:      st.Requests.Check,
+		"llvm_serve_rejected_total":                        st.Requests.Rejected,
+		`llvm_serve_known_bytes_total{endpoint="compile"}`: st.Requests.KnownBytes.Compile,
+		`llvm_serve_known_bytes_total{endpoint="run"}`:     st.Requests.KnownBytes.Run,
+		"llvm_store_artifact_hits_total":                   st.Store.ArtifactHits,
+		"llvm_store_artifact_misses_total":                 st.Store.ArtifactMisses,
+		"llvm_store_evictions_total":                       st.Store.Evictions,
+		"llvm_reopt_builds_total":                          st.Reopt.ArtifactsBuilt,
 	} {
 		line := fmt.Sprintf("%s %d\n", series, want)
 		if !strings.Contains(out, line) {
 			t.Errorf("/metrics disagrees with /stats: want line %q in:\n%s", line, out)
 		}
 	}
-	if st.Requests.Compile != 3 || st.Requests.Run != 1 || st.Requests.Check != 1 {
-		t.Errorf("stats = %+v, want 3 compiles / 1 run / 1 check", st.Requests)
+	if st.Requests.Compile != 3 || st.Requests.Run != 2 || st.Requests.Check != 1 ||
+		st.Requests.KnownBytes.Compile != 2 || st.Requests.KnownBytes.Run != 1 {
+		t.Errorf("stats = %+v, want 3 compiles (2 by content address) / 2 runs (1) / 1 check", st.Requests)
 	}
 }
 

@@ -57,6 +57,19 @@ func (c *progCache) fetch(hash string, m *core.Module) (*core.Module, *interp.Pr
 	return e.mod, e.prog, false
 }
 
+// lookup returns the resident module and translation cache for hash, if
+// any; unlike fetch it never adopts a module.
+func (c *progCache) lookup(hash string) (*core.Module, *interp.Program, bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	e, ok := c.entries[hash]
+	if !ok {
+		return nil, nil, false
+	}
+	c.touch(hash)
+	return e.mod, e.prog, true
+}
+
 func (c *progCache) touch(hash string) {
 	for i, h := range c.order {
 		if h == hash {

@@ -152,7 +152,10 @@ type Server struct {
 	// them back from there (see handleStats) so the JSON and Prometheus
 	// views are two renderings of one set of counters.
 	cCompile, cRun, cCheck, cRejected *obs.Counter
-	cReoptBuilt, cReoptErrors         *obs.Counter
+	// cKnownCompile and cKnownRun count the requests served by content
+	// address: bodies the store already held, never parsed.
+	cKnownCompile, cKnownRun  *obs.Counter
+	cReoptBuilt, cReoptErrors *obs.Counter
 	// Validation counters share the llvm_validate_* names the pass
 	// manager uses, labeled pass="reoptimize", plus the quarantine total.
 	cValidateRuns, cValidateMiscompiles, cValidateInconclusive *obs.Counter
@@ -195,6 +198,8 @@ func NewServer(cfg Config) *Server {
 	s.cRun = s.metrics.Counter("llvm_serve_requests_total", "endpoint", "run")
 	s.cCheck = s.metrics.Counter("llvm_serve_requests_total", "endpoint", "check")
 	s.cRejected = s.metrics.Counter("llvm_serve_rejected_total")
+	s.cKnownCompile = s.metrics.Counter("llvm_serve_known_bytes_total", "endpoint", "compile")
+	s.cKnownRun = s.metrics.Counter("llvm_serve_known_bytes_total", "endpoint", "run")
 	s.cReoptBuilt = s.metrics.Counter("llvm_reopt_builds_total")
 	s.cReoptErrors = s.metrics.Counter("llvm_reopt_errors_total")
 	s.cValidateRuns = s.metrics.Counter("llvm_validate_runs_total", "pass", "reoptimize")
@@ -334,9 +339,10 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 }
 
 // withWorker funnels a handler through the bounded pool: the request
-// waits for a slot under its deadline and is rejected with 503 when the
-// budget elapses first, so overload degrades to fast refusals instead of
-// unbounded queueing.
+// waits for a slot for up to its whole RequestTimeout and is rejected with
+// 503 only when that budget elapses first. Under overload requests
+// therefore queue for the full budget before being refused; nothing sheds
+// them early.
 func (s *Server) withWorker(h func(http.ResponseWriter, *http.Request)) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		if r.Method != http.MethodPost {
@@ -366,10 +372,9 @@ func (s *Server) withWorker(h func(http.ResponseWriter, *http.Request)) http.Han
 	}
 }
 
-// readModule reads and parses the request body as a module, transparently
-// decoding gzipped bodies (Content-Encoding: gzip); the size cap applies
-// to the decoded bytes.
-func (s *Server) readModule(w http.ResponseWriter, r *http.Request) (*core.Module, bool) {
+// readBody reads the request body, transparently decoding gzipped bodies
+// (Content-Encoding: gzip); the size cap applies to the decoded bytes.
+func (s *Server) readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
 	body, err := ReadBody(r, s.cfg.MaxBody)
 	if err != nil {
 		obs.RecordFromContext(r.Context()).SetError(err.Error())
@@ -380,16 +385,28 @@ func (s *Server) readModule(w http.ResponseWriter, r *http.Request) (*core.Modul
 		}
 		return nil, false
 	}
+	return body, true
+}
+
+// intern parses body (bytecode or assembly), verifies the module and
+// stores it at its content address, replying 422 when body is not a valid
+// module. Verifying before PutModule is what keeps every module blob in
+// the store the canonical encoding of a verified module.
+func (s *Server) intern(w http.ResponseWriter, body []byte) (m *core.Module, hash string, canonical []byte, ok bool) {
 	m, err := tooling.LoadModuleBytes("request", body)
 	if err != nil {
 		httpError(w, http.StatusUnprocessableEntity, "parsing module: %v", err)
-		return nil, false
+		return nil, "", nil, false
 	}
 	if err := core.Verify(m); err != nil {
 		httpError(w, http.StatusUnprocessableEntity, "module invalid: %v", err)
-		return nil, false
+		return nil, "", nil, false
 	}
-	return m, true
+	if hash, canonical, err = s.store.PutModule(m); err != nil {
+		httpError(w, http.StatusInternalServerError, "storing module: %v", err)
+		return nil, "", nil, false
+	}
+	return m, hash, canonical, true
 }
 
 // compileResponse is /compile's JSON shape (raw=1 returns the bytecode
@@ -409,8 +426,17 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 	w, finish := Compress(w, r)
 	defer finish()
 	tRead := time.Now()
-	m, ok := s.readModule(w, r)
+	body, ok := s.readBody(w, r)
 	if !ok {
+		return
+	}
+	// Content address first: bytes the store already holds are the
+	// canonical encoding of a module verified when it was interned, so they
+	// skip parse, verify and encode. Anything else is interned here, once.
+	hash, canonical := bytecode.HashBytes(body), body
+	if s.store.TouchModule(hash) {
+		s.cKnownCompile.Inc()
+	} else if _, hash, canonical, ok = s.intern(w, body); !ok {
 		return
 	}
 	rec.AddPhase("read-parse", time.Since(tRead))
@@ -422,11 +448,6 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 	// same pipeline, same profile epoch — share one pipeline run. The key
 	// includes the epoch so a request racing an epoch advance never shares
 	// a stale-epoch result.
-	hash, err := bytecode.ModuleHash(m)
-	if err != nil {
-		httpError(w, http.StatusInternalServerError, "hashing module: %v", err)
-		return
-	}
 	var epoch int64
 	if f, ok := s.store.GetProfile(hash); ok {
 		epoch = f.Epoch
@@ -434,7 +455,7 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 	key := fmt.Sprintf("%s\x1f%s\x1f%d", hash, spec, epoch)
 	tCompile := time.Now()
 	res, leaderTrace, shared, err := s.flight.Do(key, sc.Trace, func() (*CompileResult, error) {
-		return CompileWith(s.store, m, spec, CompileOpts{
+		return compileCanonical(s.store, hash, canonical, spec, CompileOpts{
 			Ctx:     r.Context(),
 			Parent:  sc,
 			Tracer:  s.cfg.Tracer,
@@ -494,22 +515,29 @@ type runResponse struct {
 
 func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	s.cRun.Inc()
-	m, ok := s.readModule(w, r)
+	body, ok := s.readBody(w, r)
 	if !ok {
 		return
 	}
 	profiled := r.URL.Query().Get("profile") != "0"
 
-	// Intern the module first: the profile is keyed by its hash, and the
-	// idle reoptimizer needs the canonical bytes to rebuild from.
-	hash, _, err := s.store.PutModule(m)
-	if err != nil {
-		httpError(w, http.StatusInternalServerError, "storing module: %v", err)
-		return
-	}
 	// Run the resident module object so the shared translation cache
-	// applies; the freshly parsed copy is only used on first sight.
-	mod, prog, _ := s.progs.fetch(hash, m)
+	// applies. Bytes that hash to a resident module whose blob the store
+	// still holds are that module's canonical encoding: no parse needed.
+	hash := bytecode.HashBytes(body)
+	mod, prog, resident := s.progs.lookup(hash)
+	if resident && s.store.TouchModule(hash) {
+		s.cKnownRun.Inc()
+	} else {
+		// Intern the module first: the profile is keyed by its hash, and
+		// the idle reoptimizer needs the canonical bytes to rebuild from.
+		var m *core.Module
+		if m, hash, _, ok = s.intern(w, body); !ok {
+			return
+		}
+		// The freshly parsed copy is only used on first sight.
+		mod, prog, _ = s.progs.fetch(hash, m)
+	}
 	var out bytes.Buffer
 	mc, err := interp.NewMachine(mod, &out)
 	if err != nil {
@@ -595,13 +623,12 @@ type checkResponse struct {
 
 func (s *Server) handleCheck(w http.ResponseWriter, r *http.Request) {
 	s.cCheck.Inc()
-	m, ok := s.readModule(w, r)
+	body, ok := s.readBody(w, r)
 	if !ok {
 		return
 	}
-	hash, _, err := s.store.PutModule(m)
-	if err != nil {
-		httpError(w, http.StatusInternalServerError, "storing module: %v", err)
+	m, hash, _, ok := s.intern(w, body)
+	if !ok {
 		return
 	}
 	// Lifelong summaries: reuse the persisted points-to result for this
@@ -643,6 +670,13 @@ type statsResponse struct {
 		// Deduped counts /compile requests that shared another request's
 		// in-flight pipeline run (single-flight by hash/spec/epoch).
 		Deduped uint64 `json:"deduped"`
+		// KnownBytes counts requests served by content address: the body
+		// was the canonical bytes of a module the store held, so it was
+		// never parsed (llvm_serve_known_bytes_total).
+		KnownBytes struct {
+			Compile uint64 `json:"compile"`
+			Run     uint64 `json:"run"`
+		} `json:"known_bytes"`
 	} `json:"requests"`
 	Reopt struct {
 		Enabled        bool   `json:"enabled"`
@@ -703,6 +737,8 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	resp.Requests.Rejected = uint64(s.cRejected.Value())
 	resp.Requests.Active = s.inflight.Load()
 	resp.Requests.Deduped = uint64(s.cDedup.Value())
+	resp.Requests.KnownBytes.Compile = uint64(s.cKnownCompile.Value())
+	resp.Requests.KnownBytes.Run = uint64(s.cKnownRun.Value())
 	resp.Reopt.Enabled = !s.cfg.DisableReopt
 	resp.Reopt.ArtifactsBuilt = uint64(s.cReoptBuilt.Value())
 	resp.Reopt.Errors = uint64(s.cReoptErrors.Value())

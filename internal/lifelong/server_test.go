@@ -7,10 +7,13 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/bytecode"
 	"repro/internal/frontend/minic"
+	"repro/internal/tooling"
 )
 
 // hotSrc has a call site the profile-guided reoptimizer provably inlines
@@ -42,6 +45,27 @@ func hotModuleText(t *testing.T) []byte {
 		t.Fatal(err)
 	}
 	return []byte(m.String())
+}
+
+// canonicalBytes is the bytecode the store interns for a module text:
+// what a client that already sent the module once posts by its content
+// address.
+func canonicalBytes(t *testing.T, text []byte) []byte {
+	t.Helper()
+	m, err := tooling.LoadModuleBytes("request", text)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := bytecode.Encode(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
+}
+
+// knownBytes reads llvm_serve_known_bytes_total for one endpoint.
+func knownBytes(s *Server, endpoint string) float64 {
+	return s.metrics.Counter("llvm_serve_known_bytes_total", "endpoint", endpoint).Value()
 }
 
 func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
@@ -112,6 +136,181 @@ func TestCompileWarmHitIsByteIdentical(t *testing.T) {
 	if !jr.Hit || jr.Size != len(cold) {
 		t.Fatalf("json compile: hit=%v size=%d want hit with %d bytes", jr.Hit, jr.Size, len(cold))
 	}
+}
+
+// TestKnownBytesServeLikeText: once the daemon holds a module, its
+// canonical bytes are served by content address, and every reply — /compile
+// bodies and headers, /run JSON, profiled or not — is the reply the same
+// request sequence gets when every body is assembly text and parsed.
+func TestKnownBytesServeLikeText(t *testing.T) {
+	text := hotModuleText(t)
+	canon := canonicalBytes(t, text)
+	for _, query := range []string{"", "?profile=0"} {
+		textSrv, textTS := newTestServer(t, Config{DisableReopt: true})
+		knownSrv, knownTS := newTestServer(t, Config{DisableReopt: true})
+		paths := []string{"/compile?raw=1", "/compile?raw=1", "/run" + query, "/run" + query, "/compile?raw=1", "/compile"}
+		for i, path := range paths {
+			body := canon
+			if i == 0 {
+				body = text // the daemon learns the module from its text
+			}
+			want, wantBody := post(t, textTS.URL+path, text)
+			got, gotBody := post(t, knownTS.URL+path, body)
+			if want.StatusCode != http.StatusOK || got.StatusCode != http.StatusOK {
+				t.Fatalf("%s #%d: status %d (text) vs %d (bytes)", path, i, want.StatusCode, got.StatusCode)
+			}
+			if !bytes.Equal(wantBody, gotBody) {
+				t.Fatalf("%s #%d: replies differ:\n  text:  %.300s\n  bytes: %.300s", path, i, wantBody, gotBody)
+			}
+			for _, h := range []string{"X-Module-Hash", "X-Cache", "X-Artifact-Epoch", "X-Profile-Epoch"} {
+				if want.Header.Get(h) != got.Header.Get(h) {
+					t.Fatalf("%s #%d: %s = %q (text) vs %q (bytes)", path, i, h, want.Header.Get(h), got.Header.Get(h))
+				}
+			}
+		}
+		// Bytes take the content-address path on every /compile after the
+		// first and on every /run once the first has made the module
+		// resident; text never does.
+		if c, r := knownBytes(knownSrv, "compile"), knownBytes(knownSrv, "run"); c != 3 || r != 1 {
+			t.Fatalf("/run%s: content-address requests compile=%v run=%v, want 3 and 1", query, c, r)
+		}
+		if c, r := knownBytes(textSrv, "compile"), knownBytes(textSrv, "run"); c != 0 || r != 0 {
+			t.Fatalf("/run%s: text bodies took the content-address path: compile=%v run=%v", query, c, r)
+		}
+	}
+}
+
+// evictAll runs the store's LRU evictor with a zero cap, as cache pressure
+// would: every module, artifact and summary blob goes.
+func evictAll(st *Store) {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	max := st.maxBytes
+	st.maxBytes = 0
+	st.evictLocked()
+	st.maxBytes = max
+}
+
+// TestKnownBytesAfterEviction: once the store has evicted a module's blob
+// its bytes no longer vouch for themselves, so /run and /compile parse
+// them, which interns the module again, and the next request of the same
+// bytes is back on the content-address path.
+func TestKnownBytesAfterEviction(t *testing.T) {
+	s, ts := newTestServer(t, Config{DisableReopt: true})
+	canon := canonicalBytes(t, hotModuleText(t))
+	hash := bytecode.HashBytes(canon)
+	_, first := post(t, ts.URL+"/run?profile=0", canon)
+	for _, tc := range []struct{ path, endpoint string }{
+		{"/run?profile=0", "run"},
+		{"/compile?raw=1", "compile"},
+	} {
+		evictAll(s.store)
+		if s.store.TouchModule(hash) {
+			t.Fatal("module blob survived eviction")
+		}
+		before := knownBytes(s, tc.endpoint)
+		resp, body := post(t, ts.URL+tc.path, canon)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s after eviction: status %d: %s", tc.path, resp.StatusCode, body)
+		}
+		if tc.endpoint == "run" && !bytes.Equal(body, first) {
+			t.Fatalf("/run after eviction replied %s, want %s", body, first)
+		}
+		if knownBytes(s, tc.endpoint) != before {
+			t.Fatalf("%s after eviction was served by content address", tc.path)
+		}
+		if !s.store.TouchModule(hash) {
+			t.Fatalf("%s after eviction did not intern the module again", tc.path)
+		}
+		post(t, ts.URL+tc.path, canon)
+		if knownBytes(s, tc.endpoint) != before+1 {
+			t.Fatalf("%s once re-interned was not served by content address", tc.path)
+		}
+	}
+}
+
+// TestKnownBytesConcurrent: concurrent content-address /compile and /run
+// requests of one module share one pipeline run and one resident Program.
+func TestKnownBytesConcurrent(t *testing.T) {
+	const clients = 8
+	s, ts := newTestServer(t, Config{DisableReopt: true, Workers: clients})
+	canon := canonicalBytes(t, hotModuleText(t))
+	_, first := post(t, ts.URL+"/run?profile=0", canon) // interns it, makes it resident
+	st0, _ := s.progs.stats()
+
+	var wg sync.WaitGroup
+	start := make(chan struct{})
+	replies := make([][]byte, clients)
+	for i := 0; i < clients; i++ {
+		path := "/compile?raw=1"
+		if i%2 == 1 {
+			path = "/run?profile=0"
+		}
+		wg.Add(1)
+		go func(i int, path string) {
+			defer wg.Done()
+			<-start
+			resp, err := http.Post(ts.URL+path, "application/octet-stream", bytes.NewReader(canon))
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			defer resp.Body.Close()
+			body, err := io.ReadAll(resp.Body)
+			if err != nil || resp.StatusCode != http.StatusOK {
+				t.Errorf("%s: status %d, %v: %s", path, resp.StatusCode, err, body)
+				return
+			}
+			replies[i] = body
+		}(i, path)
+	}
+	close(start)
+	wg.Wait()
+	if t.Failed() {
+		t.FailNow()
+	}
+	for i := range replies {
+		if !bytes.Equal(replies[i], replies[i%2]) {
+			t.Fatalf("client %d's reply differs from client %d's", i, i%2)
+		}
+	}
+	if !bytes.Equal(replies[1], first) {
+		t.Fatalf("/run replied %s, want %s", replies[1], first)
+	}
+	if n := s.metrics.Counter("llvm_lifelong_compiles_total").Value(); n != 1 {
+		t.Fatalf("%v pipeline runs for one module, want 1", n)
+	}
+	if c, r := knownBytes(s, "compile"), knownBytes(s, "run"); c != clients/2 || r != clients/2 {
+		t.Fatalf("content-address requests compile=%v run=%v, want %d each", c, r, clients/2)
+	}
+	st1, n := s.progs.stats()
+	if n != 1 || st1.T1Compiles != st0.T1Compiles || st1.T2Compiles != st0.T2Compiles {
+		t.Fatalf("resident programs %d, translations %+v then %+v: want one Program, no retranslation", n, st0, st1)
+	}
+}
+
+// TestKnownBytesCompileHitAllocs: a /compile hit posted as canonical bytes
+// allocates under a fifth of what the same hit posted as assembly text
+// does — the parse, verify and encode that the content address skips.
+func TestKnownBytesCompileHitAllocs(t *testing.T) {
+	s, _ := newTestServer(t, Config{DisableReopt: true})
+	h := s.Handler()
+	text := hotModuleText(t)
+	canon := canonicalBytes(t, text)
+	compile := func(body []byte) {
+		rr := httptest.NewRecorder()
+		h.ServeHTTP(rr, httptest.NewRequest(http.MethodPost, "/compile?raw=1", bytes.NewReader(body)))
+		if rr.Code != http.StatusOK {
+			t.Fatalf("/compile: status %d: %s", rr.Code, rr.Body.Bytes())
+		}
+	}
+	compile(text) // the miss that builds the artifact
+	textAllocs := testing.AllocsPerRun(10, func() { compile(text) })
+	knownAllocs := testing.AllocsPerRun(10, func() { compile(canon) })
+	if knownAllocs*5 >= textAllocs {
+		t.Fatalf("content-address hit: %.0f allocations, text hit %.0f: want under a fifth", knownAllocs, textAllocs)
+	}
+	t.Logf("allocations per /compile hit: %.0f as bytes, %.0f as text", knownAllocs, textAllocs)
 }
 
 // TestCompilePipelinesKeyedSeparately: the same module through different
@@ -419,7 +618,7 @@ func TestIdleReoptimizerRuns(t *testing.T) {
 // TestServerRejectsBadInput: malformed and oversized bodies, wrong
 // methods.
 func TestServerRejectsBadInput(t *testing.T) {
-	_, ts := newTestServer(t, Config{DisableReopt: true, MaxBody: 256})
+	s, ts := newTestServer(t, Config{DisableReopt: true, MaxBody: 256})
 
 	resp, _ := post(t, ts.URL+"/compile", []byte("int %f( {{{"))
 	if resp.StatusCode != http.StatusUnprocessableEntity {
@@ -428,6 +627,52 @@ func TestServerRejectsBadInput(t *testing.T) {
 	resp, _ = post(t, ts.URL+"/compile", bytes.Repeat([]byte("; x\n"), 200))
 	if resp.StatusCode != http.StatusRequestEntityTooLarge {
 		t.Fatalf("oversized module: status %d", resp.StatusCode)
+	}
+	// The cap applies before the content address is taken: the canonical
+	// bytes of a module the store holds are refused too.
+	m, err := minic.Compile("hot", hotSrc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, canon, err := s.store.PutModule(m)
+	if err != nil || len(canon) <= 256 {
+		t.Fatalf("known module: %d bytes, %v; want over the 256-byte cap", len(canon), err)
+	}
+	for _, path := range []string{"/compile", "/run"} {
+		if resp, _ := post(t, ts.URL+path, canon); resp.StatusCode != http.StatusRequestEntityTooLarge {
+			t.Fatalf("oversized known module on %s: status %d", path, resp.StatusCode)
+		}
+	}
+	// Invalid bytecode is parsed and refused, and never interned, so its
+	// bytes cannot later pass for a known module.
+	invalid, err := tooling.LoadModuleBytes("invalid", []byte("void %main() {\nentry:\n\tret int 0\n}\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	invalidBytes, err := bytecode.Encode(invalid)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, path := range []string{"/compile", "/run"} {
+		if resp, _ := post(t, ts.URL+path, invalidBytes); resp.StatusCode != http.StatusUnprocessableEntity {
+			t.Fatalf("invalid bytecode on %s: status %d", path, resp.StatusCode)
+		}
+	}
+	if s.store.TouchModule(bytecode.HashBytes(invalidBytes)) {
+		t.Fatal("an invalid module was interned")
+	}
+	// A module blob the daemon did not verify (another writer broke the
+	// store's invariant) is verified before any pipeline runs on it.
+	hash, _, err := s.store.PutModule(invalid)
+	if err != nil {
+		t.Fatal(err)
+	}
+	passRuns := s.metrics.Counter("llvm_pass_runs_total", "pass", "mem2reg")
+	if resp, body := post(t, ts.URL+"/compile", invalidBytes); resp.StatusCode == http.StatusOK || !strings.Contains(string(body), "ret int") {
+		t.Fatalf("unverified stored module compiled: status %d: %s", resp.StatusCode, body)
+	}
+	if passRuns.Value() != 0 || s.store.HasArtifact(hash, "std", 0) {
+		t.Fatalf("the pipeline ran on an invalid module (%v mem2reg runs)", passRuns.Value())
 	}
 	g, err := http.Get(ts.URL + "/compile")
 	if err != nil {

@@ -277,6 +277,10 @@ func modulePath(hash string) string { return filepath.Join(modulesDir, hash+".bc
 // and the canonical bytes (already present is not an error — the write is
 // skipped and the entry's recency bumped in memory, like a read's; it
 // reaches index.json with the next write's flush).
+//
+// The daemon calls PutModule only after core.Verify accepts m, so every
+// module blob in a daemon's store is the canonical encoding of a verified
+// module; TouchModule's callers rely on that.
 func (s *Store) PutModule(m *core.Module) (hash string, canonical []byte, err error) {
 	canonical, err = bytecode.Encode(m)
 	if err != nil {
@@ -291,6 +295,24 @@ func (s *Store) PutModule(m *core.Module) (hash string, canonical []byte, err er
 		return hash, canonical, nil
 	}
 	return hash, canonical, s.putBlobLocked(rel, "", canonical)
+}
+
+// TouchModule reports whether the index holds a module blob under hash
+// whose recorded digest is hash, bumping its recency exactly as
+// PutModule's known-module branch does. A caller holding bytes that hash
+// to hash then holds that blob's bytes: by PutModule's invariant, the
+// canonical encoding of a module the daemon verified before interning it,
+// so the bytes need no parse, verify or re-encode to be known canonical.
+// An evicted blob reports false; the caller interns the module again.
+func (s *Store) TouchModule(hash string) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	rel := modulePath(hash)
+	if e, ok := s.idx.Entries[rel]; !ok || e.SHA != hash {
+		return false
+	}
+	s.touchLocked(rel)
+	return true
 }
 
 // GetModuleBytes returns a module's canonical bytecode by content address.

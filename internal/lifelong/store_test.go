@@ -141,6 +141,23 @@ func TestStoreDetectsCorruption(t *testing.T) {
 	if _, ok := s.GetModuleBytes(hash); !ok {
 		t.Fatal("healthy module misreported")
 	}
+
+	// A module blob tampered on disk and adopted by an index rebuild is
+	// recorded under its real digest, so its address no longer vouches
+	// for it: TouchModule refuses it.
+	if err := os.WriteFile(filepath.Join(s.Dir(), modulePath(hash)), blob, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Remove(filepath.Join(s.Dir(), indexFile)); err != nil {
+		t.Fatal(err)
+	}
+	s2, err := Open(s.Dir(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s2.TouchModule(hash) {
+		t.Fatal("TouchModule vouches for a tampered module blob")
+	}
 }
 
 func TestStoreArtifactKeying(t *testing.T) {
@@ -202,7 +219,8 @@ func TestStoreLRUEviction(t *testing.T) {
 }
 
 // TestStoreKnownPutModuleKeepsIndexOffDisk: re-interning a module the store
-// already holds bumps its recency in memory only — index.json is not
+// already holds — by PutModule, or by TouchModule for bytes known by their
+// content address — bumps its recency in memory only — index.json is not
 // rewritten — and the next eviction still honours that recency.
 func TestStoreKnownPutModuleKeepsIndexOffDisk(t *testing.T) {
 	m := parse(t, storeSrc)
@@ -210,56 +228,65 @@ func TestStoreKnownPutModuleKeepsIndexOffDisk(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Room for the module and one 1 KiB artifact, not two.
-	s := openStore(t, int64(len(canonical))+1024+100)
-	hash, _, err := s.PutModule(m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	blob := make([]byte, 1024)
-	if err := s.PutArtifact("aaaa", "std", 0, blob); err != nil {
-		t.Fatal(err)
-	}
-
-	indexPath := filepath.Join(s.Dir(), indexFile)
-	before, err := os.ReadFile(indexPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 10; i++ {
-		if h, _, err := s.PutModule(m); err != nil || h != hash {
-			t.Fatalf("known PutModule: %s, %v", h, err)
+	for _, reintern := range []string{"PutModule", "TouchModule"} {
+		// Room for the module and one 1 KiB artifact, not two.
+		s := openStore(t, int64(len(canonical))+1024+100)
+		hash, _, err := s.PutModule(m)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	after, err := os.ReadFile(indexPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(before) != string(after) {
-		t.Fatal("PutModule of a known module rewrote index.json")
-	}
+		blob := make([]byte, 1024)
+		if err := s.PutArtifact("aaaa", "std", 0, blob); err != nil {
+			t.Fatal(err)
+		}
 
-	// The module was put first but used last: the artifact is the victim.
-	if err := s.PutArtifact("bbbb", "std", 0, blob); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := s.GetModuleBytes(hash); !ok {
-		t.Fatal("re-interned module evicted: its in-memory recency was ignored")
-	}
-	if _, ok := s.GetArtifact("aaaa", "std", 0); ok {
-		t.Fatal("LRU artifact survived past the cap")
-	}
-	// That write's flush carried the bumped recency to disk.
-	flushed, err := os.ReadFile(indexPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var idx index
-	if err := json.Unmarshal(flushed, &idx); err != nil {
-		t.Fatal(err)
-	}
-	if e := idx.Entries[modulePath(hash)]; e == nil || e.Used <= 2 {
-		t.Fatalf("module recency on disk after the next write: %+v", e)
+		indexPath := filepath.Join(s.Dir(), indexFile)
+		before, err := os.ReadFile(indexPath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 10; i++ {
+			if reintern == "TouchModule" {
+				if !s.TouchModule(hash) {
+					t.Fatal("TouchModule does not know an interned module")
+				}
+			} else if h, _, err := s.PutModule(m); err != nil || h != hash {
+				t.Fatalf("known PutModule: %s, %v", h, err)
+			}
+		}
+		after, err := os.ReadFile(indexPath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(before) != string(after) {
+			t.Fatalf("%s of a known module rewrote index.json", reintern)
+		}
+
+		// The module was put first but used last: the artifact is the victim.
+		if err := s.PutArtifact("bbbb", "std", 0, blob); err != nil {
+			t.Fatal(err)
+		}
+		if _, ok := s.GetModuleBytes(hash); !ok {
+			t.Fatalf("module re-interned by %s evicted: its in-memory recency was ignored", reintern)
+		}
+		if _, ok := s.GetArtifact("aaaa", "std", 0); ok {
+			t.Fatal("LRU artifact survived past the cap")
+		}
+		// That write's flush carried the bumped recency to disk.
+		flushed, err := os.ReadFile(indexPath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var idx index
+		if err := json.Unmarshal(flushed, &idx); err != nil {
+			t.Fatal(err)
+		}
+		if e := idx.Entries[modulePath(hash)]; e == nil || e.Used <= 2 {
+			t.Fatalf("%s: module recency on disk after the next write: %+v", reintern, e)
+		}
+		if s.TouchModule("deadbeef") {
+			t.Fatal("TouchModule knows a module never interned")
+		}
 	}
 }
 
