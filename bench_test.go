@@ -42,7 +42,7 @@ func mustBuild(b *testing.B, p workload.Profile) *core.Module {
 	b.Helper()
 	bc, ok := buildCache[p.Name]
 	if !ok {
-		m, err := experiments.Build(p)
+		m, err := experiments.Build(p, true)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -263,9 +263,9 @@ int main() {
 }
 `
 
-// BenchmarkTraceOpt exercises the §3.5/§3.6 strategy: instrument, profile
-// under the execution engine, detect hot regions, and reoptimize with the
-// end-user profile. The metric is the interpreter-step reduction.
+// BenchmarkTraceOpt exercises the §3.5/§3.6 strategy: profile with the
+// execution engine's block counters, detect hot regions, and reoptimize
+// with the end-user profile. The metric is the interpreter-step reduction.
 func BenchmarkTraceOpt(b *testing.B) {
 	var ratio float64
 	for i := 0; i < b.N; i++ {
@@ -286,16 +286,15 @@ func BenchmarkTraceOpt(b *testing.B) {
 		before := ref.Steps
 		b.StartTimer()
 
-		ins := profile.Instrument(m)
 		mc, _ := interp.NewMachine(m, nil)
+		mc.EnableProfile()
 		if _, err := mc.RunMain(); err != nil {
 			b.Fatal(err)
 		}
-		data, err := ins.ReadCounts(mc)
+		data, err := profile.CountsFromBlocks(mc.BlockCounts()).Bind(m)
 		if err != nil {
 			b.Fatal(err)
 		}
-		ins.Strip()
 		profile.Reoptimize(m, data, profile.DefaultReoptOptions())
 
 		b.StopTimer()

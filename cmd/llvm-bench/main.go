@@ -1,30 +1,28 @@
 // llvm-bench regenerates the paper's evaluation over the synthetic SPEC
 // CPU2000 analogues: Table 1 (provably-typed memory accesses), Table 2
 // (interprocedural optimization timings vs a baseline compile), and
-// Figure 5 (executable sizes: LLVM bytecode vs CISC vs RISC images).
+// Figure 5 (executable sizes: LLVM bytecode vs CISC vs RISC images), plus
+// four ablations of this reproduction's own design.
 //
-// Usage: llvm-bench [-table1] [-table2] [-fig5] [-checker] [-obs]
-// [-validate] [-tiers] [-store DIR] [-v] [-json path] (no flags = the
-// default tables; any explicit selection runs only what was asked). -obs
-// times the standard
-// pipeline with observability (tracing, remarks, metrics) off vs on,
-// reporting the overhead percent. -validate does the same for the
-// translation-validation oracle, reporting the per-benchmark verdict
-// tallies alongside the overhead — a confirmed miscompile of a real pass
-// aborts the benchmark, so the table doubles as a soundness check.
+// Usage: llvm-bench [-table1] [-table2] [-fig5] [-checker] [-validate]
+// [-tiers] [-alias] [-v] [-json path]. No section flags runs Table 1,
+// Table 2, Figure 5 and -checker; any explicit selection runs only what
+// was asked.
+//
 // -checker runs the static memory-safety checker over each optimized
 // benchmark; since the synthetic programs are well-formed, any error it
-// reports is a checker false positive. -tiers runs each benchmark to
-// completion at every execution tier (interpreter, baseline, optimizing,
-// and auto seeded with a prior run's profile) and reports per-tier
-// latency with tier-2 speedups. -store DIR compiles each benchmark
-// twice through a lifelong store rooted at DIR and reports cold-vs-warm
-// latency (DIR persists, so successive runs measure a warm daemon).
-// -serve-load drives a 3-node in-process cluster open-loop at fixed
-// arrival rates (-load-rates, -load-dur) and reports p50/p95/p99/max
-// latency, throughput, and cache/dedup mix per rate, plus a saturation
-// arm (-load-sat-rate against a 1-worker node, proving fast 503
-// refusals) and the serving-layer observability overhead at p50.
+// reports is a checker false positive. -validate times the standard
+// pipeline with the translation-validation oracle off vs on, reporting
+// the per-benchmark verdict tallies alongside the overhead — a confirmed
+// miscompile of a real pass aborts the benchmark, so the table doubles as
+// a soundness check. -tiers runs each benchmark to completion at every
+// execution tier (interpreter, baseline, optimizing, and auto seeded with
+// a prior run's profile) and reports per-tier latency with tier-2
+// speedups; a cross-tier divergence aborts it. -alias reports the
+// memory-pass work and pipeline cost of the points-to analysis, off vs
+// on. Serving latency is measured by the repository benchmark
+// (bash benchmark/run.sh), not here.
+//
 // -json additionally writes the selected tables as machine-readable JSON
 // (see experiments.Report), the format the repo's BENCH_*.json trajectory
 // files use.
@@ -32,10 +30,8 @@ package main
 
 import (
 	"flag"
+	"io"
 	"os"
-	"strconv"
-	"strings"
-	"time"
 
 	"repro/internal/experiments"
 	"repro/internal/tooling"
@@ -43,170 +39,55 @@ import (
 
 func main() {
 	defer tooling.ExitOnPanic("llvm-bench")
-	t1 := flag.Bool("table1", false, "Table 1: typed memory accesses")
-	t2 := flag.Bool("table2", false, "Table 2: interprocedural optimization timings")
-	f5 := flag.Bool("fig5", false, "Figure 5: executable sizes")
-	ck := flag.Bool("checker", false, "Checker: static memory-safety diagnostics per benchmark")
-	obsFlag := flag.Bool("obs", false, "Obs: pipeline latency with observability off vs on")
-	validateFlag := flag.Bool("validate", false, "Validate: pipeline latency with the translation-validation oracle off vs on")
-	tiersFlag := flag.Bool("tiers", false, "Tiers: execution latency per engine tier (interp/tier-1/tier-2/auto+profile)")
-	aliasFlag := flag.Bool("alias", false, "Alias: memory-pass optimization work and pipeline cost, points-to analysis off vs on")
-	clusterFlag := flag.Bool("cluster", false, "Cluster: cold/warm-local/remote-hit compile latency through a 3-node in-process cluster")
-	serveLoad := flag.Bool("serve-load", false, "ServeLoad: open-loop latency quantiles (p50/p95/p99) against a 3-node cluster front, plus saturation and obs-overhead arms")
-	loadRates := flag.String("load-rates", "50,200", "comma-separated arrival rates (req/s) for -serve-load")
-	loadDur := flag.Duration("load-dur", 2*time.Second, "duration of each -serve-load rate run")
-	loadSatRate := flag.Float64("load-sat-rate", 300, "arrival rate for the -serve-load saturation arm (1-worker /run)")
-	storeDir := flag.String("store", "", "Store: cold-vs-warm compile latency through a lifelong store at this dir")
+	var report experiments.Report
 	verbose := flag.Bool("v", false, "verbose (per-pass work counts)")
 	jsonPath := flag.String("json", "", "also write results as JSON to this path (- for stdout)")
+	sections := []struct {
+		on        *bool
+		paper     bool // one of the paper's own tables
+		byDefault bool // part of the no-flags run
+		run       func(io.Writer) error
+	}{
+		{flag.Bool("table1", false, "Table 1: typed memory accesses"), true, true,
+			section(&report.Table1, experiments.Table1, experiments.PrintTable1)},
+		{flag.Bool("table2", false, "Table 2: interprocedural optimization timings"), true, true,
+			section(&report.Table2, experiments.Table2, func(w io.Writer, rows []experiments.Table2Row) {
+				experiments.PrintTable2(w, rows, *verbose)
+			})},
+		{flag.Bool("fig5", false, "Figure 5: executable sizes"), true, true,
+			section(&report.Figure5, experiments.Figure5, experiments.PrintFigure5)},
+		{flag.Bool("checker", false, "Checker: static memory-safety diagnostics per benchmark"), false, true,
+			section(&report.Checker, experiments.CheckerTable, experiments.PrintCheckerTable)},
+		{flag.Bool("validate", false, "Validate: pipeline latency with the translation-validation oracle off vs on"), false, false,
+			section(&report.Validate, experiments.ValidateTable, experiments.PrintValidateTable)},
+		{flag.Bool("tiers", false, "Tiers: execution latency per engine tier (interp/tier-1/tier-2/auto+profile)"), false, false,
+			section(&report.Tiers, experiments.TiersTable, experiments.PrintTiersTable)},
+		{flag.Bool("alias", false, "Alias: memory-pass optimization work and pipeline cost, points-to analysis off vs on"), false, false,
+			section(&report.Alias, experiments.AliasTable, experiments.PrintAliasTable)},
+	}
 	flag.Parse()
-	// No section flags at all = the paper's default tables. Any explicit
-	// selection (including the opt-in sections) runs only what was asked.
-	all := !*t1 && !*t2 && !*f5 && !*ck &&
-		!*obsFlag && !*validateFlag && !*tiersFlag && !*aliasFlag &&
-		!*clusterFlag && !*serveLoad && *storeDir == ""
+	// No section flags at all = the default tables. Any explicit selection
+	// (including the opt-in ablations) runs only what was asked.
+	all := true
+	for _, s := range sections {
+		all = all && !*s.on
+	}
 
-	var rows1 []experiments.Table1Row
-	var rows2 []experiments.Table2Row
-	var rows5 []experiments.Figure5Row
-	var rowsC []experiments.CheckerRow
-	if *t1 || all {
-		var err error
-		rows1, err = experiments.Table1()
-		if err != nil {
+	printed := false
+	for _, s := range sections {
+		if !*s.on && !(all && s.byDefault) {
+			continue
+		}
+		// A blank line separates tables; the ablations always start with one.
+		if printed || !s.paper {
+			os.Stdout.WriteString("\n")
+		}
+		printed = true
+		if err := s.run(os.Stdout); err != nil {
 			tooling.Fatalf("llvm-bench: %v", err)
 		}
-		experiments.PrintTable1(os.Stdout, rows1)
-		os.Stdout.WriteString("\n")
-	}
-	if *t2 || all {
-		var err error
-		rows2, err = experiments.Table2()
-		if err != nil {
-			tooling.Fatalf("llvm-bench: %v", err)
-		}
-		experiments.PrintTable2(os.Stdout, rows2, *verbose)
-		os.Stdout.WriteString("\n")
-	}
-	if *f5 || all {
-		var err error
-		rows5, err = experiments.Figure5()
-		if err != nil {
-			tooling.Fatalf("llvm-bench: %v", err)
-		}
-		experiments.PrintFigure5(os.Stdout, rows5)
-	}
-	if *ck || all {
-		var err error
-		rowsC, err = experiments.CheckerTable()
-		if err != nil {
-			tooling.Fatalf("llvm-bench: %v", err)
-		}
-		os.Stdout.WriteString("\n")
-		experiments.PrintCheckerTable(os.Stdout, rowsC)
-	}
-	var rowsO []experiments.ObsRow
-	if *obsFlag {
-		var err error
-		rowsO, err = experiments.ObsTable()
-		if err != nil {
-			tooling.Fatalf("llvm-bench: %v", err)
-		}
-		os.Stdout.WriteString("\n")
-		experiments.PrintObsTable(os.Stdout, rowsO)
-	}
-	var rowsV []experiments.ValidateRow
-	if *validateFlag {
-		var err error
-		rowsV, err = experiments.ValidateTable()
-		if err != nil {
-			tooling.Fatalf("llvm-bench: %v", err)
-		}
-		os.Stdout.WriteString("\n")
-		experiments.PrintValidateTable(os.Stdout, rowsV)
-	}
-	var rowsT []experiments.TiersRow
-	if *tiersFlag {
-		var err error
-		rowsT, err = experiments.TiersTable()
-		if err != nil {
-			tooling.Fatalf("llvm-bench: %v", err)
-		}
-		os.Stdout.WriteString("\n")
-		experiments.PrintTiersTable(os.Stdout, rowsT)
-	}
-	var rowsA []experiments.AliasRow
-	if *aliasFlag {
-		var err error
-		rowsA, err = experiments.AliasTable()
-		if err != nil {
-			tooling.Fatalf("llvm-bench: %v", err)
-		}
-		os.Stdout.WriteString("\n")
-		experiments.PrintAliasTable(os.Stdout, rowsA)
-	}
-	var rowsCl []experiments.ClusterRow
-	if *clusterFlag {
-		dir, err := os.MkdirTemp("", "llvm-bench-cluster-")
-		if err != nil {
-			tooling.Fatalf("llvm-bench: %v", err)
-		}
-		defer os.RemoveAll(dir)
-		rowsCl, err = experiments.ClusterTable(dir)
-		if err != nil {
-			tooling.Fatalf("llvm-bench: %v", err)
-		}
-		os.Stdout.WriteString("\n")
-		experiments.PrintClusterTable(os.Stdout, rowsCl)
-	}
-	var loadRes *experiments.ServeLoadResult
-	if *serveLoad {
-		dir, err := os.MkdirTemp("", "llvm-bench-load-")
-		if err != nil {
-			tooling.Fatalf("llvm-bench: %v", err)
-		}
-		defer os.RemoveAll(dir)
-		var rates []float64
-		for _, s := range strings.Split(*loadRates, ",") {
-			s = strings.TrimSpace(s)
-			if s == "" {
-				continue
-			}
-			r, err := strconv.ParseFloat(s, 64)
-			if err != nil || r <= 0 {
-				tooling.Fatalf("llvm-bench: bad -load-rates entry %q", s)
-			}
-			rates = append(rates, r)
-		}
-		if len(rates) == 0 {
-			tooling.Fatalf("llvm-bench: -load-rates is empty")
-		}
-		loadRes, err = experiments.ServeLoadTable(dir, rates, *loadDur, *loadSatRate)
-		if err != nil {
-			tooling.Fatalf("llvm-bench: %v", err)
-		}
-		os.Stdout.WriteString("\n")
-		experiments.PrintServeLoadTable(os.Stdout, loadRes)
-	}
-	var rowsS []experiments.StoreRow
-	if *storeDir != "" {
-		var err error
-		rowsS, err = experiments.StoreTable(*storeDir)
-		if err != nil {
-			tooling.Fatalf("llvm-bench: %v", err)
-		}
-		os.Stdout.WriteString("\n")
-		experiments.PrintStoreTable(os.Stdout, rowsS)
 	}
 	if *jsonPath != "" {
-		report := experiments.NewReport(rows1, rows2, rows5, rowsC)
-		report.AddObs(rowsO)
-		report.AddValidate(rowsV)
-		report.AddTiers(rowsT)
-		report.AddAlias(rowsA)
-		report.AddCluster(rowsCl)
-		report.AddServeLoad(loadRes)
-		report.AddStore(rowsS)
 		out := os.Stdout
 		if *jsonPath != "-" {
 			f, err := os.Create(*jsonPath)
@@ -216,8 +97,22 @@ func main() {
 			defer f.Close()
 			out = f
 		}
-		if err := experiments.WriteJSON(out, report); err != nil {
+		if err := experiments.WriteJSON(out, &report); err != nil {
 			tooling.Fatalf("llvm-bench: %v", err)
 		}
+	}
+}
+
+// section returns a step that runs one experiment, prints its table and
+// files its rows in the report.
+func section[R any](dst *[]R, run func() ([]R, error), print func(io.Writer, []R)) func(io.Writer) error {
+	return func(w io.Writer) error {
+		rows, err := run()
+		if err != nil {
+			return err
+		}
+		print(w, rows)
+		*dst = rows
+		return nil
 	}
 }

@@ -1,8 +1,8 @@
 // Lifelong: the store-backed compilation loop (§3.6) in-process — the
 // same machinery cmd/llvm-serve exposes over HTTP. A module is interned
 // in a content-addressed store, compiled through the standard pipeline
-// (cold) and served from cache (warm, byte-identical), executed with
-// instrumentation so its profile accumulates across runs, and finally
+// (cold) and served from cache (warm, byte-identical), executed with the
+// engine's block counters on so its profile accumulates across runs, and finally
 // reoptimized offline with profile-guided inlining and layout once the
 // profile epoch advances. The store directory persists, so re-running
 // this example starts warm — compilation results and profiles outlive
@@ -73,28 +73,24 @@ func run() error {
 	fmt.Printf("warm compile: hit=%v  byte-identical=%v\n",
 		warm.Hit, bytes.Equal(cold.Data, warm.Data))
 
-	// "End-user runs": execute instrumented, fold each run's counts into
-	// the store. The profile epoch advances when the total doubles.
+	// "End-user runs": execute with block counting on, fold each run's
+	// counts into the store. The profile epoch advances when the total
+	// doubles.
 	for i := 0; i < 3; i++ {
 		mm, err := st.GetModule(cold.ModuleHash)
 		if err != nil {
 			return err
 		}
-		ins := profile.Instrument(mm)
 		mc, err := interp.NewMachine(mm, os.Stdout)
 		if err != nil {
 			return err
 		}
+		mc.EnableProfile()
 		code, err := mc.RunMain()
 		if err != nil {
 			return err
 		}
-		d, err := ins.ReadCounts(mc)
-		if err != nil {
-			return err
-		}
-		ins.Strip()
-		f, bumped, err := st.MergeProfile(cold.ModuleHash, d.ToCounts(mm))
+		f, bumped, err := st.MergeProfile(cold.ModuleHash, profile.CountsFromBlocks(mc.BlockCounts()))
 		if err != nil {
 			return err
 		}

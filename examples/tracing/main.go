@@ -1,10 +1,10 @@
 // Tracing: the paper's runtime-optimization strategy (§3.5) and idle-time
-// reoptimizer (§3.6) end to end. The native code generator's light-weight
-// instrumentation is inserted, an "end-user run" collects per-block counts,
-// hot loop regions are detected, the most frequent path through the hottest
-// region is extracted as a trace, and finally the offline reoptimizer uses
-// the profile for aggressive profile-guided inlining and hot-first layout —
-// on the preserved IR, which is the whole point of keeping the
+// reoptimizer (§3.6) end to end. An "end-user run" collects per-block
+// counts from the execution engine's own counters (no probes are inserted
+// into the module), hot loop regions are detected, the most frequent path
+// through the hottest region is extracted as a trace, and finally the
+// offline reoptimizer uses the profile for aggressive profile-guided
+// inlining and hot-first layout — on the preserved IR, which is the whole point of keeping the
 // representation around for the program's lifetime.
 package main
 
@@ -62,23 +62,18 @@ func main() {
 	}
 	fmt.Printf("program result: %d (%d steps uninstrumented)\n", want, ref.Steps)
 
-	// 1. Instrument (the code generator's light-weight probes, §3.4).
-	ins := profile.Instrument(m)
-	if err := core.Verify(m); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
+	// 1. Profile an end-user run with the engine's per-block counters.
 	mc, _ := interp.NewMachine(m, nil)
+	mc.EnableProfile()
 	if _, err := mc.RunMain(); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
-	data, err := ins.ReadCounts(mc)
+	data, err := profile.CountsFromBlocks(mc.BlockCounts()).Bind(m)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
-	ins.Strip()
 	fmt.Printf("profiled %d block executions across the run\n", data.Total)
 
 	// 2. Hot-region detection.

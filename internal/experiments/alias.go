@@ -5,7 +5,6 @@ import (
 	"io"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/dsa"
 	"repro/internal/obs"
 	"repro/internal/passes"
@@ -16,37 +15,44 @@ import (
 // measurement: the standard pipeline with the whole-program points-to
 // analysis feeding LICM/CSE/DSE versus the ablation arm where those
 // passes run blind (NoAlias). WorkOn/WorkOff count applied optimization
-// remarks from the three memory passes — the work the analysis buys —
-// and the query tallies break down the answers the enabled arm got.
+// remarks from the three memory passes — the work the analysis buys, so
+// the trajectory records whether it keeps buying strictly more — and the
+// query tallies break down the answers the enabled arm got.
 type AliasRow struct {
-	Bench   string
-	Classes int     // points-to object classes in the linked module
-	Typed   float64 // Table-1 typed-access percent
-	Off     time.Duration
-	On      time.Duration
-	WorkOff int // memory-pass applied remarks without alias info
-	WorkOn  int // memory-pass applied remarks with alias info
-	Queries dsa.QueryStats
+	Bench   string  `json:"bench"`
+	Classes int     `json:"classes"`       // points-to object classes in the linked module
+	Typed   float64 `json:"typed_percent"` // Table-1 typed-access percent
+	OffMs   float64 `json:"off_ms"`
+	OnMs    float64 `json:"on_ms"`
+	// OverheadPercent is the analysis-enabled run's slowdown relative to
+	// the blind one (negative = the analysis paid for itself).
+	OverheadPercent float64 `json:"overhead_percent"`
+	WorkOff         int     `json:"work_off"` // memory-pass applied remarks without alias info
+	WorkOn          int     `json:"work_on"`  // memory-pass applied remarks with alias info
+	Queries
 }
 
-// OverheadPercent is the analysis-enabled run's slowdown relative to the
-// blind one (negative = the analysis paid for itself).
-func (r AliasRow) OverheadPercent() float64 {
-	if r.Off <= 0 {
-		return 0
-	}
-	return (float64(r.On)/float64(r.Off) - 1) * 100
+// Queries is dsa.QueryStats under the report's key names.
+type Queries struct {
+	No   int64 `json:"queries_no"`
+	May  int64 `json:"queries_may"`
+	Must int64 `json:"queries_must"`
 }
+
+// Total sums the counters.
+func (q Queries) Total() int64 { return dsa.QueryStats(q).Total() }
 
 // aliasMemPasses is the set of passes whose applied remarks the table
 // counts as alias-driven work.
 var aliasMemPasses = map[string]bool{"cse": true, "licm": true, "dse": true}
 
-// aliasPipeline builds the standard pipeline; when blind, the three
-// memory passes run with their alias information disabled (CSE falls back
-// to pure expression CSE, LICM to operand-invariance only, DSE off).
+// aliasPipeline builds the standard pipeline with remarks on; when blind,
+// the three memory passes run with their alias information disabled (CSE
+// falls back to pure expression CSE, LICM to operand-invariance only, DSE
+// off).
 func aliasPipeline(blind bool) *passes.PassManager {
 	pm := passes.NewPassManager()
+	pm.Remarks = obs.NewRemarks()
 	if !blind {
 		return pm.AddStandardPipeline()
 	}
@@ -74,9 +80,9 @@ func countMemRemarks(r *obs.Remarks) int {
 
 // AliasTable measures, per benchmark, what the points-to analysis buys
 // (applied memory-optimization remarks, blind vs informed) and what it
-// costs (pipeline latency delta, best of obsRuns runs per arm). The blind
-// arm runs first so warm-up favors the informed arm, keeping the overhead
-// estimate conservative.
+// costs (pipeline latency delta, best of bestOfRuns runs per arm). The
+// blind arm runs first so warm-up favors the informed arm, keeping the
+// overhead estimate conservative.
 func AliasTable() ([]AliasRow, error) {
 	return aliasTable(workload.Suite())
 }
@@ -84,49 +90,35 @@ func AliasTable() ([]AliasRow, error) {
 func aliasTable(progs []workload.Profile) ([]AliasRow, error) {
 	var rows []AliasRow
 	for _, p := range progs {
-		raw, err := buildRaw(p)
+		raw, err := Build(p, false)
 		if err != nil {
 			return nil, err
 		}
-		row := AliasRow{Bench: p.Name}
-
 		pt := dsa.Analyze(raw)
-		row.Classes = pt.NumClasses()
-		row.Typed = pt.TypedPercent()
+		row := AliasRow{Bench: p.Name, Classes: pt.NumClasses(), Typed: pt.TypedPercent()}
 
-		for i := 0; i < obsRuns; i++ {
-			m := core.CloneModule(raw)
+		row.OffMs, err = bestOf(func() (time.Duration, error) {
 			pm := aliasPipeline(true)
-			pm.Remarks = obs.NewRemarks()
-			t0 := time.Now()
-			if _, err := pm.Run(m); err != nil {
-				return nil, fmt.Errorf("%s blind: %w", p.Name, err)
-			}
-			if d := time.Since(t0); i == 0 || d < row.Off {
-				row.Off = d
-			}
+			d, err := timePipeline(pm, raw)
 			row.WorkOff = countMemRemarks(pm.Remarks)
+			return d, err
+		})
+		if err != nil {
+			return nil, fmt.Errorf("%s blind: %w", p.Name, err)
 		}
-		for i := 0; i < obsRuns; i++ {
-			m := core.CloneModule(raw)
+		row.OnMs, err = bestOf(func() (time.Duration, error) {
 			pm := aliasPipeline(false)
-			pm.Remarks = obs.NewRemarks()
 			before := dsa.Stats()
-			t0 := time.Now()
-			if _, err := pm.Run(m); err != nil {
-				return nil, fmt.Errorf("%s informed: %w", p.Name, err)
-			}
-			if d := time.Since(t0); i == 0 || d < row.On {
-				row.On = d
-			}
+			d, err := timePipeline(pm, raw)
 			row.WorkOn = countMemRemarks(pm.Remarks)
 			after := dsa.Stats()
-			row.Queries = dsa.QueryStats{
-				No:   after.No - before.No,
-				May:  after.May - before.May,
-				Must: after.Must - before.Must,
-			}
+			row.Queries = Queries{No: after.No - before.No, May: after.May - before.May, Must: after.Must - before.Must}
+			return d, err
+		})
+		if err != nil {
+			return nil, fmt.Errorf("%s informed: %w", p.Name, err)
 		}
+		row.OverheadPercent = overheadPercent(row.OffMs, row.OnMs)
 		rows = append(rows, row)
 	}
 	return rows, nil
@@ -140,7 +132,7 @@ func PrintAliasTable(w io.Writer, rows []AliasRow) {
 	totOff, totOn := 0, 0
 	for _, r := range rows {
 		fmt.Fprintf(w, "%-14s %8d %7.1f%% %10d %10d %8.1f%% %22s\n",
-			r.Bench, r.Classes, r.Typed, r.WorkOff, r.WorkOn, r.OverheadPercent(),
+			r.Bench, r.Classes, r.Typed, r.WorkOff, r.WorkOn, r.OverheadPercent,
 			fmt.Sprintf("%d/%d/%d", r.Queries.No, r.Queries.May, r.Queries.Must))
 		totOff += r.WorkOff
 		totOn += r.WorkOn

@@ -47,7 +47,7 @@ func determinismModules(t *testing.T) map[string]func(t *testing.T) *core.Module
 			t.Fatalf("workload %s missing", name)
 		}
 		mods["workload/"+name] = func(t *testing.T) *core.Module {
-			m, err := Build(p)
+			m, err := Build(p, true)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -2,8 +2,10 @@
 // (provably-typed loads and stores), Table 2 (interprocedural optimization
 // timings against a baseline full compilation), and Figure 5 (executable
 // sizes for LLVM bytecode vs CISC and RISC native images), over the
-// synthetic SPEC CPU2000 analogues from internal/workload. The same code
-// drives cmd/llvm-bench and the root bench_test.go harness.
+// synthetic SPEC CPU2000 analogues from internal/workload, plus the
+// checker, validate, tiers and alias ablations of this reproduction's own
+// design. The same code drives cmd/llvm-bench and the root bench_test.go
+// harness.
 package experiments
 
 import (
@@ -25,11 +27,13 @@ import (
 	"repro/internal/workload"
 )
 
-// Build compiles a benchmark's translation units, links them, internalizes
-// (whole-program assumption, as the paper's link-time optimizer may), and
-// runs the compile-time scalar pipeline. The result is the module the
-// experiments measure.
-func Build(p workload.Profile) (*core.Module, error) {
+// Build compiles a benchmark's translation units, links them, and
+// internalizes (whole-program assumption, as the paper's link-time
+// optimizer may). With unitOpt each unit first runs the compile-time
+// scalar pipeline (§3.2 step 3), giving the module the paper's tables
+// measure; without it the linked module is unoptimized, so a standard
+// pipeline timed over it pays for real transformation work.
+func Build(p workload.Profile, unitOpt bool) (*core.Module, error) {
 	prog := workload.Generate(p)
 	mods := make([]*core.Module, 0, len(prog.Units))
 	for i, src := range prog.Units {
@@ -37,11 +41,10 @@ func Build(p workload.Profile) (*core.Module, error) {
 		if err != nil {
 			return nil, fmt.Errorf("%s unit %d: %w", p.Name, i, err)
 		}
-		// Compile-time per-unit optimization (§3.2 step 3).
-		pm := passes.NewPassManager()
-		pm.AddStandardPipeline()
-		if _, err := pm.Run(m); err != nil {
-			return nil, err
+		if unitOpt {
+			if _, err := passes.NewPassManager().AddStandardPipeline().Run(m); err != nil {
+				return nil, err
+			}
 		}
 		mods = append(mods, m)
 	}
@@ -61,17 +64,17 @@ func Build(p workload.Profile) (*core.Module, error) {
 
 // Table1Row is one benchmark's typed-access result.
 type Table1Row struct {
-	Bench   string
-	Typed   int
-	Untyped int
-	Percent float64
+	Bench   string  `json:"bench"`
+	Typed   int     `json:"typed"`
+	Untyped int     `json:"untyped"`
+	Percent float64 `json:"typed_percent"`
 }
 
 // Table1 computes provably-typed loads and stores per benchmark.
 func Table1() ([]Table1Row, error) {
 	var rows []Table1Row
 	for _, p := range workload.Suite() {
-		m, err := Build(p)
+		m, err := Build(p, true)
 		if err != nil {
 			return nil, err
 		}
@@ -98,65 +101,57 @@ func PrintTable1(w io.Writer, rows []Table1Row) {
 // ---------------------------------------------------------------------------
 // Table 2
 
-// Table2Row is one benchmark's interprocedural-optimization timing.
+// Table2Row is one benchmark's interprocedural-optimization timing, in
+// milliseconds (the paper quotes fractions of a second; nanosecond
+// integers would just add noise).
 type Table2Row struct {
-	Bench string
-	// Pass times.
-	DGE, DAE, Inline time.Duration
-	// Baseline is a full per-unit compilation of the same program
+	Bench    string  `json:"bench"`
+	DGEMs    float64 `json:"dge_ms"`
+	DAEMs    float64 `json:"dae_ms"`
+	InlineMs float64 `json:"inline_ms"`
+	// BaselineMs is a full per-unit compilation of the same program
 	// (front-end + scalar opts + native code generation), the stand-in
 	// for the paper's "GCC -O3 compile time" column.
-	Baseline time.Duration
+	BaselineMs float64 `json:"baseline_ms"`
 	// Work done, for the paper's scaling observations.
-	DGEDeleted  int
-	DAEDeleted  int
-	NumInlined  int
-	FuncDeleted int
+	DGEDeleted  int `json:"dge_deleted"`
+	DAEDeleted  int `json:"dae_deleted"`
+	NumInlined  int `json:"num_inlined"`
+	FuncDeleted int `json:"func_deleted"`
 }
 
 // Table2 times DGE, DAE, and inline at link time on each benchmark,
 // against the baseline full-compilation time.
 func Table2() ([]Table2Row, error) {
+	return table2(workload.Suite())
+}
+
+func table2(progs []workload.Profile) ([]Table2Row, error) {
 	var rows []Table2Row
-	for _, p := range workload.Suite() {
+	for _, p := range progs {
 		row := Table2Row{Bench: p.Name}
 
 		// Each pass runs on a fresh linked module, like the paper's
 		// standalone timings.
-		{
-			m, err := Build(p)
+		dge := passes.NewDeadGlobalElim()
+		dae := passes.NewDeadArgElim()
+		inl := passes.NewInline(passes.DefaultInlineThreshold)
+		for _, pass := range []struct {
+			ms  *float64
+			run passes.ModulePass
+		}{{&row.DGEMs, dge}, {&row.DAEMs, dae}, {&row.InlineMs, inl}} {
+			m, err := Build(p, true)
 			if err != nil {
 				return nil, err
 			}
-			dge := passes.NewDeadGlobalElim()
 			start := time.Now()
-			dge.RunOnModule(m)
-			row.DGE = time.Since(start)
-			row.DGEDeleted = dge.NumFuncs + dge.NumGlobals
+			pass.run.RunOnModule(m)
+			*pass.ms = ms(time.Since(start))
 		}
-		{
-			m, err := Build(p)
-			if err != nil {
-				return nil, err
-			}
-			dae := passes.NewDeadArgElim()
-			start := time.Now()
-			dae.RunOnModule(m)
-			row.DAE = time.Since(start)
-			row.DAEDeleted = dae.NumArgs + dae.NumRets
-		}
-		{
-			m, err := Build(p)
-			if err != nil {
-				return nil, err
-			}
-			inl := passes.NewInline(passes.DefaultInlineThreshold)
-			start := time.Now()
-			inl.RunOnModule(m)
-			row.Inline = time.Since(start)
-			row.NumInlined = inl.NumInlined
-			row.FuncDeleted = inl.NumDeleted
-		}
+		row.DGEDeleted = dge.NumFuncs + dge.NumGlobals
+		row.DAEDeleted = dae.NumArgs + dae.NumRets
+		row.NumInlined = inl.NumInlined
+		row.FuncDeleted = inl.NumDeleted
 		// Baseline: full compilation of every unit.
 		{
 			prog := workload.Generate(p)
@@ -166,14 +161,12 @@ func Table2() ([]Table2Row, error) {
 				if err != nil {
 					return nil, err
 				}
-				pm := passes.NewPassManager()
-				pm.AddStandardPipeline()
-				if _, err := pm.Run(m); err != nil {
+				if _, err := passes.NewPassManager().AddStandardPipeline().Run(m); err != nil {
 					return nil, err
 				}
 				codegen.CompileModule(m, codegen.Cisc86{})
 			}
-			row.Baseline = time.Since(start)
+			row.BaselineMs = ms(time.Since(start))
 		}
 		rows = append(rows, row)
 	}
@@ -186,11 +179,10 @@ func PrintTable2(w io.Writer, rows []Table2Row, verbose bool) {
 	fmt.Fprintf(w, "%-14s %9s %9s %9s %12s %9s\n", "Benchmark", "DGE", "DAE", "inline", "baseline", "IPO/base")
 	var sumRatio float64
 	for _, r := range rows {
-		ipo := r.DGE + r.DAE + r.Inline
-		ratio := float64(ipo) / float64(r.Baseline)
+		ratio := (r.DGEMs + r.DAEMs + r.InlineMs) / r.BaselineMs
 		sumRatio += ratio
 		fmt.Fprintf(w, "%-14s %9.3f %9.3f %9.3f %12.3f %8.1f%%\n",
-			r.Bench, ms(r.DGE), ms(r.DAE), ms(r.Inline), ms(r.Baseline), 100*ratio)
+			r.Bench, r.DGEMs, r.DAEMs, r.InlineMs, r.BaselineMs, 100*ratio)
 		if verbose {
 			fmt.Fprintf(w, "    work: DGE deleted %d objects, DAE removed %d args/rets, inline integrated %d (deleting %d functions)\n",
 				r.DGEDeleted, r.DAEDeleted, r.NumInlined, r.FuncDeleted)
@@ -202,23 +194,63 @@ func PrintTable2(w io.Writer, rows []Table2Row, verbose bool) {
 
 func ms(d time.Duration) float64 { return float64(d.Nanoseconds()) / 1e6 }
 
+// bestOfRuns is how many times each arm of a timed ablation runs; the row
+// reports the fastest, the standard way to strip scheduler noise from a
+// single-process latency comparison.
+const bestOfRuns = 3
+
+// bestOf runs arm bestOfRuns times and returns its fastest time in
+// milliseconds. arm times only its measured region, so per-run setup
+// (cloning a module, building a machine) stays outside the window.
+func bestOf(arm func() (time.Duration, error)) (float64, error) {
+	var best time.Duration
+	for i := 0; i < bestOfRuns; i++ {
+		d, err := arm()
+		if err != nil {
+			return 0, err
+		}
+		if i == 0 || d < best {
+			best = d
+		}
+	}
+	return ms(best), nil
+}
+
+// timePipeline runs pm over a fresh clone of raw and times only the run,
+// so every arm of an ablation sees identical input.
+func timePipeline(pm *passes.PassManager, raw *core.Module) (time.Duration, error) {
+	m := core.CloneModule(raw)
+	start := time.Now()
+	_, err := pm.Run(m)
+	return time.Since(start), err
+}
+
+// overheadPercent is the on arm's slowdown relative to the off arm
+// (negative = the on arm was faster).
+func overheadPercent(offMs, onMs float64) float64 {
+	if offMs <= 0 {
+		return 0
+	}
+	return (onMs/offMs - 1) * 100
+}
+
 // ---------------------------------------------------------------------------
 // Figure 5
 
 // Figure5Row is one benchmark's executable-size comparison.
 type Figure5Row struct {
-	Bench      string
-	LLVM       int // bytecode bytes (with symbol tables, like an executable)
-	LLVMPacked int // after general-purpose compression (§4.1.3's bzip2 note)
-	X86        int // CISC-86 image bytes
-	Sparc      int // RISC-V9 image bytes
+	Bench      string `json:"bench"`
+	LLVM       int    `json:"llvm_bytes"`        // bytecode bytes (with symbol tables, like an executable)
+	LLVMPacked int    `json:"llvm_packed_bytes"` // after general-purpose compression (§4.1.3's bzip2 note)
+	X86        int    `json:"x86_bytes"`         // CISC-86 image bytes
+	Sparc      int    `json:"sparc_bytes"`       // RISC-V9 image bytes
 }
 
 // Figure5 measures executable sizes for each benchmark.
 func Figure5() ([]Figure5Row, error) {
 	var rows []Figure5Row
 	for _, p := range workload.Suite() {
-		m, err := Build(p)
+		m, err := Build(p, true)
 		if err != nil {
 			return nil, err
 		}
@@ -269,21 +301,22 @@ func PrintFigure5(w io.Writer, rows []Figure5Row) {
 // CheckerRow is one benchmark's static-checker result: how much code the
 // checker covered, what it reported, and how long it took. The synthetic
 // benchmarks are generated from well-formed sources, so Errors doubles as a
-// false-positive counter — any nonzero value is a checker regression.
+// false-positive counter — any nonzero value is a checker regression, and
+// the trajectory files record it explicitly.
 type CheckerRow struct {
-	Bench       string
-	Functions   int
-	Diagnostics int
-	Errors      int
-	ByKind      map[string]int
-	Duration    time.Duration
+	Bench       string         `json:"bench"`
+	Functions   int            `json:"functions"`
+	Diagnostics int            `json:"diagnostics"`
+	Errors      int            `json:"errors"`
+	ByKind      map[string]int `json:"by_kind,omitempty"`
+	CheckMs     float64        `json:"check_ms"`
 }
 
 // CheckerTable runs the static checker over each optimized benchmark.
 func CheckerTable() ([]CheckerRow, error) {
 	var rows []CheckerRow
 	for _, p := range workload.Suite() {
-		m, err := Build(p)
+		m, err := Build(p, true)
 		if err != nil {
 			return nil, err
 		}
@@ -297,7 +330,7 @@ func CheckerTable() ([]CheckerRow, error) {
 			Diagnostics: rep.Stats.Diagnostics,
 			Errors:      rep.Stats.Errors,
 			ByKind:      rep.Stats.ByKind,
-			Duration:    rep.Stats.Duration,
+			CheckMs:     ms(rep.Stats.Duration),
 		})
 	}
 	return rows, nil
@@ -316,7 +349,7 @@ func PrintCheckerTable(w io.Writer, rows []CheckerRow) {
 			kinds += fmt.Sprintf("%s=%d", k, r.ByKind[k])
 		}
 		fmt.Fprintf(w, "%-14s %9d %11d %7d %10.2f  %s\n",
-			r.Bench, r.Functions, r.Diagnostics, r.Errors, ms(r.Duration), kinds)
+			r.Bench, r.Functions, r.Diagnostics, r.Errors, r.CheckMs, kinds)
 	}
 	fmt.Fprintf(w, "(errors on these well-formed programs indicate checker false positives)\n")
 }

@@ -6,296 +6,18 @@ import (
 )
 
 // Report bundles the evaluation's tables for machine-readable output
-// (llvm-bench -json). Sections the caller did not run are omitted. The
-// shape is stable so successive BENCH_*.json files can be diffed to track
-// the perf trajectory across revisions.
+// (llvm-bench -json). Sections the caller did not run are omitted. Each
+// section is a slice of the table's own row type, whose JSON keys are
+// stable (TestReportKeySets pins them) so successive BENCH_*.json files
+// can be diffed to track the perf trajectory across revisions.
 type Report struct {
-	Table1   []Table1JSON   `json:"table1,omitempty"`
-	Table2   []Table2JSON   `json:"table2,omitempty"`
-	Figure5  []Figure5JSON  `json:"figure5,omitempty"`
-	Checker  []CheckerJSON  `json:"checker,omitempty"`
-	Store    []StoreJSON    `json:"store,omitempty"`
-	Obs      []ObsJSON      `json:"obs,omitempty"`
-	Validate []ValidateJSON `json:"validate,omitempty"`
-	Tiers    []TiersJSON    `json:"tiers,omitempty"`
-	Alias    []AliasJSON    `json:"alias,omitempty"`
-	Cluster  []ClusterJSON  `json:"cluster,omitempty"`
-	// ServeLoad is the open-loop load-generator section: latency quantiles
-	// per arrival rate plus the serving-layer observability overhead.
-	ServeLoad *ServeLoadSection `json:"serve_load,omitempty"`
-}
-
-// Table1JSON is Table1Row with stable JSON field names.
-type Table1JSON struct {
-	Bench        string  `json:"bench"`
-	Typed        int     `json:"typed"`
-	Untyped      int     `json:"untyped"`
-	TypedPercent float64 `json:"typed_percent"`
-}
-
-// Table2JSON is Table2Row with durations in milliseconds (the paper quotes
-// fractions of a second; nanosecond integers would just add noise).
-type Table2JSON struct {
-	Bench       string  `json:"bench"`
-	DGEMillis   float64 `json:"dge_ms"`
-	DAEMillis   float64 `json:"dae_ms"`
-	InlineMs    float64 `json:"inline_ms"`
-	BaselineMs  float64 `json:"baseline_ms"`
-	DGEDeleted  int     `json:"dge_deleted"`
-	DAEDeleted  int     `json:"dae_deleted"`
-	NumInlined  int     `json:"num_inlined"`
-	FuncDeleted int     `json:"func_deleted"`
-}
-
-// Figure5JSON is Figure5Row with stable JSON field names.
-type Figure5JSON struct {
-	Bench      string `json:"bench"`
-	LLVM       int    `json:"llvm_bytes"`
-	LLVMPacked int    `json:"llvm_packed_bytes"`
-	X86        int    `json:"x86_bytes"`
-	Sparc      int    `json:"sparc_bytes"`
-}
-
-// CheckerJSON is CheckerRow with a millisecond duration, matching Table2's
-// convention. Errors over the well-formed synthetic suite count checker
-// false positives, so the trajectory files record them explicitly.
-type CheckerJSON struct {
-	Bench       string         `json:"bench"`
-	Functions   int            `json:"functions"`
-	Diagnostics int            `json:"diagnostics"`
-	Errors      int            `json:"errors"`
-	ByKind      map[string]int `json:"by_kind,omitempty"`
-	CheckMs     float64        `json:"check_ms"`
-}
-
-// StoreJSON is StoreRow in Table2's millisecond convention.
-type StoreJSON struct {
-	Bench         string  `json:"bench"`
-	ArtifactBytes int     `json:"artifact_bytes"`
-	ColdMs        float64 `json:"cold_ms"`
-	WarmMs        float64 `json:"warm_ms"`
-	Speedup       float64 `json:"speedup"`
-	ColdHit       bool    `json:"cold_hit,omitempty"`
-}
-
-// NewReport converts the printed tables' rows to their JSON shapes; any
-// slice may be nil.
-func NewReport(t1 []Table1Row, t2 []Table2Row, f5 []Figure5Row, ck []CheckerRow) *Report {
-	r := &Report{}
-	for _, row := range t1 {
-		r.Table1 = append(r.Table1, Table1JSON{
-			Bench: row.Bench, Typed: row.Typed, Untyped: row.Untyped, TypedPercent: row.Percent,
-		})
-	}
-	for _, row := range t2 {
-		r.Table2 = append(r.Table2, Table2JSON{
-			Bench: row.Bench, DGEMillis: ms(row.DGE), DAEMillis: ms(row.DAE),
-			InlineMs: ms(row.Inline), BaselineMs: ms(row.Baseline),
-			DGEDeleted: row.DGEDeleted, DAEDeleted: row.DAEDeleted,
-			NumInlined: row.NumInlined, FuncDeleted: row.FuncDeleted,
-		})
-	}
-	for _, row := range f5 {
-		r.Figure5 = append(r.Figure5, Figure5JSON{
-			Bench: row.Bench, LLVM: row.LLVM, LLVMPacked: row.LLVMPacked,
-			X86: row.X86, Sparc: row.Sparc,
-		})
-	}
-	for _, row := range ck {
-		r.Checker = append(r.Checker, CheckerJSON{
-			Bench: row.Bench, Functions: row.Functions, Diagnostics: row.Diagnostics,
-			Errors: row.Errors, ByKind: row.ByKind, CheckMs: ms(row.Duration),
-		})
-	}
-	return r
-}
-
-// ObsJSON is ObsRow in Table2's millisecond convention.
-type ObsJSON struct {
-	Bench           string  `json:"bench"`
-	OffMs           float64 `json:"off_ms"`
-	OnMs            float64 `json:"on_ms"`
-	OverheadPercent float64 `json:"overhead_percent"`
-	Spans           int     `json:"spans"`
-	Remarks         int     `json:"remarks"`
-}
-
-// AddObs appends the observability-overhead rows to the report.
-func (r *Report) AddObs(rows []ObsRow) {
-	for _, row := range rows {
-		r.Obs = append(r.Obs, ObsJSON{
-			Bench: row.Bench, OffMs: ms(row.Off), OnMs: ms(row.On),
-			OverheadPercent: row.OverheadPercent(),
-			Spans:           row.Spans, Remarks: row.Remarks,
-		})
-	}
-}
-
-// AddStore appends the lifelong-store latency rows to the report.
-func (r *Report) AddStore(rows []StoreRow) {
-	for _, row := range rows {
-		r.Store = append(r.Store, StoreJSON{
-			Bench: row.Bench, ArtifactBytes: row.Bytes,
-			ColdMs: ms(row.Cold), WarmMs: ms(row.Warm),
-			Speedup: row.Speedup(), ColdHit: row.ColdHit,
-		})
-	}
-}
-
-// ValidateJSON is ValidateRow in Table2's millisecond convention.
-type ValidateJSON struct {
-	Bench           string  `json:"bench"`
-	OffMs           float64 `json:"off_ms"`
-	OnMs            float64 `json:"on_ms"`
-	OverheadPercent float64 `json:"overhead_percent"`
-	Equivalent      int     `json:"equivalent"`
-	Inconclusive    int     `json:"inconclusive"`
-	Probes          int     `json:"probes"`
-}
-
-// AddValidate appends the translation-validation overhead rows to the
-// report.
-func (r *Report) AddValidate(rows []ValidateRow) {
-	for _, row := range rows {
-		r.Validate = append(r.Validate, ValidateJSON{
-			Bench: row.Bench, OffMs: ms(row.Off), OnMs: ms(row.On),
-			OverheadPercent: row.OverheadPercent(),
-			Equivalent:      row.Equivalent, Inconclusive: row.Inconclusive,
-			Probes: row.Probes,
-		})
-	}
-}
-
-// TiersJSON is TiersRow in Table2's millisecond convention, plus the
-// derived tier-2-over-tier-1 speedup the perf bar tracks.
-type TiersJSON struct {
-	Bench    string  `json:"bench"`
-	InterpMs float64 `json:"interp_ms"`
-	Tier1Ms  float64 `json:"tier1_ms"`
-	Tier2Ms  float64 `json:"tier2_ms"`
-	AutoMs   float64 `json:"auto_profiled_ms"`
-	T2OverT1 float64 `json:"t2_over_t1"`
-	Steps    int64   `json:"steps"`
-}
-
-// AddTiers appends the execution-tier ablation rows to the report.
-func (r *Report) AddTiers(rows []TiersRow) {
-	for _, row := range rows {
-		r.Tiers = append(r.Tiers, TiersJSON{
-			Bench: row.Bench, InterpMs: ms(row.Interp), Tier1Ms: ms(row.T1),
-			Tier2Ms: ms(row.T2), AutoMs: ms(row.Auto),
-			T2OverT1: row.T2OverT1(), Steps: row.Steps,
-		})
-	}
-}
-
-// AliasJSON is AliasRow in Table2's millisecond convention. WorkOn/WorkOff
-// count applied memory-pass remarks, so the trajectory records whether the
-// points-to analysis keeps buying strictly more optimization work.
-type AliasJSON struct {
-	Bench           string  `json:"bench"`
-	Classes         int     `json:"classes"`
-	TypedPercent    float64 `json:"typed_percent"`
-	OffMs           float64 `json:"off_ms"`
-	OnMs            float64 `json:"on_ms"`
-	OverheadPercent float64 `json:"overhead_percent"`
-	WorkOff         int     `json:"work_off"`
-	WorkOn          int     `json:"work_on"`
-	QueriesNo       int64   `json:"queries_no"`
-	QueriesMay      int64   `json:"queries_may"`
-	QueriesMust     int64   `json:"queries_must"`
-}
-
-// AddAlias appends the alias precision/overhead rows to the report.
-func (r *Report) AddAlias(rows []AliasRow) {
-	for _, row := range rows {
-		r.Alias = append(r.Alias, AliasJSON{
-			Bench: row.Bench, Classes: row.Classes, TypedPercent: row.Typed,
-			OffMs: ms(row.Off), OnMs: ms(row.On),
-			OverheadPercent: row.OverheadPercent(),
-			WorkOff:         row.WorkOff, WorkOn: row.WorkOn,
-			QueriesNo: row.Queries.No, QueriesMay: row.Queries.May, QueriesMust: row.Queries.Must,
-		})
-	}
-}
-
-// ClusterJSON is ClusterRow in Table2's millisecond convention: one
-// benchmark's compile latency through a 3-node sharded llvm-serve —
-// cluster-wide cold compile, owner cache hit, and non-owner peer
-// fetch-through.
-type ClusterJSON struct {
-	Bench         string  `json:"bench"`
-	ArtifactBytes int     `json:"artifact_bytes"`
-	Peers         int     `json:"peers"`
-	ColdMs        float64 `json:"cold_ms"`
-	WarmLocalMs   float64 `json:"warm_local_ms"`
-	RemoteHitMs   float64 `json:"remote_hit_ms"`
-	WarmSpeedup   float64 `json:"warm_speedup"`
-	RemoteSpeedup float64 `json:"remote_speedup"`
-}
-
-// AddCluster appends the sharded-cluster latency rows to the report.
-func (r *Report) AddCluster(rows []ClusterRow) {
-	for _, row := range rows {
-		r.Cluster = append(r.Cluster, ClusterJSON{
-			Bench: row.Bench, ArtifactBytes: row.Bytes, Peers: row.Peers,
-			ColdMs: ms(row.Cold), WarmLocalMs: ms(row.WarmLocal), RemoteHitMs: ms(row.RemoteHit),
-			WarmSpeedup: row.WarmSpeedup(), RemoteSpeedup: row.RemoteSpeedup(),
-		})
-	}
-}
-
-// ServeLoadJSON is ServeLoadRow in Table2's millisecond convention.
-type ServeLoadJSON struct {
-	Endpoint      string  `json:"endpoint"`
-	RateRPS       float64 `json:"rate_rps"`
-	DurationSecs  float64 `json:"duration_secs"`
-	Sent          int     `json:"sent"`
-	OK            int     `json:"ok"`
-	Rejected      int     `json:"rejected_503"`
-	Failed        int     `json:"failed"`
-	DedupFollower int     `json:"dedup_follower"`
-	CacheHit      int     `json:"cache_hit"`
-	CacheRemote   int     `json:"cache_remote"`
-	CacheMiss     int     `json:"cache_miss"`
-	P50Ms         float64 `json:"p50_ms"`
-	P95Ms         float64 `json:"p95_ms"`
-	P99Ms         float64 `json:"p99_ms"`
-	MaxMs         float64 `json:"max_ms"`
-	ThroughputRPS float64 `json:"throughput_rps"`
-}
-
-// ServeLoadSection bundles the load rows with the serving-layer
-// observability overhead measurement.
-type ServeLoadSection struct {
-	Rows               []ServeLoadJSON `json:"rows"`
-	ObsOffP50Ms        float64         `json:"obs_off_p50_ms"`
-	ObsOnP50Ms         float64         `json:"obs_on_p50_ms"`
-	ObsOverheadPercent float64         `json:"obs_overhead_percent"`
-}
-
-// AddServeLoad attaches the open-loop load-generator result to the report.
-func (r *Report) AddServeLoad(res *ServeLoadResult) {
-	if res == nil {
-		return
-	}
-	sec := &ServeLoadSection{
-		ObsOffP50Ms:        ms(res.ObsOffP50),
-		ObsOnP50Ms:         ms(res.ObsOnP50),
-		ObsOverheadPercent: res.ObsOverheadPercent,
-	}
-	for _, row := range res.Rows {
-		sec.Rows = append(sec.Rows, ServeLoadJSON{
-			Endpoint: row.Endpoint, RateRPS: row.RateRPS,
-			DurationSecs: row.Duration.Seconds(),
-			Sent:         row.Sent, OK: row.OK, Rejected: row.Rejected, Failed: row.Failed,
-			DedupFollower: row.DedupFollower,
-			CacheHit:      row.CacheHit, CacheRemote: row.CacheRemote, CacheMiss: row.CacheMiss,
-			P50Ms: ms(row.P50), P95Ms: ms(row.P95), P99Ms: ms(row.P99), MaxMs: ms(row.Max),
-			ThroughputRPS: row.Throughput,
-		})
-	}
-	r.ServeLoad = sec
+	Table1   []Table1Row   `json:"table1,omitempty"`
+	Table2   []Table2Row   `json:"table2,omitempty"`
+	Figure5  []Figure5Row  `json:"figure5,omitempty"`
+	Checker  []CheckerRow  `json:"checker,omitempty"`
+	Validate []ValidateRow `json:"validate,omitempty"`
+	Tiers    []TiersRow    `json:"tiers,omitempty"`
+	Alias    []AliasRow    `json:"alias,omitempty"`
 }
 
 // WriteJSON writes the report as indented JSON.

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"runtime"
 	"time"
 
 	"repro/internal/core"
@@ -22,26 +21,16 @@ import (
 // instruction count, identical across tiers by construction; the row
 // records it once as the work each arm performed.
 type TiersRow struct {
-	Bench  string
-	Interp time.Duration // tier 0
-	T1     time.Duration // tier 1
-	T2     time.Duration // tier 2
-	Auto   time.Duration // auto with a seeded profile
-	Steps  int64
-	Exit   int64
+	Bench    string  `json:"bench"`
+	InterpMs float64 `json:"interp_ms"`        // tier 0
+	Tier1Ms  float64 `json:"tier1_ms"`         // tier 1
+	Tier2Ms  float64 `json:"tier2_ms"`         // tier 2
+	AutoMs   float64 `json:"auto_profiled_ms"` // auto with a seeded profile
+	// T2OverT1 is tier 2's speedup over tier 1 (>1 = faster), the number
+	// the perf bar tracks.
+	T2OverT1 float64 `json:"t2_over_t1"`
+	Steps    int64   `json:"steps"`
 }
-
-// T2OverT1 is tier 2's speedup over tier 1 (>1 = faster).
-func (r TiersRow) T2OverT1() float64 {
-	if r.T2 <= 0 {
-		return 0
-	}
-	return float64(r.T1) / float64(r.T2)
-}
-
-// tierRuns is how many times each arm runs; like ObsTable, the row
-// reports the fastest to strip scheduler noise.
-const tierRuns = 3
 
 // tiersMaxSteps bounds each arm; the suite's programs finish far below
 // it, so hitting the budget indicates an engine bug, not a slow bench.
@@ -50,14 +39,18 @@ const tiersMaxSteps = 200_000_000
 // TiersTable measures end-to-end execution latency per tier over each
 // benchmark. All arms of a benchmark share one module object and one
 // translation cache, so tier-1/tier-2 timings are steady-state execution
-// (translation happens once, on each arm's first of tierRuns runs) — the
+// (translation happens once, on each arm's first of bestOfRuns runs) — the
 // comparison the paper's runtime-optimizer design targets, where
 // translations persist across invocations. Exit codes must agree across
 // arms; a mismatch fails the table rather than reporting a bogus win.
 func TiersTable() ([]TiersRow, error) {
+	return tiersTable(workload.Suite())
+}
+
+func tiersTable(progs []workload.Profile) ([]TiersRow, error) {
 	var rows []TiersRow
-	for _, p := range workload.Suite() {
-		m, err := Build(p)
+	for _, p := range progs {
+		m, err := Build(p, true)
 		if err != nil {
 			return nil, err
 		}
@@ -70,30 +63,31 @@ func TiersTable() ([]TiersRow, error) {
 			return nil, fmt.Errorf("%s: profiling run: %w", p.Name, err)
 		}
 
-		row := TiersRow{Bench: p.Name, Steps: steps, Exit: exit0}
+		row := TiersRow{Bench: p.Name, Steps: steps}
 		arms := []struct {
-			dur    *time.Duration
+			ms     *float64
 			policy interp.TierPolicy
 			seed   map[string][]int64
 		}{
-			{&row.Interp, interp.TierInterp, nil},
-			{&row.T1, interp.TierBaseline, nil},
-			{&row.T2, interp.TierOpt, nil},
-			{&row.Auto, interp.TierAuto, seed},
+			{&row.InterpMs, interp.TierInterp, nil},
+			{&row.Tier1Ms, interp.TierBaseline, nil},
+			{&row.Tier2Ms, interp.TierOpt, nil},
+			{&row.AutoMs, interp.TierAuto, seed},
 		}
 		for _, arm := range arms {
-			for i := 0; i < tierRuns; i++ {
+			*arm.ms, err = bestOf(func() (time.Duration, error) {
 				d, exit, err := tierRun(m, prog, arm.policy, arm.seed)
-				if err != nil {
-					return nil, fmt.Errorf("%s tier %s: %w", p.Name, arm.policy, err)
+				if err == nil && exit != exit0 {
+					err = fmt.Errorf("exit %d, want %d", exit, exit0)
 				}
-				if exit != exit0 {
-					return nil, fmt.Errorf("%s tier %s: exit %d, want %d", p.Name, arm.policy, exit, exit0)
-				}
-				if i == 0 || d < *arm.dur {
-					*arm.dur = d
-				}
+				return d, err
+			})
+			if err != nil {
+				return nil, fmt.Errorf("%s tier %s: %w", p.Name, arm.policy, err)
 			}
+		}
+		if row.Tier2Ms > 0 {
+			row.T2OverT1 = row.Tier1Ms / row.Tier2Ms
 		}
 		rows = append(rows, row)
 	}
@@ -125,10 +119,6 @@ func tierRun(m *core.Module, prog *interp.Program, policy interp.TierPolicy, see
 	if seed != nil {
 		mc.SeedProfile(seed)
 	}
-	// Machine setup allocates the whole sandbox stack; collect that debt
-	// now so no GC triggered by setup garbage lands inside the timed
-	// window (the runs themselves allocate almost nothing).
-	runtime.GC()
 	t0 := time.Now()
 	exit, err := runToExit(mc)
 	return time.Since(t0), exit, err
@@ -162,34 +152,20 @@ func runToExit(mc *interp.Machine) (int64, error) {
 // PrintTiersTable renders the per-tier latencies with tier 2's speedup
 // over tiers 0 and 1 and the geomean speedups the acceptance bar tracks.
 func PrintTiersTable(w io.Writer, rows []TiersRow) {
-	fmt.Fprintf(w, "Tiers: end-to-end execution latency per tier (best of %d; shared translations)\n", tierRuns)
+	fmt.Fprintf(w, "Tiers: end-to-end execution latency per tier (best of %d; shared translations)\n", bestOfRuns)
 	fmt.Fprintf(w, "%-14s %11s %11s %11s %11s %9s %9s %12s\n",
 		"Benchmark", "interp", "tier1", "tier2", "auto+prof", "t2/t0", "t2/t1", "steps")
 	var logT0, logT1 float64
 	for _, r := range rows {
-		overT0 := float64(r.Interp) / float64(r.T2)
-		overT1 := r.T2OverT1()
+		overT0 := r.InterpMs / r.Tier2Ms
 		logT0 += math.Log(overT0)
-		logT1 += math.Log(overT1)
+		logT1 += math.Log(r.T2OverT1)
 		fmt.Fprintf(w, "%-14s %9.3fms %9.3fms %9.3fms %9.3fms %8.2fx %8.2fx %12d\n",
-			r.Bench, ms(r.Interp), ms(r.T1), ms(r.T2), ms(r.Auto), overT0, overT1, r.Steps)
+			r.Bench, r.InterpMs, r.Tier1Ms, r.Tier2Ms, r.AutoMs, overT0, r.T2OverT1, r.Steps)
 	}
 	n := float64(len(rows))
 	if n > 0 {
 		fmt.Fprintf(w, "%-14s %11s %11s %11s %11s %8.2fx %8.2fx   (geomean)\n",
 			"geomean", "", "", "", "", math.Exp(logT0/n), math.Exp(logT1/n))
 	}
-}
-
-// TiersGeomeanT2OverT1 is the geometric-mean tier-2-over-tier-1 speedup,
-// the number the repo's perf bar is stated against.
-func TiersGeomeanT2OverT1(rows []TiersRow) float64 {
-	if len(rows) == 0 {
-		return 0
-	}
-	var sum float64
-	for _, r := range rows {
-		sum += math.Log(r.T2OverT1())
-	}
-	return math.Exp(sum / float64(len(rows)))
 }

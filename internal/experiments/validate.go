@@ -5,7 +5,6 @@ import (
 	"io"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/passes"
 	"repro/internal/validate"
 	"repro/internal/workload"
@@ -19,92 +18,74 @@ import (
 // soundness check: a confirmed miscompile of a real pass on a real
 // workload would surface here as a benchmark error.
 type ValidateRow struct {
-	Bench string
-	Off   time.Duration
-	On    time.Duration
+	Bench string  `json:"bench"`
+	OffMs float64 `json:"off_ms"`
+	OnMs  float64 `json:"on_ms"`
+	// OverheadPercent is the validated run's slowdown relative to the
+	// unvalidated one.
+	OverheadPercent float64 `json:"overhead_percent"`
 	// Equivalent and Inconclusive count validated pass runs by verdict;
 	// passes that made no changes are not validated and appear in neither.
-	Equivalent   int
-	Inconclusive int
+	Equivalent   int `json:"equivalent"`
+	Inconclusive int `json:"inconclusive"`
 	// Probes is the total number of differential test vectors executed.
-	Probes int
+	Probes int `json:"probes"`
 }
-
-// OverheadPercent is the validated run's slowdown relative to the
-// unvalidated one.
-func (r ValidateRow) OverheadPercent() float64 {
-	if r.Off <= 0 {
-		return 0
-	}
-	return (float64(r.On)/float64(r.Off) - 1) * 100
-}
-
-// validateRuns is how many times each arm runs; the row reports the
-// fastest, matching the obs table's convention.
-const validateRuns = 3
 
 // ValidateTable measures oracle-off vs oracle-on pipeline latency per
-// benchmark. Both arms see identical inputs (the raw module is cloned
-// before each run), each arm reports the best of validateRuns runs, and
-// the unvalidated arm goes first so warm-up favors the validated side —
-// the overhead estimate is conservative. A Miscompile verdict on any real
-// pass is a hard error: the oracle's zero-false-confirms discipline is
-// part of what this table certifies.
+// benchmark, each arm the best of bestOfRuns runs over the same
+// unoptimized module. The unvalidated arm goes first so warm-up favors the
+// validated side — the overhead estimate is conservative. A Miscompile
+// verdict on any real pass is a hard error: the oracle's
+// zero-false-confirms discipline is part of what this table certifies.
 func ValidateTable() ([]ValidateRow, error) {
+	return validateTable(workload.Suite())
+}
+
+func validateTable(progs []workload.Profile) ([]ValidateRow, error) {
 	var rows []ValidateRow
-	for _, p := range workload.Suite() {
-		raw, err := buildRaw(p)
+	for _, p := range progs {
+		raw, err := Build(p, false)
 		if err != nil {
 			return nil, err
 		}
-
-		var offDur, onDur time.Duration
-		var equivalent, inconclusive, probes int
-		for i := 0; i < validateRuns; i++ {
-			off := core.CloneModule(raw)
-			pmOff := passes.NewPassManager().AddStandardPipeline()
-			t0 := time.Now()
-			if _, err := pmOff.Run(off); err != nil {
-				return nil, fmt.Errorf("%s off: %w", p.Name, err)
-			}
-			if d := time.Since(t0); i == 0 || d < offDur {
-				offDur = d
-			}
+		row := ValidateRow{Bench: p.Name}
+		row.OffMs, err = bestOf(func() (time.Duration, error) {
+			return timePipeline(passes.NewPassManager().AddStandardPipeline(), raw)
+		})
+		if err != nil {
+			return nil, fmt.Errorf("%s off: %w", p.Name, err)
 		}
-		for i := 0; i < validateRuns; i++ {
-			on := core.CloneModule(raw)
-			pmOn := passes.NewPassManager().AddStandardPipeline()
-			pmOn.Validator = validate.Default()
-			t1 := time.Now()
-			if _, err := pmOn.Run(on); err != nil {
-				return nil, fmt.Errorf("%s on: %w", p.Name, err)
+		row.OnMs, err = bestOf(func() (time.Duration, error) {
+			pm := passes.NewPassManager().AddStandardPipeline()
+			pm.Validator = validate.Default()
+			d, err := timePipeline(pm, raw)
+			if err != nil {
+				return 0, err
 			}
-			if d := time.Since(t1); i == 0 || d < onDur {
-				onDur = d
-			}
-			equivalent, inconclusive, probes = 0, 0, 0
-			for _, r := range pmOn.Results {
+			row.Equivalent, row.Inconclusive, row.Probes = 0, 0, 0
+			for _, r := range pm.Results {
 				v := r.Validation
 				if v == nil {
 					continue
 				}
-				probes += v.Probes
+				row.Probes += v.Probes
 				switch v.Verdict {
 				case validate.Equivalent:
-					equivalent++
+					row.Equivalent++
 				case validate.Inconclusive:
-					inconclusive++
+					row.Inconclusive++
 				case validate.Miscompile:
-					return nil, fmt.Errorf("%s: oracle confirmed a miscompile of real pass %q: %s",
-						p.Name, r.Pass, v.Summary())
+					return 0, fmt.Errorf("oracle confirmed a miscompile of real pass %q: %s", r.Pass, v.Summary())
 				}
 			}
-		}
-
-		rows = append(rows, ValidateRow{
-			Bench: p.Name, Off: offDur, On: onDur,
-			Equivalent: equivalent, Inconclusive: inconclusive, Probes: probes,
+			return d, nil
 		})
+		if err != nil {
+			return nil, fmt.Errorf("%s on: %w", p.Name, err)
+		}
+		row.OverheadPercent = overheadPercent(row.OffMs, row.OnMs)
+		rows = append(rows, row)
 	}
 	return rows, nil
 }
@@ -116,7 +97,7 @@ func PrintValidateTable(w io.Writer, rows []ValidateRow) {
 		"Benchmark", "Off", "On", "Overhead", "Equiv", "Inconcl", "Probes")
 	for _, r := range rows {
 		fmt.Fprintf(w, "%-14s %11.3fms %11.3fms %9.1f%% %6d %8d %7d\n",
-			r.Bench, ms(r.Off), ms(r.On), r.OverheadPercent(),
+			r.Bench, r.OffMs, r.OnMs, r.OverheadPercent,
 			r.Equivalent, r.Inconclusive, r.Probes)
 	}
 }

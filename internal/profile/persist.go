@@ -10,10 +10,10 @@ import (
 // Counts is the persistable form of an execution profile. Where Data keys
 // counts by *core.BasicBlock identity (valid only within one process),
 // Counts keys them by function name and block layout index, which survive
-// a bytecode round trip: instrumentation probes are stripped in place, so
-// the counted blocks are the source module's own blocks, and the canonical
-// encoding preserves block order. Counts from different runs of the same
-// module therefore line up slot for slot and can be accumulated.
+// a bytecode round trip: the engine counts the module's own blocks without
+// rewriting it, and the canonical encoding preserves block order. Counts
+// from different runs of the same module therefore line up slot for slot
+// and can be accumulated.
 type Counts struct {
 	// Funcs maps a function name to its per-block counts in layout order.
 	Funcs map[string][]int64 `json:"funcs"`
@@ -21,36 +21,12 @@ type Counts struct {
 	Total int64 `json:"total"`
 }
 
-// ToCounts converts a profile to its persistable form against the module
-// it was collected on.
-func (d *Data) ToCounts(m *core.Module) *Counts {
-	c := &Counts{Funcs: map[string][]int64{}}
-	for _, f := range m.Funcs {
-		if f.IsDeclaration() {
-			continue
-		}
-		per := make([]int64, len(f.Blocks))
-		any := false
-		for i, b := range f.Blocks {
-			per[i] = d.Count(b)
-			if per[i] != 0 {
-				any = true
-			}
-			c.Total += per[i]
-		}
-		if any {
-			c.Funcs[f.Name()] = per
-		}
-	}
-	return c
-}
-
 // CountsFromBlocks wraps the execution engine's own per-block counters
 // (interp.Machine.BlockCounts: function name -> counts in block layout
 // order) as a persistable profile. The engine counts every tier without
-// instrumenting the module, so this is the zero-probe path into the same
-// lifelong store ToCounts feeds; the shapes match slot for slot, and
-// Machine.SeedProfile consumes the Funcs map on the way back in.
+// instrumenting the module; Bind turns the result back into a Data for
+// HotRegions/Reoptimize, and Machine.SeedProfile consumes the Funcs map
+// on the way back in.
 func CountsFromBlocks(funcs map[string][]int64) *Counts {
 	c := &Counts{Funcs: map[string][]int64{}}
 	for fn, per := range funcs {

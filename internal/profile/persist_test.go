@@ -8,13 +8,13 @@ import (
 	"repro/internal/interp"
 )
 
-// runCounts compiles src, runs it instrumented, and returns the persisted
-// counts plus the module (post-strip).
+// runCounts compiles src, runs it under the engine's block counters, and
+// returns the persisted counts plus the module.
 func runCounts(t *testing.T, src string) (*Counts, *core.Module) {
 	t.Helper()
 	m := build(t, src)
-	d, _ := runProfiled(t, m)
-	return d.ToCounts(m), m
+	c, _ := countRun(t, m)
+	return c, m
 }
 
 // TestMergedRunsEqualDoubledRun: running twice and merging must produce

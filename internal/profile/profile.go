@@ -1,11 +1,11 @@
 // Package profile implements the paper's runtime path-profiling and
-// reoptimization strategy (§3.5, §3.6): light-weight instrumentation
-// inserted into the code identifies frequently executed regions; hot loop
-// regions are detected at run time; the most frequent path through a hot
-// region is extracted as a trace; and an offline ("idle-time") reoptimizer
-// uses the end-user profile for aggressive profile-driven transformation —
-// here, profile-guided inlining of hot call sites and hot-first code
-// layout. (The paper's own evaluation defers runtime-optimizer results,
+// reoptimization strategy (§3.5, §3.6): the execution engine's own
+// per-block counters (interp.Machine.EnableProfile/BlockCounts) identify
+// frequently executed regions; hot loop regions are detected at run time;
+// the most frequent path through a hot region is extracted as a trace;
+// and an offline ("idle-time") reoptimizer uses the end-user profile for
+// aggressive profile-driven transformation — here, profile-guided
+// inlining of hot call sites and hot-first code layout. (The paper's own evaluation defers runtime-optimizer results,
 // §3.5: "that work is outside the scope of this paper"; this package
 // implements the strategy it describes.)
 package profile
@@ -16,97 +16,13 @@ import (
 
 	"repro/internal/analysis"
 	"repro/internal/core"
-	"repro/internal/interp"
 )
 
-// CounterGlobalName is the symbol holding the profile counters.
-const CounterGlobalName = "__prof_counters"
-
-// Instrumentation records what Instrument inserted so counts can be read
-// back and the probes stripped.
-type Instrumentation struct {
-	M        *core.Module
-	Counters *core.GlobalVariable
-	// blocks[i] is the block whose execution count lives in slot i.
-	blocks []*core.BasicBlock
-	// inserted maps each block to its three probe instructions.
-	inserted map[*core.BasicBlock][]core.Instruction
-}
-
-// Instrument inserts a counter increment at the top of every basic block
-// of every defined function — the "light-weight instrumentation to detect
-// frequently executed code regions" of §3.4. Returns the handle used to
-// read and strip the probes.
-func Instrument(m *core.Module) *Instrumentation {
-	ins := &Instrumentation{M: m, inserted: map[*core.BasicBlock][]core.Instruction{}}
-	for _, f := range m.Funcs {
-		for _, b := range f.Blocks {
-			ins.blocks = append(ins.blocks, b)
-		}
-	}
-	n := len(ins.blocks)
-	if n == 0 {
-		return ins
-	}
-	arrTy := core.NewArray(core.LongType, n)
-	g := core.NewGlobal(m.UniqueSymbol(CounterGlobalName), arrTy, core.NewZero(arrTy))
-	g.Linkage = core.InternalLinkage
-	m.AddGlobal(g)
-	ins.Counters = g
-
-	for idx, b := range ins.blocks {
-		gep := core.NewGEP(g, core.NewInt(core.LongType, 0), core.NewInt(core.LongType, int64(idx)))
-		ld := core.NewLoad(gep)
-		add := core.NewBinary(core.OpAdd, ld, core.NewInt(core.LongType, 1))
-		st := core.NewStore(add, gep)
-		pos := b.FirstNonPhi()
-		b.InsertAt(pos, gep)
-		b.InsertAt(pos+1, ld)
-		b.InsertAt(pos+2, add)
-		b.InsertAt(pos+3, st)
-		ins.inserted[b] = []core.Instruction{gep, ld, add, st}
-	}
-	return ins
-}
-
-// Data is an execution profile: per-block counts from an end-user run.
+// Data is an execution profile: per-block counts from an end-user run,
+// bound to one in-memory module (see Counts.Bind).
 type Data struct {
 	Counts map[*core.BasicBlock]int64
 	Total  int64
-}
-
-// ReadCounts extracts the counter values from a machine that ran the
-// instrumented module.
-func (ins *Instrumentation) ReadCounts(mc *interp.Machine) (*Data, error) {
-	d := &Data{Counts: map[*core.BasicBlock]int64{}}
-	if ins.Counters == nil {
-		return d, nil
-	}
-	base := mc.GlobalAddr(ins.Counters)
-	for i, b := range ins.blocks {
-		w, err := mc.ReadWord(base + uint64(8*i))
-		if err != nil {
-			return nil, fmt.Errorf("profile: reading counter %d: %w", i, err)
-		}
-		d.Counts[b] = int64(w)
-		d.Total += int64(w)
-	}
-	return d, nil
-}
-
-// Strip removes the probes, leaving the module as before instrumentation.
-func (ins *Instrumentation) Strip() {
-	for b, probes := range ins.inserted {
-		// Delete in reverse: store, add, load, gep.
-		for i := len(probes) - 1; i >= 0; i-- {
-			b.Erase(probes[i])
-		}
-	}
-	ins.inserted = map[*core.BasicBlock][]core.Instruction{}
-	if ins.Counters != nil {
-		ins.M.RemoveGlobal(ins.Counters)
-		ins.Counters = nil
-	}
 }
 
 // Count returns the execution count of b (0 if never executed or unknown).

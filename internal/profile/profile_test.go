@@ -45,33 +45,35 @@ func build(t *testing.T, src string) *core.Module {
 	return m
 }
 
-// runProfiled instruments, runs, reads counts, and strips.
-func runProfiled(t *testing.T, m *core.Module) (*Data, int64) {
+// countRun runs m with the execution engine's block counters on and
+// returns the counts plus main's result.
+func countRun(t *testing.T, m *core.Module) (*Counts, int64) {
 	t.Helper()
-	ins := Instrument(m)
-	if err := core.Verify(m); err != nil {
-		t.Fatalf("instrumented module invalid: %v", err)
-	}
 	mc, err := interp.NewMachine(m, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
+	mc.EnableProfile()
 	ret, err := mc.RunMain()
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, err := ins.ReadCounts(mc)
+	return CountsFromBlocks(mc.BlockCounts()), ret
+}
+
+// runProfiled runs m under the engine's block counters and binds the
+// counts to m's own blocks.
+func runProfiled(t *testing.T, m *core.Module) (*Data, int64) {
+	t.Helper()
+	c, ret := countRun(t, m)
+	d, err := c.Bind(m)
 	if err != nil {
 		t.Fatal(err)
-	}
-	ins.Strip()
-	if err := core.Verify(m); err != nil {
-		t.Fatalf("module invalid after strip: %v", err)
 	}
 	return d, ret
 }
 
-func TestInstrumentationCountsBlocks(t *testing.T) {
+func TestEngineCountsBlocks(t *testing.T) {
 	m := build(t, loopProg)
 	d, _ := runProfiled(t, m)
 	if d.Total == 0 {
@@ -86,32 +88,6 @@ func TestInstrumentationCountsBlocks(t *testing.T) {
 	}
 	if hottest < 990 || hottest > 1010 {
 		t.Fatalf("hottest block count = %d, want ~1000", hottest)
-	}
-}
-
-func TestInstrumentationStripRestoresBehavior(t *testing.T) {
-	m1 := build(t, loopProg)
-	m2 := build(t, loopProg)
-	mc1, _ := interp.NewMachine(m1, nil)
-	want, err := mc1.RunMain()
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	_, gotDuring := runProfiled(t, m2) // instrumented run
-	if gotDuring != want {
-		t.Fatalf("instrumentation changed behavior: %d vs %d", gotDuring, want)
-	}
-	mc2, _ := interp.NewMachine(m2, nil)
-	gotAfter, err := mc2.RunMain()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if gotAfter != want {
-		t.Fatalf("strip left residue: %d vs %d", gotAfter, want)
-	}
-	if m2.Global(CounterGlobalName) != nil {
-		t.Fatal("counter global not removed")
 	}
 }
 
@@ -251,13 +227,15 @@ func TestReoptimizeLayout(t *testing.T) {
 
 func TestProfileOnEmptyModule(t *testing.T) {
 	m := core.NewModule("empty")
-	ins := Instrument(m)
-	mc, _ := interp.NewMachine(m, nil)
-	d, err := ins.ReadCounts(mc)
+	mc, err := interp.NewMachine(m, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mc.EnableProfile()
+	d, err := CountsFromBlocks(mc.BlockCounts()).Bind(m)
 	if err != nil || d.Total != 0 {
 		t.Fatalf("empty module: %v %d", err, d.Total)
 	}
-	ins.Strip()
 	if len(d.HotRegions(m, 0.1)) != 0 {
 		t.Fatal("hot regions in empty module")
 	}

@@ -34,9 +34,8 @@ type ReoptResult struct {
 	ScalarOpts int
 }
 
-// Reoptimize applies end-user-profile-driven optimization to a module.
-// The caller strips instrumentation first; block identities in the profile
-// survive because Strip edits blocks in place.
+// Reoptimize applies end-user-profile-driven optimization to a module,
+// with d bound to that module's own blocks (Counts.Bind).
 func Reoptimize(m *core.Module, d *Data, opts ReoptOptions) ReoptResult {
 	var res ReoptResult
 	if d.Total == 0 {
