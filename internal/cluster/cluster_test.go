@@ -412,7 +412,7 @@ func TestClusterPeerLabelCardinality(t *testing.T) {
 	check(lc.FrontURL())
 }
 
-// TestClusterGzipWire: the front and peers speak gzip on the wire — a
+// TestClusterGzipWire: a client may speak gzip to the front — a
 // gzip-compressed request body is accepted, and a client advertising
 // Accept-Encoding: gzip gets a gzip response that decodes to the same
 // artifact an identity client sees.

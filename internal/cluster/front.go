@@ -2,12 +2,13 @@ package cluster
 
 import (
 	"bytes"
-	"compress/gzip"
 	"errors"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/pprof"
 	"strings"
+	"sync"
 	"time"
 
 	"repro/internal/bytecode"
@@ -47,12 +48,13 @@ type FrontConfig struct {
 	EnablePprof bool
 }
 
-// Front is the stateless cluster front-end: it owns no store and runs no
-// passes. Each /compile, /run, or /check request is parsed just far
-// enough to compute the module's content address, routed to the peer
-// owning that hash range, and retried down the ring's successor order on
-// failure — so one front address gives clients the whole cluster, and a
-// dead peer costs a retry, not an error.
+// Front is the cluster front-end: it owns no store and runs no passes.
+// Each /compile, /run, or /check request is addressed by the digest of its
+// module's canonical bytecode, routed to the peer owning that hash range,
+// and retried down the ring's successor order on failure — so one front
+// address gives clients the whole cluster, and a dead peer costs a retry,
+// not an error. Its only state is the set of digests it has seen to be
+// canonical, which spares known bytes the parse (see address).
 type Front struct {
 	cfg      FrontConfig
 	ring     *Ring
@@ -62,10 +64,14 @@ type Front struct {
 	start    time.Time
 	recorder *obs.Recorder
 	httpObs  *obs.HTTPObs
+	known    knownSet
 
 	cRequests map[string]*obs.Counter // by endpoint
-	cRetries  *obs.Counter
-	cFailed   *obs.Counter
+	// cKnown counts, by endpoint, the requests routed by the body's own
+	// digest: bytes the front already knew to be canonical, never parsed.
+	cKnown   map[string]*obs.Counter
+	cRetries *obs.Counter
+	cFailed  *obs.Counter
 	// Per-peer outcome counters, labels bounded by the configured list.
 	peerOK, peerErr map[string]*obs.Counter
 }
@@ -86,10 +92,17 @@ func NewFront(cfg FrontConfig) (*Front, error) {
 	if cfg.MaxBody <= 0 {
 		cfg.MaxBody = tooling.MaxInputSize
 	}
+	// The transport to the peers must not ask for gzip on its own: it would
+	// then gunzip every reply, and the front would have to gzip it again.
+	// The front forwards the client's Accept-Encoding instead, so a peer's
+	// reply is already in an encoding the client takes and passes through
+	// as it came.
+	relay := http.DefaultTransport.(*http.Transport).Clone()
+	relay.DisableCompression = true
 	f := &Front{
 		cfg:     cfg,
 		ring:    ring,
-		client:  &http.Client{Timeout: cfg.PeerTimeout},
+		client:  &http.Client{Timeout: cfg.PeerTimeout, Transport: relay},
 		metrics: cfg.Metrics,
 		start:   time.Now(),
 	}
@@ -97,8 +110,10 @@ func NewFront(cfg FrontConfig) (*Front, error) {
 		f.metrics = obs.NewRegistry()
 	}
 	f.cRequests = map[string]*obs.Counter{}
+	f.cKnown = map[string]*obs.Counter{}
 	for _, ep := range []string{"compile", "run", "check"} {
 		f.cRequests[ep] = f.metrics.Counter("llvm_front_requests_total", "endpoint", ep)
+		f.cKnown[ep] = f.metrics.Counter("llvm_front_known_bytes_total", "endpoint", ep)
 	}
 	f.cRetries = f.metrics.Counter("llvm_front_retries_total")
 	f.cFailed = f.metrics.Counter("llvm_front_failed_total")
@@ -232,8 +247,34 @@ func (f *Front) handlePeers(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// route builds the handler for one proxied endpoint: parse enough to
-// hash, pick the owner, forward with retry-next-peer.
+// address returns the content address the peers key body's module by and
+// the bytes to forward to them: the canonical bytecode. The digest comes
+// first. Bytes this front has already seen to be canonical are their own
+// canonical form, so they are routed by that digest and forwarded as they
+// came, with no parse (known reports this). Any other body (assembly
+// text, non-canonical bytecode, or canonical bytes not seen yet) is parsed
+// and re-encoded here, once, and its canonical digest is remembered.
+func (f *Front) address(body []byte) (hash string, canonical []byte, known bool, err error) {
+	hash = bytecode.HashBytes(body)
+	if f.known.has(hash) {
+		return hash, body, true, nil
+	}
+	m, err := tooling.LoadModuleBytes("request", body)
+	if err != nil {
+		return "", nil, false, fmt.Errorf("parsing module: %w", err)
+	}
+	if canonical, err = bytecode.Encode(m); err != nil {
+		return "", nil, false, fmt.Errorf("encoding module: %w", err)
+	}
+	if !bytes.Equal(canonical, body) {
+		hash = bytecode.HashBytes(canonical)
+	}
+	f.known.add(hash)
+	return hash, canonical, false, nil
+}
+
+// route builds the handler for one proxied endpoint: address the module,
+// pick the owner, forward with retry-next-peer.
 func (f *Front) route(endpoint string) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		if r.Method != http.MethodPost {
@@ -241,6 +282,7 @@ func (f *Front) route(endpoint string) http.HandlerFunc {
 			return
 		}
 		f.cRequests[endpoint].Inc()
+		tRead := time.Now()
 		body, err := lifelong.ReadBody(r, f.cfg.MaxBody)
 		if err != nil {
 			if errors.Is(err, lifelong.ErrBodyTooLarge) {
@@ -250,25 +292,15 @@ func (f *Front) route(endpoint string) http.HandlerFunc {
 			}
 			return
 		}
-		m, err := tooling.LoadModuleBytes("request", body)
+		hash, body, known, err := f.address(body)
 		if err != nil {
-			clusterError(w, http.StatusUnprocessableEntity, "parsing module: %v", err)
+			clusterError(w, http.StatusUnprocessableEntity, "%v", err)
 			return
 		}
-		// Forward the canonical bytecode, not the client's original bytes:
-		// the hash the peers key everything by is the canonical encoding's,
-		// and bytecode is smaller than assembly before gzip even starts.
-		canonical, err := bytecode.Encode(m)
-		if err != nil {
-			clusterError(w, http.StatusUnprocessableEntity, "encoding module: %v", err)
-			return
+		if known {
+			f.cKnown[endpoint].Inc()
 		}
-		hash := bytecode.HashBytes(canonical)
-
-		var gzBody bytes.Buffer
-		gz := gzip.NewWriter(&gzBody)
-		gz.Write(canonical)
-		gz.Close()
+		obs.RecordFromContext(r.Context()).AddPhase("read-parse", time.Since(tRead))
 
 		// Owner first, then ring successors. Pass 0 tries peers believed
 		// alive; pass 1 fails open through the rest — a fully-down health
@@ -287,7 +319,7 @@ func (f *Front) route(endpoint string) http.HandlerFunc {
 					f.cRetries.Inc()
 				}
 				attempts++
-				if f.forward(w, r, peer, endpoint, gzBody.Bytes()) {
+				if f.forward(w, r, peer, endpoint, body) {
 					return
 				}
 			}
@@ -298,23 +330,25 @@ func (f *Front) route(endpoint string) http.HandlerFunc {
 	}
 }
 
-// forward sends the request to one peer and, on success, streams the
-// response back to the client. Returns false when the next peer should be
-// tried (transport error or 5xx); 4xx responses are the client's problem
-// and are relayed as-is.
-func (f *Front) forward(w http.ResponseWriter, r *http.Request, peer, endpoint string, gzBody []byte) bool {
+// forward sends the canonical module bytes to one peer and, on success,
+// passes the peer's reply through to the client. Returns false when the
+// next peer should be tried (transport error or 5xx); 4xx responses are
+// the client's problem and are relayed as-is.
+func (f *Front) forward(w http.ResponseWriter, r *http.Request, peer, endpoint string, body []byte) bool {
 	u := "http://" + peer + "/" + endpoint
 	if q := r.URL.RawQuery; q != "" {
 		u += "?" + q
 	}
 	rec := obs.RecordFromContext(r.Context())
 	t0 := time.Now()
-	req, err := http.NewRequestWithContext(r.Context(), http.MethodPost, u, bytes.NewReader(gzBody))
+	req, err := http.NewRequestWithContext(r.Context(), http.MethodPost, u, bytes.NewReader(body))
 	if err != nil {
 		return false
 	}
 	req.Header.Set("Content-Type", "application/octet-stream")
-	req.Header.Set("Content-Encoding", "gzip")
+	if ae := r.Header.Get("Accept-Encoding"); ae != "" {
+		req.Header.Set("Accept-Encoding", ae)
+	}
 	// Trace context crosses the hop: the peer adopts this trace ID and
 	// parents its request span under the front's span.
 	obs.PropagateHeaders(r.Context(), req.Header)
@@ -340,21 +374,49 @@ func (f *Front) forward(w http.ResponseWriter, r *http.Request, peer, endpoint s
 	if cache := resp.Header.Get("X-Cache"); cache != "" {
 		rec.SetCache(cache)
 	}
-	// Relay the peer's response: identifying headers pass through, the
-	// serving peer is named (it came from config, never request data), and
-	// the body is re-compressed when this client accepts gzip (the peer
-	// leg's gzip was already decoded by the transport).
+	// The peer encoded its reply for this client's Accept-Encoding, so the
+	// body and its Content-Encoding pass through untouched. Identifying
+	// headers pass too, and the serving peer is named (it came from
+	// config, never request data).
 	for name, vals := range resp.Header {
-		if strings.HasPrefix(name, "X-") || name == "Content-Type" {
+		if strings.HasPrefix(name, "X-") || name == "Content-Type" || name == "Content-Encoding" {
 			w.Header()[name] = vals
 		}
 	}
 	w.Header().Set("X-Cluster-Peer", peer)
-	out, finish := lifelong.Compress(w, r)
-	defer finish()
-	out.WriteHeader(resp.StatusCode)
-	io.Copy(out, io.LimitReader(resp.Body, f.cfg.MaxBody+(f.cfg.MaxBody/2)+1024))
+	w.WriteHeader(resp.StatusCode)
+	io.Copy(w, io.LimitReader(resp.Body, f.cfg.MaxBody+(f.cfg.MaxBody/2)+1024))
 	return true
+}
+
+// knownCap bounds the front's set of known canonical digests; a full set
+// holds well under a megabyte.
+const knownCap = 4096
+
+// knownSet holds the digests of bodies the front has seen to be canonical
+// bytecode. Whether bytes are canonical depends on the bytes alone (decode
+// then encode is deterministic), so an entry never goes stale and nothing
+// invalidates it. At the cap the set starts over, which costs each module
+// one more parse. The zero value is an empty set.
+type knownSet struct {
+	mu  sync.Mutex
+	set map[string]struct{}
+}
+
+func (k *knownSet) has(hash string) bool {
+	k.mu.Lock()
+	defer k.mu.Unlock()
+	_, ok := k.set[hash]
+	return ok
+}
+
+func (k *knownSet) add(hash string) {
+	k.mu.Lock()
+	defer k.mu.Unlock()
+	if k.set == nil || len(k.set) >= knownCap {
+		k.set = make(map[string]struct{})
+	}
+	k.set[hash] = struct{}{}
 }
 
 // FrontUsage is a one-line reminder for llvm-serve's flag error paths.

@@ -16,9 +16,9 @@ var ErrBodyTooLarge = errors.New("request body exceeds the size limit")
 
 // ReadBody reads a request body of at most max decoded bytes, honoring
 // Content-Encoding: gzip. Module bodies compress 3-5x (bytecode is full of
-// repeated opcodes and symbol bytes), so the cluster's peer-to-peer
-// transfers and front-end forwards all ship gzip instead of whole
-// uncompressed modules.
+// repeated opcodes and symbol bytes), so clients and the cluster's
+// peer-to-peer transfers may ship gzip instead of whole uncompressed
+// modules.
 func ReadBody(r *http.Request, max int64) ([]byte, error) {
 	var rd io.Reader = r.Body
 	switch ce := strings.ToLower(strings.TrimSpace(r.Header.Get("Content-Encoding"))); ce {
