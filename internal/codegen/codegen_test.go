@@ -108,23 +108,45 @@ entry:
 	ret int %t8
 }
 `
-	m := parse(t, src)
-	spills := func(k int) int {
-		mf := LowerFunction(m.Func("busy"))
+	busy, loop := parse(t, src).Func("busy"), parse(t, loopSrc).Func("sum")
+	// traffic counts reloads (loads from a frame slot) and spill stores
+	// (stores to a frame slot) separately.
+	traffic := func(f *core.Function, k int) (reloads, stores int) {
+		mf := LowerFunction(f)
 		Allocate(mf, k)
-		n := 0
 		for _, b := range mf.Blocks {
 			for _, in := range b.Instrs {
-				if (in.Op == MLoad || in.Op == MStore) && in.Src1 == framePtr || in.Src2 == framePtr {
-					n++
+				switch {
+				case in.Op == MLoad && in.Src1 == framePtr:
+					reloads++
+				case in.Op == MStore && in.Src2 == framePtr:
+					stores++
 				}
 			}
 		}
-		return n
+		return reloads, stores
 	}
-	s4, s32 := spills(4), spills(32)
-	if s4 <= s32 {
-		t.Fatalf("spills: k=4 -> %d, k=32 -> %d; expected more with fewer registers", s4, s32)
+	// Exact counts pin the allocator's spill decisions, not just their
+	// direction. The loop's phis and loop-carried values cross blocks, so
+	// they reach their slots whatever k is.
+	for _, c := range []struct {
+		f               *core.Function
+		k               int
+		reloads, stores int
+	}{
+		{busy, 4, 10, 9}, {busy, 8, 0, 0}, {busy, 32, 0, 0},
+		{loop, 4, 6, 5}, {loop, 8, 4, 4}, {loop, 32, 4, 4},
+	} {
+		r, s := traffic(c.f, c.k)
+		t.Logf("%s k=%d: %d reloads, %d spill stores", c.f.Name(), c.k, r, s)
+		if r != c.reloads || s != c.stores {
+			t.Errorf("%s k=%d: %d reloads, %d spill stores; want %d, %d", c.f.Name(), c.k, r, s, c.reloads, c.stores)
+		}
+	}
+	r4, s4 := traffic(busy, 4)
+	r32, s32 := traffic(busy, 32)
+	if r4+s4 <= r32+s32 {
+		t.Fatalf("memory traffic: k=4 -> %d, k=32 -> %d; expected more with fewer registers", r4+s4, r32+s32)
 	}
 }
 
