@@ -2,6 +2,7 @@ package codegen
 
 import (
 	"testing"
+	"unsafe"
 
 	"repro/internal/asm"
 	"repro/internal/bytecode"
@@ -59,6 +60,12 @@ func TestLowering(t *testing.T) {
 	}
 	if movs < 4 {
 		t.Errorf("phi copies = %d, want >= 4 (2 phis x 2 preds)", movs)
+	}
+}
+
+func TestMInstrSize(t *testing.T) {
+	if got := unsafe.Sizeof(MInstr{}); got != 56 {
+		t.Fatalf("MInstr is %d bytes, want 56", got)
 	}
 }
 

@@ -211,3 +211,37 @@ func BenchmarkCompileModule(b *testing.B) {
 		}
 	}
 }
+
+// TestCompileModuleAllocs bounds the allocations of one CompileModule on
+// the largest linked workload module by a small constant per defined
+// function: the back-end reuses its lowering and allocation scratch, so
+// its allocation count must not grow with the instruction count.
+func TestCompileModuleAllocs(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds the whole workload suite")
+	}
+	var largest *core.Module
+	for _, p := range workload.Suite() {
+		for _, opt := range []bool{false, true} {
+			if m := buildSuite(t, p, opt); largest == nil || m.NumInstructions() > largest.NumInstructions() {
+				largest = m
+			}
+		}
+	}
+	defined := 0
+	for _, f := range largest.Funcs {
+		if !f.IsDeclaration() {
+			defined++
+		}
+	}
+	const perFunc, fixed = 2, 64
+	for _, tgt := range goldenTargets {
+		allocs := testing.AllocsPerRun(5, func() { codegen.CompileModule(largest, tgt) })
+		t.Logf("%s %s: %.0f allocations for %d defined functions, %d instructions",
+			largest.Name, tgt.Name(), allocs, defined, largest.NumInstructions())
+		if limit := float64(perFunc*defined + fixed); allocs > limit {
+			t.Errorf("%s %s: %.0f allocations per CompileModule, want at most %.0f (%d per defined function + %d)",
+				largest.Name, tgt.Name(), allocs, limit, perFunc, fixed)
+		}
+	}
+}

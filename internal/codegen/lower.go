@@ -2,76 +2,158 @@ package codegen
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/core"
 )
 
-// lowerer translates one IR function to machine IR with virtual registers.
+// lowerer translates IR functions to machine IR with virtual registers.
+// It is reusable: lower resets it for each function and keeps the
+// capacity of its maps and buffers, so lowering every function of a
+// module costs a few allocations in total rather than several per
+// instruction.
 type lowerer struct {
-	fn       *core.Function
-	mf       *MFunction
-	blockIdx map[*core.BasicBlock]int
+	mf       MFunction
+	pool     []*MBlock // blocks handed out as mf.Blocks
+	blockIdx map[*core.BasicBlock]int32
 	vregs    map[core.Value]VReg
-	cur      *MBlock
+	code     []MInstr // the function's instructions, block after block
+	ends     []int    // end of each block's run in code
+	edges    []phiEdge
+	edgeEnd  []int32 // edges grouped by predecessor: block i owns edges[edgeEnd[i-1]:edgeEnd[i]]
 	frameOff int
+}
+
+// phiEdge is incoming value N of a phi, copied at the end of the
+// predecessor it arrives from.
+type phiEdge struct {
+	phi *core.PhiInst
+	n   int
 }
 
 // LowerFunction produces the machine IR for f (virtual registers, no
 // register allocation yet).
 func LowerFunction(f *core.Function) *MFunction {
-	lo := &lowerer{
-		fn:       f,
-		mf:       &MFunction{Name: f.Name()},
-		blockIdx: map[*core.BasicBlock]int{},
-		vregs:    map[core.Value]VReg{},
+	return new(lowerer).lower(f)
+}
+
+// lower resets lo for f and returns f's machine IR. The result, its blocks
+// and their instructions belong to lo and are overwritten by the next call.
+func (lo *lowerer) lower(f *core.Function) *MFunction {
+	// Lowering emits fewer than two machine instructions per IR
+	// instruction on the workload suite; reserving that up front keeps
+	// the buffer from regrowing.
+	n := len(f.Args)
+	for _, b := range f.Blocks {
+		n += len(b.Instrs)
 	}
+	lo.code = slices.Grow(lo.code[:0], 2*n)
+	if lo.vregs == nil {
+		lo.vregs = make(map[core.Value]VReg, n)
+		lo.blockIdx = make(map[*core.BasicBlock]int32, len(f.Blocks))
+	} else {
+		clear(lo.vregs)
+		clear(lo.blockIdx)
+	}
+	if need := len(f.Blocks) - len(lo.pool); need > 0 {
+		slab := make([]MBlock, max(need, len(lo.pool)))
+		for i := range slab {
+			lo.pool = append(lo.pool, &slab[i])
+		}
+	}
+	lo.mf = MFunction{Name: f.Name(), Blocks: lo.pool[:len(f.Blocks)]}
+	lo.ends, lo.frameOff = lo.ends[:0], 0
 	for i, b := range f.Blocks {
-		lo.blockIdx[b] = i
-		lo.mf.Blocks = append(lo.mf.Blocks, &MBlock{})
+		lo.blockIdx[b] = int32(i)
 	}
+	lo.groupPhiEdges(f)
+
 	// Arguments arrive in registers/stack; materialize as vregs.
-	lo.cur = lo.mf.Blocks[0]
 	for i, a := range f.Args {
 		r := lo.vregFor(a)
 		lo.emit(MInstr{Op: MArgIn, Dst: r, Imm: int64(i)})
 	}
-
-	// Bodies (without terminators).
+	// Each block is its body, then the copies into its successors' phis,
+	// then its terminator.
 	for i, b := range f.Blocks {
-		lo.cur = lo.mf.Blocks[i]
 		for _, inst := range b.Instrs {
 			if inst.IsTerminator() {
 				continue
 			}
 			lo.lowerInst(inst)
 		}
+		for _, e := range lo.edges[lo.edgeStart(i):lo.edgeEnd[i]] {
+			dst := lo.vregFor(e.phi)
+			v, _ := e.phi.Incoming(e.n)
+			src := lo.useValue(v)
+			lo.emit(MInstr{Op: MMov, Dst: dst, Src1: src, Float: core.IsFloatingPoint(e.phi.Type())})
+		}
+		lo.lowerTerminator(b.Terminator())
+		lo.ends = append(lo.ends, len(lo.code))
 	}
-	// Phi copies at the end of predecessors.
+	start := 0
+	for i, b := range lo.mf.Blocks {
+		end := lo.ends[i]
+		b.Instrs = lo.code[start:end:end]
+		start = end
+	}
+	lo.mf.FrameSize = lo.frameOff
+	return &lo.mf
+}
+
+// groupPhiEdges buckets every phi's incoming values by predecessor block,
+// keeping each bucket in (phi block, phi, incoming) order.
+func (lo *lowerer) groupPhiEdges(f *core.Function) {
+	lo.edgeEnd = resize(lo.edgeEnd, len(f.Blocks), 0)
+	total := 0
+	lo.forEachIncoming(f, func(e phiEdge, pred int32) {
+		lo.edgeEnd[pred]++
+		total++
+	})
+	// edgeEnd[i] becomes the start of bucket i, then advances to its end
+	// as the bucket fills.
+	next := int32(0)
+	for i, c := range lo.edgeEnd {
+		lo.edgeEnd[i] = next
+		next += c
+	}
+	lo.edges = grow(lo.edges, total)
+	lo.forEachIncoming(f, func(e phiEdge, pred int32) {
+		lo.edges[lo.edgeEnd[pred]] = e
+		lo.edgeEnd[pred]++
+	})
+}
+
+// forEachIncoming calls fn for every incoming value of every phi in f, in
+// block, phi, incoming order, with the predecessor's block index.
+func (lo *lowerer) forEachIncoming(f *core.Function, fn func(e phiEdge, pred int32)) {
 	for _, b := range f.Blocks {
-		for _, phi := range b.Phis() {
-			dst := lo.vregFor(phi)
+		for _, inst := range b.Instrs {
+			phi, ok := inst.(*core.PhiInst)
+			if !ok {
+				break
+			}
 			for n := 0; n < phi.NumIncoming(); n++ {
-				v, pred := phi.Incoming(n)
-				lo.cur = lo.mf.Blocks[lo.blockIdx[pred]]
-				src := lo.useValue(v)
-				lo.emit(MInstr{Op: MMov, Dst: dst, Src1: src, Float: core.IsFloatingPoint(phi.Type())})
+				_, pred := phi.Incoming(n)
+				fn(phiEdge{phi, n}, lo.blockIdx[pred])
 			}
 		}
 	}
-	// Terminators.
-	for i, b := range f.Blocks {
-		lo.cur = lo.mf.Blocks[i]
-		lo.lowerTerminator(b.Terminator())
+}
+
+// edgeStart is where block i's bucket of phi edges begins.
+func (lo *lowerer) edgeStart(i int) int32 {
+	if i == 0 {
+		return 0
 	}
-	lo.mf.FrameSize = lo.frameOff
-	return lo.mf
+	return lo.edgeEnd[i-1]
 }
 
 // MArgIn is declared here to keep the MOp list in mir.go focused; it moves
 // the Imm'th incoming argument into Dst.
 const MArgIn MOp = 100
 
-func (lo *lowerer) emit(i MInstr) { lo.cur.Instrs = append(lo.cur.Instrs, i) }
+func (lo *lowerer) emit(i MInstr) { lo.code = append(lo.code, i) }
 
 func (lo *lowerer) newVReg() VReg {
 	r := VReg(lo.mf.NumVRegs)
@@ -171,11 +253,28 @@ func (lo *lowerer) lowerGEPPath(base VReg, baseType core.Type, indices []core.Va
 	return addr
 }
 
-var aluFor = map[core.Opcode]ALUOp{
-	core.OpAdd: AAdd, core.OpSub: ASub, core.OpMul: AMul,
-	core.OpDiv: ADiv, core.OpRem: ARem,
-	core.OpAnd: AAnd, core.OpOr: AOr, core.OpXor: AXor,
-	core.OpShl: AShl,
+// aluFor maps an arithmetic opcode to its ALU operation (AAdd for
+// opcodes with no ALU form; shifts right are resolved by the caller).
+func aluFor(op core.Opcode) ALUOp {
+	switch op {
+	case core.OpSub:
+		return ASub
+	case core.OpMul:
+		return AMul
+	case core.OpDiv:
+		return ADiv
+	case core.OpRem:
+		return ARem
+	case core.OpAnd:
+		return AAnd
+	case core.OpOr:
+		return AOr
+	case core.OpXor:
+		return AXor
+	case core.OpShl:
+		return AShl
+	}
+	return AAdd
 }
 
 func condFor(op core.Opcode, signed bool) Cond {
@@ -222,7 +321,7 @@ func (lo *lowerer) lowerInst(inst core.Instruction) {
 				Cond: condFor(i.Opcode(), core.IsSigned(t)), Float: core.IsFloatingPoint(t)})
 			return
 		}
-		alu := aluFor[i.Opcode()]
+		alu := aluFor(i.Opcode())
 		if i.Opcode() == core.OpShr {
 			if core.IsSigned(t) {
 				alu = AShrA
@@ -256,13 +355,13 @@ func (lo *lowerer) lowerInst(inst core.Instruction) {
 	case *core.LoadInst:
 		p := lo.useValue(i.Ptr())
 		lo.emit(MInstr{Op: MLoad, Dst: lo.vregFor(i), Src1: p,
-			Size: core.SizeOf(i.Type()), Float: core.IsFloatingPoint(i.Type())})
+			Size: int32(core.SizeOf(i.Type())), Float: core.IsFloatingPoint(i.Type())})
 
 	case *core.StoreInst:
 		v := lo.useValue(i.Val())
 		p := lo.useValue(i.Ptr())
 		lo.emit(MInstr{Op: MStore, Src1: v, Src2: p,
-			Size: core.SizeOf(i.Val().Type()), Float: core.IsFloatingPoint(i.Val().Type())})
+			Size: int32(core.SizeOf(i.Val().Type())), Float: core.IsFloatingPoint(i.Val().Type())})
 
 	case *core.GetElementPtrInst:
 		base := lo.useValue(i.Base())
@@ -279,7 +378,7 @@ func (lo *lowerer) lowerInst(inst core.Instruction) {
 		// encoders charge appropriately.
 		lo.emit(MInstr{Op: MMov, Dst: dst, Src1: src,
 			Float: core.IsFloatingPoint(i.Type()) != core.IsFloatingPoint(i.Val().Type()),
-			Size:  core.SizeOf(i.Type())})
+			Size:  int32(core.SizeOf(i.Type()))})
 
 	case *core.CallInst:
 		lo.lowerCall(i, i.Callee(), i.Args())

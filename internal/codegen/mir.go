@@ -10,15 +10,16 @@ package codegen
 
 import "fmt"
 
-// VReg is a virtual register number (assigned during lowering); after
-// register allocation operands carry physical register numbers.
-type VReg int
+// VReg is a virtual register number (assigned densely from 0 during
+// lowering, so per-function tables index by it); after register
+// allocation operands carry physical register numbers.
+type VReg int32
 
 // NoReg marks an absent operand.
 const NoReg VReg = -1
 
 // MOp enumerates machine-IR operations.
-type MOp int
+type MOp uint8
 
 // Machine-IR opcodes.
 const (
@@ -44,7 +45,7 @@ const (
 )
 
 // ALUOp distinguishes MALU operations.
-type ALUOp int
+type ALUOp uint8
 
 // ALU operations (shift right has separate arithmetic/logical forms).
 const (
@@ -62,7 +63,7 @@ const (
 )
 
 // Cond is a comparison condition.
-type Cond int
+type Cond uint8
 
 // Comparison conditions; unsigned forms are separate so encoders can pick
 // the correct condition codes.
@@ -80,19 +81,20 @@ const (
 )
 
 // MInstr is one machine instruction (before or after register allocation).
+// Fields are ordered widest first so the struct packs into 56 bytes.
 type MInstr struct {
-	Op      MOp
+	Imm     int64
+	Sym     string
 	Dst     VReg
 	Src1    VReg
 	Src2    VReg
-	Imm     int64
-	Size    int // memory access size in bytes
-	Float   bool
+	Size    int32 // memory access size in bytes
+	Target  int32 // block index
+	Target2 int32
+	Op      MOp
 	ALU     ALUOp
 	Cond    Cond
-	Sym     string
-	Target  int // block index
-	Target2 int
+	Float   bool
 }
 
 func (i MInstr) String() string {
@@ -112,15 +114,18 @@ type MFunction struct {
 	FrameSize int // bytes of fixed frame (allocas + spill slots)
 }
 
-// Target is a binary encoder for one machine.
+// Target is a binary encoder for one machine. The encoding methods append
+// to dst and return the extended slice, so a whole image is written into
+// one growing buffer.
 type Target interface {
 	Name() string
 	// NumRegs is the number of allocatable registers.
 	NumRegs() int
-	// Encode returns the instruction's machine-code bytes. Operands hold
+	// Encode appends the instruction's machine-code bytes. Operands hold
 	// physical register numbers after allocation.
-	Encode(i MInstr) []byte
-	// Prologue and Epilogue bytes for a function with the given frame size.
-	Prologue(frameSize int) []byte
-	Epilogue() []byte
+	Encode(dst []byte, i MInstr) []byte
+	// Prologue and Epilogue append the entry and exit sequences for a
+	// function with the given frame size.
+	Prologue(dst []byte, frameSize int) []byte
+	Epilogue(dst []byte) []byte
 }

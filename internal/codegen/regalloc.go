@@ -1,6 +1,10 @@
 package codegen
 
-import "repro/internal/core"
+import (
+	"slices"
+
+	"repro/internal/core"
+)
 
 // Local (per-block) register allocation with LRU eviction. Every virtual
 // register owns an 8-byte frame slot assigned lazily; values live in
@@ -13,69 +17,119 @@ import "repro/internal/core"
 // Allocate rewrites mf in place, replacing virtual register numbers with
 // physical ones (0..K-1) and inserting spill code. It updates FrameSize.
 func Allocate(mf *MFunction, numRegs int) {
-	a := &allocator{
-		mf:    mf,
-		k:     numRegs,
-		slot:  map[VReg]int{},
-		inReg: map[VReg]int{},
-		uses:  map[VReg]int{},
-	}
-	// Use counts and block-locality: a dirty register holding a purely
-	// block-local value (all uses in its defining block) with no remaining
-	// uses never needs to be spilled. Values visible to other blocks must
-	// always reach their slot (they may be re-read around the loop).
-	defBlock := map[VReg]int{}
-	local := map[VReg]bool{}
-	for bi, b := range mf.Blocks {
-		for _, in := range b.Instrs {
-			if definesDst(in.Op) && in.Dst != NoReg {
-				defBlock[in.Dst] = bi
-				local[in.Dst] = true
-			}
-		}
-	}
-	for bi, b := range mf.Blocks {
-		for _, in := range b.Instrs {
-			note := func(v VReg) {
-				a.uses[v]++
-				if db, ok := defBlock[v]; !ok || db != bi {
-					local[v] = false
-				}
-			}
-			if usesSrc1(in.Op) && in.Src1 != NoReg && in.Src1 != framePtr {
-				note(in.Src1)
-			}
-			if usesSrc2(in.Op) && in.Src2 != NoReg {
-				note(in.Src2)
-			}
-		}
-	}
-	a.local = local
-	for _, b := range mf.Blocks {
-		a.runBlock(b)
-	}
-	mf.FrameSize = a.frameOff
+	new(allocator).run(mf, numRegs)
 }
 
+// allocator holds the allocation state of one function. Per-vreg tables
+// are slices indexed by the dense vreg number; run resets them for each
+// function, keeping their capacity, so a reused allocator allocates only
+// when a function is larger than any before it.
 type allocator struct {
 	mf       *MFunction
 	k        int
 	frameOff int
-	slot     map[VReg]int  // vreg -> frame offset (negative)
-	uses     map[VReg]int  // remaining use count per vreg
-	local    map[VReg]bool // all uses in the defining block
+	slot     []int   // vreg -> frame offset (negative); 0 until assigned
+	uses     []int32 // remaining use count per vreg
+	local    []bool  // all uses in the defining block
+	defBlock []int32 // vreg -> block of its last definition; -1 if none
+	inReg    []int32 // vreg -> physical reg; -1 if not resident
 
-	// Per-block state.
-	regVal  []VReg       // physical reg -> vreg (NoReg if free)
-	inReg   map[VReg]int // vreg -> physical reg
+	// Per-block state, indexed by physical register.
+	regVal  []VReg // vreg held (NoReg if free)
 	dirty   []bool
 	lastUse []int64
+	pinned  []bool // read by the current instruction: not evictable
+	noPins  []bool // all false
 	clock   int64
-	out     []MInstr
+
+	out  []MInstr // allocated code of the whole function, block after block
+	ends []int    // end of each block's run in out
+}
+
+// grow returns s with length n, reusing s's storage when it is large
+// enough; the elements are left as they were.
+func grow[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
+
+// resize returns s with length n and every element set to v.
+func resize[T any](s []T, n int, v T) []T {
+	s = grow(s, n)
+	for i := range s {
+		s[i] = v
+	}
+	return s
+}
+
+func (a *allocator) run(mf *MFunction, numRegs int) {
+	n := mf.NumVRegs
+	a.mf, a.k, a.frameOff, a.clock = mf, numRegs, 0, 0
+	a.slot = resize(a.slot, n, 0)
+	a.uses = resize(a.uses, n, 0)
+	a.local = resize(a.local, n, false)
+	a.defBlock = resize(a.defBlock, n, -1)
+	a.inReg = resize(a.inReg, n, -1)
+	a.regVal = resize(a.regVal, numRegs, NoReg)
+	a.dirty = resize(a.dirty, numRegs, false)
+	a.lastUse = resize(a.lastUse, numRegs, 0)
+	a.pinned = resize(a.pinned, numRegs, false)
+	a.noPins = resize(a.noPins, numRegs, false)
+
+	// Use counts and block-locality: a dirty register holding a purely
+	// block-local value (all uses in its defining block) with no remaining
+	// uses never needs to be spilled. Values visible to other blocks must
+	// always reach their slot (they may be re-read around the loop).
+	for bi, b := range mf.Blocks {
+		for _, in := range b.Instrs {
+			if definesDst(in.Op) && in.Dst != NoReg {
+				a.defBlock[in.Dst] = int32(bi)
+				a.local[in.Dst] = true
+			}
+		}
+	}
+	for bi, b := range mf.Blocks {
+		for _, in := range b.Instrs {
+			if usesSrc1(in.Op) && in.Src1 != NoReg && in.Src1 != framePtr {
+				a.note(in.Src1, bi)
+			}
+			if usesSrc2(in.Op) && in.Src2 != NoReg {
+				a.note(in.Src2, bi)
+			}
+		}
+	}
+	// Spill code grows a function by under half on the workload suite.
+	n = 0
+	for _, b := range mf.Blocks {
+		n += len(b.Instrs)
+	}
+	a.out = slices.Grow(a.out[:0], n+n/2)
+	a.ends = a.ends[:0]
+	for _, b := range mf.Blocks {
+		a.runBlock(b)
+		a.ends = append(a.ends, len(a.out))
+	}
+	start := 0
+	for i, b := range mf.Blocks {
+		end := a.ends[i]
+		b.Instrs = a.out[start:end:end]
+		start = end
+	}
+	mf.FrameSize = a.frameOff
+}
+
+// note counts a use of v in block bi.
+func (a *allocator) note(v VReg, bi int) {
+	a.uses[v]++
+	if a.defBlock[v] != int32(bi) {
+		a.local[v] = false
+	}
 }
 
 func (a *allocator) slotOf(v VReg) int {
-	if off, ok := a.slot[v]; ok {
+	if off := a.slot[v]; off != 0 {
 		return off
 	}
 	a.frameOff = align8(a.frameOff) + 8
@@ -86,14 +140,14 @@ func (a *allocator) slotOf(v VReg) int {
 }
 
 func (a *allocator) resetBlock() {
-	a.regVal = make([]VReg, a.k)
-	for i := range a.regVal {
-		a.regVal[i] = NoReg
+	for p, v := range a.regVal {
+		if v != NoReg {
+			a.inReg[v] = -1
+			a.regVal[p] = NoReg
+		}
 	}
-	a.dirty = make([]bool, a.k)
-	a.lastUse = make([]int64, a.k)
-	a.inReg = map[VReg]int{}
-	a.out = nil
+	clear(a.dirty)
+	clear(a.lastUse)
 }
 
 // touch refreshes the LRU stamp.
@@ -102,8 +156,8 @@ func (a *allocator) touch(phys int) {
 	a.lastUse[phys] = a.clock
 }
 
-// evict frees one physical register, spilling if dirty.
-func (a *allocator) evict(except map[int]bool) int {
+// evict frees one physical register not in except, spilling if dirty.
+func (a *allocator) evict(except []bool) int {
 	best, bestT := -1, int64(1<<62)
 	for p := 0; p < a.k; p++ {
 		if except[p] {
@@ -126,7 +180,7 @@ func (a *allocator) spill(p int) {
 		if a.dirty[p] && (a.uses[v] > 0 || !a.local[v]) {
 			a.out = append(a.out, MInstr{Op: MStore, Src1: VReg(p), Src2: framePtr, Imm: int64(a.slotOf(v)), Size: 8})
 		}
-		delete(a.inReg, v)
+		a.inReg[v] = -1
 		a.regVal[p] = NoReg
 		a.dirty[p] = false
 	}
@@ -138,30 +192,30 @@ const framePtr VReg = -2
 
 // use brings a vreg into a physical register (loading from its slot if it
 // is not resident) and returns the physical number.
-func (a *allocator) use(v VReg, except map[int]bool) int {
-	if p, ok := a.inReg[v]; ok {
-		a.touch(p)
-		return p
+func (a *allocator) use(v VReg, except []bool) int {
+	if p := a.inReg[v]; p >= 0 {
+		a.touch(int(p))
+		return int(p)
 	}
 	p := a.evict(except)
 	a.out = append(a.out, MInstr{Op: MLoad, Dst: VReg(p), Src1: framePtr, Imm: int64(a.slotOf(v)), Size: 8})
 	a.regVal[p] = v
-	a.inReg[v] = p
+	a.inReg[v] = int32(p)
 	a.dirty[p] = false
 	a.touch(p)
 	return p
 }
 
 // def allocates a physical register for a fresh definition.
-func (a *allocator) def(v VReg, except map[int]bool) int {
-	if p, ok := a.inReg[v]; ok {
+func (a *allocator) def(v VReg, except []bool) int {
+	if p := a.inReg[v]; p >= 0 {
 		a.dirty[p] = true
-		a.touch(p)
-		return p
+		a.touch(int(p))
+		return int(p)
 	}
 	p := a.evict(except)
 	a.regVal[p] = v
-	a.inReg[v] = p
+	a.inReg[v] = int32(p)
 	a.dirty[p] = true
 	a.touch(p)
 	return p
@@ -182,64 +236,69 @@ func isTerminatorM(op MOp) bool {
 	return false
 }
 
+// runBlock appends b's allocated instructions to out.
 func (a *allocator) runBlock(b *MBlock) {
 	a.resetBlock()
 	for _, in := range b.Instrs {
-		except := map[int]bool{}
-		ni := in
-
-		// Sources first.
-		if in.Src1 != NoReg && in.Src1 != framePtr && usesSrc1(in.Op) {
-			p := a.use(in.Src1, except)
-			except[p] = true
-			ni.Src1 = VReg(p)
-			a.uses[in.Src1]--
-		}
-		if in.Src2 != NoReg && usesSrc2(in.Op) {
-			p := a.use(in.Src2, except)
-			except[p] = true
-			ni.Src2 = VReg(p)
-			a.uses[in.Src2]--
-		}
-
-		// Calls clobber everything: flush before, so live values survive
-		// in their slots; the result is defined after.
-		if in.Op == MCall || in.Op == MCallInd {
-			a.flushAll()
-			// Re-pin the indirect callee (flushed above): reload.
-			if in.Op == MCallInd {
-				p := a.use(in.Src1, map[int]bool{})
-				ni.Src1 = VReg(p)
-			}
-		}
-
-		// Terminators end the block: flush dirty registers first so other
-		// blocks can reload from slots.
-		if isTerminatorM(in.Op) {
-			// Keep the branch condition / return value register pinned.
-			keep := -1
-			if ni.Src1 != NoReg && usesSrc1(in.Op) {
-				keep = int(ni.Src1)
-			}
-			for p := 0; p < a.k; p++ {
-				if p != keep {
-					a.spill(p)
-				}
-			}
-			a.out = append(a.out, ni)
-			continue
-		}
-
-		// Destination.
-		if in.Dst != NoReg && definesDst(in.Op) {
-			p := a.def(in.Dst, except)
-			ni.Dst = VReg(p)
-		}
-		a.out = append(a.out, ni)
+		a.step(in)
+		clear(a.pinned)
 	}
 	// Blocks that end without an explicit terminator (cannot happen for
 	// verified IR) would still flush here.
-	b.Instrs = a.out
+}
+
+// step allocates one instruction, appending it and its spill code to out.
+func (a *allocator) step(in MInstr) {
+	ni := in
+
+	// Sources first.
+	if in.Src1 != NoReg && in.Src1 != framePtr && usesSrc1(in.Op) {
+		p := a.use(in.Src1, a.pinned)
+		a.pinned[p] = true
+		ni.Src1 = VReg(p)
+		a.uses[in.Src1]--
+	}
+	if in.Src2 != NoReg && usesSrc2(in.Op) {
+		p := a.use(in.Src2, a.pinned)
+		a.pinned[p] = true
+		ni.Src2 = VReg(p)
+		a.uses[in.Src2]--
+	}
+
+	// Calls clobber everything: flush before, so live values survive
+	// in their slots; the result is defined after.
+	if in.Op == MCall || in.Op == MCallInd {
+		a.flushAll()
+		// Re-pin the indirect callee (flushed above): reload.
+		if in.Op == MCallInd {
+			p := a.use(in.Src1, a.noPins)
+			ni.Src1 = VReg(p)
+		}
+	}
+
+	// Terminators end the block: flush dirty registers first so other
+	// blocks can reload from slots.
+	if isTerminatorM(in.Op) {
+		// Keep the branch condition / return value register pinned.
+		keep := -1
+		if ni.Src1 != NoReg && usesSrc1(in.Op) {
+			keep = int(ni.Src1)
+		}
+		for p := 0; p < a.k; p++ {
+			if p != keep {
+				a.spill(p)
+			}
+		}
+		a.out = append(a.out, ni)
+		return
+	}
+
+	// Destination.
+	if in.Dst != NoReg && definesDst(in.Op) {
+		p := a.def(in.Dst, a.pinned)
+		ni.Dst = VReg(p)
+	}
+	a.out = append(a.out, ni)
 }
 
 // --- Dense register assignment for the tier-2 execution engine ---

@@ -24,119 +24,118 @@ func (Cisc86) NumRegs() int { return 8 }
 func fitsInt8(v int64) bool  { return v >= -128 && v <= 127 }
 func fitsInt32(v int64) bool { return v >= -(1<<31) && v < 1<<31 }
 
-// emitBytes fabricates n bytes with an identifying opcode byte.
-func emitBytes(op byte, n int) []byte {
-	b := make([]byte, n)
-	b[0] = op
+// emitBytes appends n fabricated bytes led by an identifying opcode byte.
+func emitBytes(dst []byte, op byte, n int) []byte {
+	dst = append(dst, op)
 	for i := 1; i < n; i++ {
-		b[i] = byte(i * 37)
+		dst = append(dst, byte(i*37))
 	}
-	return b
+	return dst
 }
 
 // Encode implements Target.
-func (Cisc86) Encode(i MInstr) []byte {
+func (Cisc86) Encode(dst []byte, i MInstr) []byte {
 	switch i.Op {
 	case MNop:
-		return emitBytes(0x90, 1)
+		return emitBytes(dst, 0x90, 1)
 	case MImm:
 		switch {
 		case i.Imm == 0:
-			return emitBytes(0x31, 2) // xor r,r
+			return emitBytes(dst, 0x31, 2) // xor r,r
 		case fitsInt8(i.Imm):
-			return emitBytes(0x6A, 3)
+			return emitBytes(dst, 0x6A, 3)
 		case fitsInt32(i.Imm):
-			return emitBytes(0xB8, 5)
+			return emitBytes(dst, 0xB8, 5)
 		default:
-			return emitBytes(0x48, 10) // movabs
+			return emitBytes(dst, 0x48, 10) // movabs
 		}
 	case MMov:
 		if i.Float {
-			return emitBytes(0xF2, 4) // cvt/movsd
+			return emitBytes(dst, 0xF2, 4) // cvt/movsd
 		}
-		return emitBytes(0x89, 2)
+		return emitBytes(dst, 0x89, 2)
 	case MALU:
 		switch {
 		case i.Float:
-			return emitBytes(0xF3, 4) // SSE op
+			return emitBytes(dst, 0xF3, 4) // SSE op
 		case i.ALU == ADiv || i.ALU == ARem:
-			return emitBytes(0xF7, 3) // cdq+idiv flavour
+			return emitBytes(dst, 0xF7, 3) // cdq+idiv flavour
 		case i.ALU == AMul:
-			return emitBytes(0x0F, 3) // imul r,r
+			return emitBytes(dst, 0x0F, 3) // imul r,r
 		default:
-			return emitBytes(0x01, 2)
+			return emitBytes(dst, 0x01, 2)
 		}
 	case MCmp:
 		if i.Float {
-			return emitBytes(0x2E, 4+3) // ucomisd + setcc
+			return emitBytes(dst, 0x2E, 4+3) // ucomisd + setcc
 		}
-		return emitBytes(0x39, 2+3) // cmp r,r + setcc
+		return emitBytes(dst, 0x39, 2+3) // cmp r,r + setcc
 	case MLoad:
 		if disp := i.Imm; disp == 0 {
-			return emitBytes(0x8B, 2)
+			return emitBytes(dst, 0x8B, 2)
 		} else if fitsInt8(disp) {
-			return emitBytes(0x8B, 3)
+			return emitBytes(dst, 0x8B, 3)
 		}
-		return emitBytes(0x8B, 6)
+		return emitBytes(dst, 0x8B, 6)
 	case MStore:
 		if disp := i.Imm; disp == 0 {
-			return emitBytes(0x88, 2)
+			return emitBytes(dst, 0x88, 2)
 		} else if fitsInt8(disp) {
-			return emitBytes(0x88, 3)
+			return emitBytes(dst, 0x88, 3)
 		}
-		return emitBytes(0x88, 6)
+		return emitBytes(dst, 0x88, 6)
 	case MLea:
-		return emitBytes(0x8D, 5) // lea r, [sym]
+		return emitBytes(dst, 0x8D, 5) // lea r, [sym]
 	case MFrame:
 		if fitsInt8(i.Imm) {
-			return emitBytes(0x8D, 3) // lea r, [bp+disp8]
+			return emitBytes(dst, 0x8D, 3) // lea r, [bp+disp8]
 		}
-		return emitBytes(0x8D, 6)
+		return emitBytes(dst, 0x8D, 6)
 	case MArg:
-		return emitBytes(0x50, 1) // push r
+		return emitBytes(dst, 0x50, 1) // push r
 	case MArgIn:
 		if fitsInt8(8 * (i.Imm + 2)) {
-			return emitBytes(0x8B, 3) // mov r, [bp+disp8]
+			return emitBytes(dst, 0x8B, 3) // mov r, [bp+disp8]
 		}
-		return emitBytes(0x8B, 6)
+		return emitBytes(dst, 0x8B, 6)
 	case MCall:
-		return emitBytes(0xE8, 5) // call rel32
+		return emitBytes(dst, 0xE8, 5) // call rel32
 	case MCallInd:
-		return emitBytes(0xFF, 2)
+		return emitBytes(dst, 0xFF, 2)
 	case MRet:
-		return emitBytes(0xC3, 1)
+		return emitBytes(dst, 0xC3, 1)
 	case MJmp:
-		return emitBytes(0xEB, 2) // rel8 (small functions dominate)
+		return emitBytes(dst, 0xEB, 2) // rel8 (small functions dominate)
 	case MBr:
 		if i.Target2 < 0 {
-			return emitBytes(0x74, 3) // test+jcc fallthrough form
+			return emitBytes(dst, 0x74, 3) // test+jcc fallthrough form
 		}
-		return emitBytes(0x74, 3+2) // test+jcc, jmp
+		return emitBytes(dst, 0x74, 3+2) // test+jcc, jmp
 	case MEHPush:
-		return emitBytes(0x68, 5+1) // push handler, push
+		return emitBytes(dst, 0x68, 5+1) // push handler, push
 	case MEHPop:
-		return emitBytes(0x58, 2)
+		return emitBytes(dst, 0x58, 2)
 	case MUnwind:
-		return emitBytes(0xE8, 5) // call __unwind
+		return emitBytes(dst, 0xE8, 5) // call __unwind
 	case MAllocaOp:
-		return emitBytes(0x29, 2+2) // sub sp, r; mov r, sp
+		return emitBytes(dst, 0x29, 2+2) // sub sp, r; mov r, sp
 	}
-	return emitBytes(0x90, 1)
+	return emitBytes(dst, 0x90, 1)
 }
 
 // Prologue implements Target (push bp; mov bp,sp; sub sp,frame).
-func (Cisc86) Prologue(frameSize int) []byte {
+func (Cisc86) Prologue(dst []byte, frameSize int) []byte {
 	if frameSize == 0 {
-		return emitBytes(0x55, 1+2)
+		return emitBytes(dst, 0x55, 1+2)
 	}
 	if fitsInt8(int64(frameSize)) {
-		return emitBytes(0x55, 1+2+3)
+		return emitBytes(dst, 0x55, 1+2+3)
 	}
-	return emitBytes(0x55, 1+2+6)
+	return emitBytes(dst, 0x55, 1+2+6)
 }
 
 // Epilogue implements Target (leave; ret).
-func (Cisc86) Epilogue() []byte { return emitBytes(0xC9, 2) }
+func (Cisc86) Epilogue(dst []byte) []byte { return emitBytes(dst, 0xC9, 2) }
 
 // RiscV9 is the SPARC-flavoured target.
 type RiscV9 struct{}
@@ -147,16 +146,12 @@ func (RiscV9) Name() string { return "RISC-V9" }
 // NumRegs returns 32.
 func (RiscV9) NumRegs() int { return 32 }
 
-const riscWord = 4
-
-// words emits n 4-byte instructions.
-func words(op byte, n int) []byte {
-	b := make([]byte, n*riscWord)
+// words appends n 4-byte instructions.
+func words(dst []byte, op byte, n int) []byte {
 	for i := 0; i < n; i++ {
-		b[i*riscWord] = op
-		b[i*riscWord+1] = byte(i)
+		dst = append(dst, op, byte(i), 0, 0)
 	}
-	return b
+	return dst
 }
 
 func fits13(v int64) bool { return v >= -4096 && v <= 4095 }
@@ -175,75 +170,75 @@ func immWords(v int64) int {
 }
 
 // Encode implements Target.
-func (RiscV9) Encode(i MInstr) []byte {
+func (RiscV9) Encode(dst []byte, i MInstr) []byte {
 	switch i.Op {
 	case MNop:
-		return words(0x01, 1)
+		return words(dst, 0x01, 1)
 	case MImm:
-		return words(0x10, immWords(i.Imm))
+		return words(dst, 0x10, immWords(i.Imm))
 	case MMov:
-		return words(0x11, 1)
+		return words(dst, 0x11, 1)
 	case MALU:
 		if i.ALU == ADiv || i.ALU == ARem {
-			return words(0x12, 2) // wr %y + div
+			return words(dst, 0x12, 2) // wr %y + div
 		}
-		return words(0x12, 1)
+		return words(dst, 0x12, 1)
 	case MCmp:
-		return words(0x13, 2) // subcc + conditional move
+		return words(dst, 0x13, 2) // subcc + conditional move
 	case MLoad:
 		if fits13(i.Imm) {
-			return words(0x14, 1)
+			return words(dst, 0x14, 1)
 		}
-		return words(0x14, 3) // sethi+or+ld
+		return words(dst, 0x14, 3) // sethi+or+ld
 	case MStore:
 		if fits13(i.Imm) {
-			return words(0x15, 1)
+			return words(dst, 0x15, 1)
 		}
-		return words(0x15, 3)
+		return words(dst, 0x15, 3)
 	case MLea:
-		return words(0x16, 2) // sethi+or
+		return words(dst, 0x16, 2) // sethi+or
 	case MFrame:
 		if fits13(i.Imm) {
-			return words(0x17, 1)
+			return words(dst, 0x17, 1)
 		}
-		return words(0x17, 3)
+		return words(dst, 0x17, 3)
 	case MArg:
-		return words(0x18, 1) // mov to %oN
+		return words(dst, 0x18, 1) // mov to %oN
 	case MArgIn:
-		return words(0x19, 1) // mov from %iN
+		return words(dst, 0x19, 1) // mov from %iN
 	case MCall:
-		return words(0x1A, 2) // call + delay slot
+		return words(dst, 0x1A, 2) // call + delay slot
 	case MCallInd:
-		return words(0x1B, 2) // jmpl + delay slot
+		return words(dst, 0x1B, 2) // jmpl + delay slot
 	case MRet:
-		return words(0x1C, 2) // ret + restore
+		return words(dst, 0x1C, 2) // ret + restore
 	case MJmp:
-		return words(0x1D, 2) // ba + delay slot
+		return words(dst, 0x1D, 2) // ba + delay slot
 	case MBr:
 		if i.Target2 < 0 {
-			return words(0x1E, 2)
+			return words(dst, 0x1E, 2)
 		}
-		return words(0x1E, 3) // bcc + delay, ba
+		return words(dst, 0x1E, 3) // bcc + delay, ba
 	case MEHPush:
-		return words(0x1F, 3)
+		return words(dst, 0x1F, 3)
 	case MEHPop:
-		return words(0x20, 1)
+		return words(dst, 0x20, 1)
 	case MUnwind:
-		return words(0x21, 2)
+		return words(dst, 0x21, 2)
 	case MAllocaOp:
-		return words(0x22, 2)
+		return words(dst, 0x22, 2)
 	}
-	return words(0x01, 1)
+	return words(dst, 0x01, 1)
 }
 
 // Prologue implements Target ("save %sp, -frame, %sp", possibly with a
 // sethi pair for large frames).
-func (RiscV9) Prologue(frameSize int) []byte {
+func (RiscV9) Prologue(dst []byte, frameSize int) []byte {
 	if fits13(int64(frameSize)) {
-		return words(0x30, 1)
+		return words(dst, 0x30, 1)
 	}
-	return words(0x30, 3)
+	return words(dst, 0x30, 3)
 }
 
 // Epilogue implements Target (folded into ret+restore; nothing extra).
-func (RiscV9) Epilogue() []byte { return nil }
+func (RiscV9) Epilogue(dst []byte) []byte { return dst }
