@@ -91,14 +91,19 @@ func (lo *lowerer) lower(f *core.Function) *MFunction {
 		lo.lowerTerminator(b.Terminator())
 		lo.ends = append(lo.ends, len(lo.code))
 	}
-	start := 0
-	for i, b := range lo.mf.Blocks {
-		end := lo.ends[i]
-		b.Instrs = lo.code[start:end:end]
-		start = end
-	}
+	setRuns(lo.mf.Blocks, lo.code, lo.ends)
 	lo.mf.FrameSize = lo.frameOff
 	return &lo.mf
+}
+
+// setRuns points each block at its run of code, which ends at ends[i] and
+// starts where the previous block's run ends.
+func setRuns(blocks []*MBlock, code []MInstr, ends []int) {
+	start := 0
+	for i, b := range blocks {
+		b.Instrs = code[start:ends[i]:ends[i]]
+		start = ends[i]
+	}
 }
 
 // groupPhiEdges buckets every phi's incoming values by predecessor block,

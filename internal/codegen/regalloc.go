@@ -111,12 +111,7 @@ func (a *allocator) run(mf *MFunction, numRegs int) {
 		a.runBlock(b)
 		a.ends = append(a.ends, len(a.out))
 	}
-	start := 0
-	for i, b := range mf.Blocks {
-		end := a.ends[i]
-		b.Instrs = a.out[start:end:end]
-		start = end
-	}
+	setRuns(mf.Blocks, a.out, a.ends)
 	mf.FrameSize = a.frameOff
 }
 
