@@ -46,6 +46,13 @@ func goldenCorpus(tb testing.TB) []goldenModule {
 			goldenModule{p.Name + "/raw", buildSuite(tb, p, false)},
 			goldenModule{p.Name + "/lto", buildSuite(tb, p, true)})
 	}
+	return append(out, exampleModules(tb)...)
+}
+
+// exampleModules parses every .ll module under examples/, in path order.
+func exampleModules(tb testing.TB) []goldenModule {
+	tb.Helper()
+	var out []goldenModule
 	files, err := filepath.Glob("../../examples/*/*.ll")
 	if err != nil {
 		tb.Fatal(err)
