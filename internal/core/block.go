@@ -194,10 +194,11 @@ func (b *BasicBlock) ReplaceSuccessor(oldSucc, newSucc *BasicBlock) {
 // splitting a block at a program point). Phi edges in b's old successors
 // are the caller's responsibility.
 func (b *BasicBlock) MoveTailTo(i int, dest *BasicBlock) {
-	moved := append([]Instruction(nil), b.Instrs[i:]...)
-	b.Instrs = b.Instrs[:i]
-	for _, inst := range moved {
+	tail := b.Instrs[i:]
+	for _, inst := range tail {
 		inst.setParent(dest)
-		dest.Instrs = append(dest.Instrs, inst)
 	}
+	dest.Instrs = append(dest.Instrs, tail...)
+	clear(tail)
+	b.Instrs = b.Instrs[:i]
 }

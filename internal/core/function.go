@@ -1,5 +1,7 @@
 package core
 
+import "slices"
+
 // Linkage describes symbol visibility at link time. Internal symbols can be
 // eliminated or transformed aggressively by the link-time optimizer because
 // no other module can reference them.
@@ -82,17 +84,19 @@ func (f *Function) AddBlock(b *BasicBlock) {
 }
 
 // InsertBlockAfter inserts nb immediately after mark.
-func (f *Function) InsertBlockAfter(nb, mark *BasicBlock) {
-	nb.parent = f
-	for i, b := range f.Blocks {
-		if b == mark {
-			f.Blocks = append(f.Blocks, nil)
-			copy(f.Blocks[i+2:], f.Blocks[i+1:])
-			f.Blocks[i+1] = nb
-			return
-		}
+func (f *Function) InsertBlockAfter(nb, mark *BasicBlock) { f.InsertBlocksAfter(mark, nb) }
+
+// InsertBlocksAfter inserts bs, in order, immediately after mark with one
+// shift of the block list, and makes f their parent.
+func (f *Function) InsertBlocksAfter(mark *BasicBlock, bs ...*BasicBlock) {
+	i := slices.Index(f.Blocks, mark)
+	if i < 0 {
+		panic("core.InsertBlocksAfter: mark not in function")
 	}
-	panic("core.InsertBlockAfter: mark not in function")
+	for _, b := range bs {
+		b.parent = f
+	}
+	f.Blocks = slices.Insert(f.Blocks, i+1, bs...)
 }
 
 // RemoveBlock unlinks b from the function. The caller is responsible for

@@ -118,6 +118,9 @@ type Table2Row struct {
 	DAEDeleted  int `json:"dae_deleted"`
 	NumInlined  int `json:"num_inlined"`
 	FuncDeleted int `json:"func_deleted"`
+	// NumMoved counts integrations that moved a dead callee's body; it
+	// is printed with -v but kept out of the JSON report's key set.
+	NumMoved int `json:"-"`
 }
 
 // Table2 times DGE, DAE, and inline at link time on each benchmark,
@@ -152,6 +155,7 @@ func table2(progs []workload.Profile) ([]Table2Row, error) {
 		row.DAEDeleted = dae.NumArgs + dae.NumRets
 		row.NumInlined = inl.NumInlined
 		row.FuncDeleted = inl.NumDeleted
+		row.NumMoved = inl.NumMoved
 		// Baseline: full compilation of every unit.
 		{
 			prog := workload.Generate(p)
@@ -184,8 +188,8 @@ func PrintTable2(w io.Writer, rows []Table2Row, verbose bool) {
 		fmt.Fprintf(w, "%-14s %9.3f %9.3f %9.3f %12.3f %8.1f%%\n",
 			r.Bench, r.DGEMs, r.DAEMs, r.InlineMs, r.BaselineMs, 100*ratio)
 		if verbose {
-			fmt.Fprintf(w, "    work: DGE deleted %d objects, DAE removed %d args/rets, inline integrated %d (deleting %d functions)\n",
-				r.DGEDeleted, r.DAEDeleted, r.NumInlined, r.FuncDeleted)
+			fmt.Fprintf(w, "    work: DGE deleted %d objects, DAE removed %d args/rets, inline integrated %d (moved %d bodies, deleting %d functions)\n",
+				r.DGEDeleted, r.DAEDeleted, r.NumInlined, r.NumMoved, r.FuncDeleted)
 		}
 	}
 	fmt.Fprintf(w, "%-14s %9s %9s %9s %12s %8.1f%%   (paper: every IPO pass is a small fraction of a full compile)\n",

@@ -27,9 +27,12 @@ type Inline struct {
 	// never grows). On by default; the ablation bench disables it to
 	// isolate the threshold's effect.
 	SingleCallerAlways bool
-	// NumInlined and NumDeleted report what the last run did.
+	// NumInlined and NumDeleted report what the last run did; NumMoved
+	// counts the integrations that moved a dead callee's body instead of
+	// copying it.
 	NumInlined int
 	NumDeleted int
+	NumMoved   int
 
 	rem *obs.Remarks
 }
@@ -55,36 +58,48 @@ func (inl *Inline) RunOnModule(m *core.Module) int {
 }
 
 func (inl *Inline) runOnModuleWith(m *core.Module, am *analysis.Manager) int {
-	inl.NumInlined, inl.NumDeleted = 0, 0
+	inl.NumInlined, inl.NumDeleted, inl.NumMoved = 0, 0, 0
 	cg := am.CallGraph(m)
 	order := cg.PostOrder()
+	// Global-initializer references are missing from use lists and do not
+	// change while call sites are integrated, so one scan serves the run.
+	taken := analysis.AddressTakenFunctions(m)
+	visited := make(map[*core.Function]bool, len(order))
+	moved := map[*core.Function]bool{}
 
 	for _, caller := range order {
 		if caller.IsDeclaration() {
 			continue
 		}
-		// Snapshot call sites; inlining appends blocks.
+		visited[caller] = true
 		for {
 			site := inl.findSite(caller)
 			if site == nil {
 				break
 			}
 			callee := core.CalledFunctionOf(site)
+			size := callee.NumInstructions()
 			switch s := site.(type) {
 			case *core.CallInst:
-				InlineCall(s)
-				inl.NumInlined++
+				if movable(callee, visited, taken) {
+					integrateCall(s, true)
+					moved[callee] = true
+					inl.NumMoved++
+				} else {
+					InlineCall(s)
+				}
 			case *core.InvokeInst:
 				if !InlineInvoke(s) {
-					// Not safely inlinable after all; stop scanning this
-					// caller rather than loop on the same site.
+					// A refused invoke site ends the scan of this caller:
+					// its later sites stay calls, and findSite would only
+					// return the same site again.
 					goto nextCaller
 				}
-				inl.NumInlined++
 			}
-			if inl.rem.Enabled() && callee != nil {
+			inl.NumInlined++
+			if inl.rem.Enabled() {
 				inl.rem.Appliedf("inline", diag.Pos{Fn: caller.Name()},
-					"inlined call to %%%s (%d instructions)", callee.Name(), callee.NumInstructions())
+					"inlined call to %%%s (%d instructions)", callee.Name(), size)
 			}
 		}
 	nextCaller:
@@ -92,12 +107,13 @@ func (inl *Inline) runOnModuleWith(m *core.Module, am *analysis.Manager) int {
 
 	// Delete internal functions with no remaining references (references
 	// from global initializers do not appear in use lists, so consult the
-	// address-taken scan too).
+	// address-taken scan too). A moved callee has no blocks left but is
+	// deleted here like any other, so deletions keep their order.
 	for changed := true; changed; {
 		changed = false
 		taken := analysis.AddressTakenFunctions(m)
 		for _, f := range append([]*core.Function(nil), m.Funcs...) {
-			if f.Linkage == core.InternalLinkage && !core.HasUses(f) && !taken[f] && !f.IsDeclaration() {
+			if f.Linkage == core.InternalLinkage && !core.HasUses(f) && !taken[f] && (moved[f] || !f.IsDeclaration()) {
 				if inl.rem.Enabled() {
 					inl.rem.Analysisf("inline", diag.Pos{Fn: f.Name()},
 						"deleted internal function: no references remain after inlining")
@@ -157,7 +173,6 @@ func (inl *Inline) findSite(caller *core.Function) core.Instruction {
 		default:
 			return true
 		}
-		call := inst
 		callee := core.CalledFunctionOf(inst)
 		if callee == nil || callee.IsDeclaration() || callee == caller {
 			return true
@@ -169,16 +184,13 @@ func (inl *Inline) findSite(caller *core.Function) core.Instruction {
 		single := inl.SingleCallerAlways && callee.Linkage == core.InternalLinkage &&
 			len(callee.Callers()) == 1 && !callee.HasAddressTaken()
 		if size <= inl.Threshold || (single && size <= maxCallerGrowth) {
-			// Invoke sites are only attempted when the quick result-use
-			// precondition of InlineInvoke can hold.
-			_ = call
 			// Self-recursive callees never shrink; skip them.
 			for _, cs := range callee.Callers() {
 				if cs.Parent() != nil && cs.Parent().Parent() == callee {
 					return true
 				}
 			}
-			found = call
+			found = inst
 			return false
 		}
 		return true
@@ -186,22 +198,34 @@ func (inl *Inline) findSite(caller *core.Function) core.Instruction {
 	return found
 }
 
-// InlineCall splices the body of the (direct, non-variadic) callee into the
-// call site. The call instruction is destroyed.
-func InlineCall(call *core.CallInst) {
+// movable reports whether integrating callee at its call site may move
+// the callee's blocks into the caller instead of copying them: the callee
+// is internal, that call is its only reference, and it was already visited
+// as a caller in this run, so its body is final. A callee the post-order
+// reaches only after its caller (unreachable chains, cycles) is still
+// copied: its original body must stay for its own visit to transform,
+// exactly as when every integration copied.
+func movable(callee *core.Function, visited, taken map[*core.Function]bool) bool {
+	return callee.Linkage == core.InternalLinkage && visited[callee] && !taken[callee] &&
+		len(callee.Callers()) == 1 && !callee.HasAddressTaken()
+}
+
+// InlineCall splices a copy of the (direct, non-variadic) callee's body
+// into the call site; the callee is left unchanged. The call instruction
+// is destroyed.
+func InlineCall(call *core.CallInst) { integrateCall(call, false) }
+
+// integrateCall replaces call with the callee's body: a copy, or with move
+// the callee's own blocks, which leaves the callee without a body.
+func integrateCall(call *core.CallInst, move bool) {
 	callee := call.CalledFunction()
-	caller := call.Parent().Parent()
 	callBlock := call.Parent()
+	caller := callBlock.Parent()
 
 	// Split the block after the call.
 	after := core.NewBlock(callBlock.Name() + ".after")
 	caller.InsertBlockAfter(after, callBlock)
-	idx := callBlock.IndexOf(call)
-	tail := append([]core.Instruction(nil), callBlock.Instrs[idx+1:]...)
-	for _, inst := range tail {
-		callBlock.Remove(inst)
-		after.Append(inst)
-	}
+	callBlock.MoveTailTo(callBlock.IndexOf(call)+1, after)
 	// Phis in old successors now see 'after' as the predecessor.
 	for _, u := range append([]core.Use(nil), callBlock.Uses()...) {
 		if phi, ok := u.User.(*core.PhiInst); ok && phi.Parent() != nil {
@@ -209,17 +233,21 @@ func InlineCall(call *core.CallInst) {
 		}
 	}
 
-	// Clone the callee with arguments bound.
-	vmap := map[core.Value]core.Value{}
-	for i, a := range callee.Args {
-		vmap[a] = call.Args()[i]
+	// Bind the arguments and place the body after the split.
+	var body []*core.BasicBlock
+	if move {
+		for i, a := range callee.Args {
+			core.ReplaceAllUses(a, call.Args()[i])
+		}
+		body, callee.Blocks = callee.Blocks, nil
+	} else {
+		vmap := make(map[core.Value]core.Value, len(callee.Args))
+		for i, a := range callee.Args {
+			vmap[a] = call.Args()[i]
+		}
+		body = core.CloneBlocks(callee, vmap)
 	}
-	clones := core.CloneBlocks(callee, vmap)
-	mark := after
-	for _, nb := range clones {
-		caller.InsertBlockAfter(nb, mark)
-		mark = nb
-	}
+	caller.InsertBlocksAfter(after, body...)
 
 	// Rewrite returns into branches to 'after', collecting return values.
 	type retEdge struct {
@@ -227,7 +255,7 @@ func InlineCall(call *core.CallInst) {
 		from *core.BasicBlock
 	}
 	var rets []retEdge
-	for _, nb := range clones {
+	for _, nb := range body {
 		ret, ok := nb.Terminator().(*core.RetInst)
 		if !ok {
 			continue
@@ -259,7 +287,7 @@ func InlineCall(call *core.CallInst) {
 
 	// Replace the call with a branch into the inlined entry.
 	callBlock.Erase(call)
-	callBlock.Append(core.NewBr(clones[0]))
+	callBlock.Append(core.NewBr(body[0]))
 }
 
 // dropFunctionBody erases all blocks of f, dropping every operand use.

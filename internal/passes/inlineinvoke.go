@@ -73,11 +73,7 @@ func InlineInvoke(inv *core.InvokeInst) bool {
 		vmap[a] = inv.Args()[i]
 	}
 	clones := core.CloneBlocks(callee, vmap)
-	mark := uwStub
-	for _, nb := range clones {
-		caller.InsertBlockAfter(nb, mark)
-		mark = nb
-	}
+	caller.InsertBlocksAfter(uwStub, clones...)
 
 	// First, convert interior calls to invokes routing their unwind edge
 	// to the handler: split the block after each call and continue

@@ -1,12 +1,15 @@
 package passes
 
 import (
+	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
 	"repro/internal/asm"
 	"repro/internal/core"
 	"repro/internal/interp"
+	"repro/internal/obs"
 )
 
 func parse(t *testing.T, src string) *core.Module {
@@ -810,6 +813,165 @@ entry:
 	mustVerify(t, m)
 	if countOps(m.Func("wrap"), core.OpUnwind) != 1 {
 		t.Fatalf("unwind lost in inlining:\n%s", m)
+	}
+}
+
+func TestInlineKeepsCalleeReferencedFromInitializer(t *testing.T) {
+	// %twice has one direct call, but the table's initializer also names
+	// it, and initializer references are not in use lists: its body must
+	// be copied, not moved, or the indirect call would reach an empty
+	// function.
+	src := `
+%table = global [1 x int (int)*] [ int (int)* %twice ]
+
+internal int %twice(int %x) {
+entry:
+	%r = mul int %x, 2
+	ret int %r
+}
+
+int %main() {
+entry:
+	%a = call int %twice(int 5)
+	%p = getelementptr [1 x int (int)*]* %table, long 0, long 0
+	%fp = load int (int)** %p
+	%b = call int %fp(int 20)
+	%s = add int %a, %b
+	ret int %s
+}
+`
+	m := parse(t, src)
+	inl := NewInline(DefaultInlineThreshold)
+	inl.RunOnModule(m)
+	mustVerify(t, m)
+	if inl.NumInlined != 1 || inl.NumMoved != 0 || inl.NumDeleted != 0 {
+		t.Fatalf("inlined %d, moved %d, deleted %d; want 1, 0, 0\n%s",
+			inl.NumInlined, inl.NumMoved, inl.NumDeleted, m)
+	}
+	if f := m.Func("twice"); f == nil || f.IsDeclaration() {
+		t.Fatalf("callee named by an initializer lost its body:\n%s", m)
+	}
+	want := parse(t, src)
+	for _, mod := range []*core.Module{want, m} {
+		mc, err := interp.NewMachine(mod, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mc.SetTier(interp.TierInterp)
+		if v, err := mc.RunMain(); err != nil || v != 50 {
+			t.Fatalf("main = %d, %v; want 50\n%s", v, err, mod)
+		}
+	}
+}
+
+func TestInlineCopiesCalleeVisitedAfterCaller(t *testing.T) {
+	// The post-order visits the cycle odd -> even -> odd top-down: odd
+	// first, then even. Integrating even into odd must copy it, because
+	// even's own visit still inlines %helper into its original body; a
+	// move would skip that integration and change the counts.
+	m := parse(t, `
+internal int %helper(int %x) {
+entry:
+	%r = add int %x, 1
+	ret int %r
+}
+
+internal int %even(int %n) {
+entry:
+	%c = seteq int %n, 0
+	br bool %c, label %yes, label %rec
+yes:
+	%h = call int %helper(int 0)
+	ret int %h
+rec:
+	%n1 = sub int %n, 1
+	%r = call int %odd(int %n1)
+	ret int %r
+}
+
+internal int %odd(int %n) {
+entry:
+	%c = seteq int %n, 0
+	br bool %c, label %no, label %rec
+no:
+	ret int 0
+rec:
+	%n1 = sub int %n, 1
+	%r = call int %even(int %n1)
+	ret int %r
+}
+
+int %main() {
+entry:
+	%r = call int %odd(int 7)
+	ret int %r
+}
+`)
+	inl := NewInline(DefaultInlineThreshold)
+	inl.RunOnModule(m)
+	mustVerify(t, m)
+	// even into odd (copy), helper into odd (copy: the original even
+	// still calls it), helper into even (move: its last caller).
+	if inl.NumInlined != 3 || inl.NumMoved != 1 || inl.NumDeleted != 2 {
+		t.Fatalf("inlined %d, moved %d, deleted %d; want 3, 1, 2\n%s",
+			inl.NumInlined, inl.NumMoved, inl.NumDeleted, m)
+	}
+	mc, err := interp.NewMachine(m, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v, err := mc.RunMain(); err != nil || v != 1 {
+		t.Fatalf("main = %d, %v; want 1\n%s", v, err, m)
+	}
+}
+
+func TestInlineMovesDeadCalleeBody(t *testing.T) {
+	m := parse(t, `
+internal int %pick(bool %c) {
+entry:
+	br bool %c, label %a, label %b
+a:
+	ret int 10
+b:
+	ret int 20
+}
+
+int %main(bool %c) {
+entry:
+	%v = call int %pick(bool %c)
+	ret int %v
+}
+`)
+	pick := m.Func("pick")
+	orig := append([]*core.BasicBlock(nil), pick.Blocks...)
+	size := pick.NumInstructions()
+	inl := NewInline(DefaultInlineThreshold)
+	rem := obs.NewRemarks()
+	inl.setRemarks(rem)
+	inl.RunOnModule(m)
+	mustVerify(t, m)
+	if inl.NumInlined != 1 || inl.NumMoved != 1 || inl.NumDeleted != 1 {
+		t.Fatalf("inlined %d, moved %d, deleted %d; want 1, 1, 1",
+			inl.NumInlined, inl.NumMoved, inl.NumDeleted)
+	}
+	main := m.Func("main")
+	for _, b := range orig {
+		if b.Parent() != main || !slices.Contains(main.Blocks, b) {
+			t.Fatalf("block %%%s of the callee was not moved into main:\n%s", b.Name(), m)
+		}
+	}
+	if m.Func("pick") != nil || slices.Contains(m.Funcs, pick) {
+		t.Fatal("moved callee left in the module")
+	}
+	want := fmt.Sprintf("inlined call to %%pick (%d instructions)", size)
+	var applied []string
+	for _, r := range rem.Sorted() {
+		if r.Status == "applied" {
+			applied = append(applied, r.Msg)
+		}
+	}
+	if len(applied) != 1 || applied[0] != want {
+		t.Fatalf("applied remarks %q, want [%q]", applied, want)
 	}
 }
 
