@@ -63,7 +63,7 @@ func (inl *Inline) runOnModuleWith(m *core.Module, am *analysis.Manager) int {
 	order := cg.PostOrder()
 	// Global-initializer references are missing from use lists and do not
 	// change while call sites are integrated, so one scan serves the run.
-	taken := analysis.AddressTakenFunctions(m)
+	addrTaken := analysis.AddressTakenFunctions(m)
 	visited := make(map[*core.Function]bool, len(order))
 	moved := map[*core.Function]bool{}
 
@@ -81,7 +81,7 @@ func (inl *Inline) runOnModuleWith(m *core.Module, am *analysis.Manager) int {
 			size := callee.NumInstructions()
 			switch s := site.(type) {
 			case *core.CallInst:
-				if movable(callee, visited, taken) {
+				if movable(callee, visited, addrTaken) {
 					integrateCall(s, true)
 					moved[callee] = true
 					inl.NumMoved++
@@ -90,9 +90,9 @@ func (inl *Inline) runOnModuleWith(m *core.Module, am *analysis.Manager) int {
 				}
 			case *core.InvokeInst:
 				if !InlineInvoke(s) {
-					// A refused invoke site ends the scan of this caller:
-					// its later sites stay calls, and findSite would only
-					// return the same site again.
+					// A refused invoke site ends this caller's scan, since
+					// findSite would return the same site again: sites
+					// after it in the caller are not integrated.
 					goto nextCaller
 				}
 			}
@@ -202,9 +202,10 @@ func (inl *Inline) findSite(caller *core.Function) core.Instruction {
 // the callee's blocks into the caller instead of copying them: the callee
 // is internal, that call is its only reference, and it was already visited
 // as a caller in this run, so its body is final. A callee the post-order
-// reaches only after its caller (unreachable chains, cycles) is still
-// copied: its original body must stay for its own visit to transform,
-// exactly as when every integration copied.
+// reaches only after its caller (unreachable chains, cycles) is copied:
+// its own later visit still inlines into its original body, and moving
+// that body away would skip the work and change which callees later
+// count as single-caller.
 func movable(callee *core.Function, visited, taken map[*core.Function]bool) bool {
 	return callee.Linkage == core.InternalLinkage && visited[callee] && !taken[callee] &&
 		len(callee.Callers()) == 1 && !callee.HasAddressTaken()
@@ -241,7 +242,7 @@ func integrateCall(call *core.CallInst, move bool) {
 		}
 		body, callee.Blocks = callee.Blocks, nil
 	} else {
-		vmap := make(map[core.Value]core.Value, len(callee.Args))
+		vmap := map[core.Value]core.Value{}
 		for i, a := range callee.Args {
 			vmap[a] = call.Args()[i]
 		}
