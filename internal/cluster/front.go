@@ -2,11 +2,9 @@ package cluster
 
 import (
 	"bytes"
-	"errors"
 	"fmt"
 	"io"
 	"net/http"
-	"net/http/pprof"
 	"strings"
 	"sync"
 	"time"
@@ -41,9 +39,6 @@ type FrontConfig struct {
 	// AccessLog, when set, receives one JSON line per request (same schema
 	// as the nodes' access logs).
 	AccessLog io.Writer
-	// Recorder is the front's flight recorder (nil = a fresh one at
-	// obs.DefaultRecorderCap; always on).
-	Recorder *obs.Recorder
 	// EnablePprof mounts net/http/pprof under /debug/pprof/.
 	EnablePprof bool
 }
@@ -56,15 +51,14 @@ type FrontConfig struct {
 // not an error. Its only state is the set of digests it has seen to be
 // canonical, which spares known bytes the parse (see address).
 type Front struct {
-	cfg      FrontConfig
-	ring     *Ring
-	health   *Health
-	metrics  *obs.Registry
-	client   *http.Client
-	start    time.Time
-	recorder *obs.Recorder
-	httpObs  *obs.HTTPObs
-	known    knownSet
+	cfg     FrontConfig
+	ring    *Ring
+	health  *Health
+	view    *clusterView
+	metrics *obs.Registry
+	client  *http.Client
+	edge    *obs.HTTPObs
+	known   knownSet
 
 	cRequests map[string]*obs.Counter // by endpoint
 	// cKnown counts, by endpoint, the requests routed by the body's own
@@ -104,7 +98,6 @@ func NewFront(cfg FrontConfig) (*Front, error) {
 		ring:    ring,
 		client:  &http.Client{Timeout: cfg.PeerTimeout, Transport: relay},
 		metrics: cfg.Metrics,
-		start:   time.Now(),
 	}
 	if f.metrics == nil {
 		f.metrics = obs.NewRegistry()
@@ -117,34 +110,15 @@ func NewFront(cfg FrontConfig) (*Front, error) {
 	}
 	f.cRetries = f.metrics.Counter("llvm_front_retries_total")
 	f.cFailed = f.metrics.Counter("llvm_front_failed_total")
-	f.recorder = cfg.Recorder
-	if f.recorder == nil {
-		f.recorder = obs.NewRecorder(0)
-	}
-	f.httpObs = &obs.HTTPObs{
-		Tracer:    cfg.Tracer,
-		Recorder:  f.recorder,
-		AccessLog: cfg.AccessLog,
-		Endpoint:  frontEndpointLabel,
-		Latency: func(endpoint string) *obs.Histogram {
-			return f.metrics.Histogram("llvm_front_request_seconds",
-				obs.ServeLatencyBuckets, "endpoint", endpoint)
-		},
-	}
+	f.edge = obs.NewHTTPObs(f.metrics, "llvm_front_request_seconds", cfg.Tracer, cfg.AccessLog, cfg.EnablePprof)
 	f.peerOK = map[string]*obs.Counter{}
 	f.peerErr = map[string]*obs.Counter{}
 	probeClient := &http.Client{Timeout: cfg.ProbeInterval}
 	f.health = newHealth(ring.Peers(), "", cfg.ProbeInterval, httpProbe(probeClient))
+	f.view = newClusterView("front", "front", ring, f.health, f.metrics)
 	for _, p := range ring.Peers() {
-		p := p
 		f.peerOK[p] = f.metrics.Counter("llvm_front_peer_requests_total", "peer", p, "result", "ok")
 		f.peerErr[p] = f.metrics.Counter("llvm_front_peer_requests_total", "peer", p, "result", "error")
-		f.metrics.GaugeFunc("llvm_cluster_peer_up", func() float64 {
-			if f.health.Up(p) {
-				return 1
-			}
-			return 0
-		}, "peer", p)
 	}
 	return f, nil
 }
@@ -158,92 +132,16 @@ func (f *Front) Metrics() *obs.Registry { return f.metrics }
 // Close stops the health prober.
 func (f *Front) Close() { f.health.Close() }
 
-// Recorder returns the front's flight recorder.
-func (f *Front) Recorder() *obs.Recorder { return f.recorder }
-
-// frontEndpointLabel bounds the front's per-endpoint label space the same
-// way the nodes' endpointLabel does.
-func frontEndpointLabel(path string) string {
-	switch path {
-	case "/compile", "/run", "/check", "/cluster/health", "/cluster/peers", "/metrics":
-		return path
-	}
-	if strings.HasPrefix(path, "/debug/") {
-		return "/debug"
-	}
-	return "other"
-}
-
-// Handler returns the front's HTTP surface, wrapped in the same
-// observability middleware the nodes use — the front is where trace IDs
-// are minted for requests entering through it.
+// Handler returns the front's HTTP surface behind the same edge the nodes
+// use. The front is where trace IDs are minted for requests entering
+// through it.
 func (f *Front) Handler() http.Handler {
-	mux := http.NewServeMux()
-	mux.HandleFunc("/compile", f.route("compile"))
-	mux.HandleFunc("/run", f.route("run"))
-	mux.HandleFunc("/check", f.route("check"))
-	mux.HandleFunc("/cluster/health", f.handleHealth)
-	mux.HandleFunc("/cluster/peers", f.handlePeers)
-	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		f.metrics.WritePrometheus(w)
-	})
-	mux.HandleFunc("/debug/requests", f.handleDebugRequests)
-	mux.HandleFunc("/debug/trace/", f.handleDebugTrace)
-	if f.cfg.EnablePprof {
-		mux.HandleFunc("/debug/pprof/", pprof.Index)
-		mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-		mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-		mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-		mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	}
-	return f.httpObs.Middleware(mux)
-}
-
-// handleDebugRequests and handleDebugTrace mirror the nodes' /debug
-// surface over the front's own recorder.
-func (f *Front) handleDebugRequests(w http.ResponseWriter, r *http.Request) {
-	recs := f.recorder.Snapshot()
-	if recs == nil {
-		recs = []obs.RequestRecord{}
-	}
-	clusterJSON(w, http.StatusOK, map[string]interface{}{
-		"capacity": f.recorder.Cap(),
-		"total":    f.recorder.Total(),
-		"requests": recs,
-	})
-}
-
-func (f *Front) handleDebugTrace(w http.ResponseWriter, r *http.Request) {
-	id := strings.TrimPrefix(r.URL.Path, "/debug/trace/")
-	if !obs.ValidTraceID(id) {
-		clusterError(w, http.StatusBadRequest, "invalid trace id")
-		return
-	}
-	recs := f.recorder.ByTrace(id)
-	if len(recs) == 0 {
-		clusterError(w, http.StatusNotFound, "trace %s not in the flight recorder (evicted or never seen here)", id)
-		return
-	}
-	clusterJSON(w, http.StatusOK, recs)
-}
-
-func (f *Front) handleHealth(w http.ResponseWriter, r *http.Request) {
-	clusterJSON(w, http.StatusOK, healthResponse{
-		Self:          "front",
-		Role:          "front",
-		Peers:         len(f.ring.Peers()),
-		UptimeSeconds: time.Since(f.start).Seconds(),
-	})
-}
-
-func (f *Front) handlePeers(w http.ResponseWriter, r *http.Request) {
-	clusterJSON(w, http.StatusOK, peersResponse{
-		Self:   "front",
-		Role:   "front",
-		VNodes: f.ring.VNodes(),
-		Peers:  f.ring.Peers(),
-		Up:     f.health.Snapshot(),
+	return f.edge.Handler(map[string]http.Handler{
+		"/compile":        f.route("compile"),
+		"/run":            f.route("run"),
+		"/check":          f.route("check"),
+		"/cluster/health": http.HandlerFunc(f.view.handleHealth),
+		"/cluster/peers":  http.HandlerFunc(f.view.handlePeers),
 	})
 }
 
@@ -277,24 +175,14 @@ func (f *Front) address(body []byte) (hash string, canonical []byte, known bool,
 // pick the owner, forward with retry-next-peer.
 func (f *Front) route(endpoint string) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodPost {
-			clusterError(w, http.StatusMethodNotAllowed, "POST a module (bytecode or assembly) to this endpoint")
-			return
-		}
-		f.cRequests[endpoint].Inc()
 		tRead := time.Now()
-		body, err := lifelong.ReadBody(r, f.cfg.MaxBody)
-		if err != nil {
-			if errors.Is(err, lifelong.ErrBodyTooLarge) {
-				clusterError(w, http.StatusRequestEntityTooLarge, "module exceeds the %d-byte limit", f.cfg.MaxBody)
-			} else {
-				clusterError(w, http.StatusBadRequest, "%v", err)
-			}
+		body, ok := lifelong.ReadPost(w, r, f.cfg.MaxBody, f.cRequests[endpoint])
+		if !ok {
 			return
 		}
 		hash, body, known, err := f.address(body)
 		if err != nil {
-			clusterError(w, http.StatusUnprocessableEntity, "%v", err)
+			obs.WriteError(w, http.StatusUnprocessableEntity, "%v", err)
 			return
 		}
 		if known {
@@ -326,14 +214,15 @@ func (f *Front) route(endpoint string) http.HandlerFunc {
 		}
 		f.cFailed.Inc()
 		obs.RecordFromContext(r.Context()).SetError("no cluster peer could serve the request")
-		clusterError(w, http.StatusBadGateway, "no cluster peer could serve the request (%d tried)", attempts)
+		obs.WriteError(w, http.StatusBadGateway, "no cluster peer could serve the request (%d tried)", attempts)
 	}
 }
 
 // forward sends the canonical module bytes to one peer and, on success,
 // passes the peer's reply through to the client. Returns false when the
 // next peer should be tried (transport error or 5xx); 4xx responses are
-// the client's problem and are relayed as-is.
+// the client's problem and are relayed as-is. A reply that cannot be
+// relayed whole aborts the request (http.ErrAbortHandler).
 func (f *Front) forward(w http.ResponseWriter, r *http.Request, peer, endpoint string, body []byte) bool {
 	u := "http://" + peer + "/" + endpoint
 	if q := r.URL.RawQuery; q != "" {
@@ -367,7 +256,6 @@ func (f *Front) forward(w http.ResponseWriter, r *http.Request, peer, endpoint s
 		rec.AddHop(peer, "route", "error", time.Since(t0))
 		return false
 	}
-	f.peerOK[peer].Inc()
 	f.health.MarkUp(peer)
 	rec.AddHop(peer, "route", "ok", time.Since(t0))
 	rec.SetPeer(peer)
@@ -385,7 +273,19 @@ func (f *Front) forward(w http.ResponseWriter, r *http.Request, peer, endpoint s
 	}
 	w.Header().Set("X-Cluster-Peer", peer)
 	w.WriteHeader(resp.StatusCode)
-	io.Copy(w, io.LimitReader(resp.Body, f.cfg.MaxBody+(f.cfg.MaxBody/2)+1024))
+	// The status is out, so a reply the relay cannot finish (the peer's
+	// stream breaks, or the reply reaches the cap and is cut) can only be
+	// aborted: ending it cleanly would pass a truncated reply off as whole.
+	limit := f.cfg.MaxBody + f.cfg.MaxBody/2 + 1024
+	if n, err := io.Copy(w, io.LimitReader(resp.Body, limit)); err != nil || n == limit {
+		if err == nil {
+			err = fmt.Errorf("reply reached the %d-byte relay cap", limit)
+		}
+		f.peerErr[peer].Inc()
+		rec.SetError(fmt.Sprintf("relaying the reply from %s: %v", peer, err))
+		panic(http.ErrAbortHandler)
+	}
+	f.peerOK[peer].Inc()
 	return true
 }
 

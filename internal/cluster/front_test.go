@@ -3,6 +3,7 @@ package cluster
 import (
 	"bytes"
 	"compress/gzip"
+	"encoding/json"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -10,6 +11,7 @@ import (
 	"testing"
 
 	"repro/internal/bytecode"
+	"repro/internal/obs"
 	"repro/internal/tooling"
 )
 
@@ -220,5 +222,89 @@ func TestKnownSetStartsOverAtCap(t *testing.T) {
 	k.add(digest(knownCap))
 	if k.has(digest(0)) || !k.has(digest(knownCap)) || len(k.set) != 1 {
 		t.Fatalf("at the cap: %d digests kept, want only the newest", len(k.set))
+	}
+}
+
+// TestFrontAbortsTruncatedReply: a peer reply that stops short of its
+// declared length, is cut mid-stream, or outgrows the front's copy cap
+// never reaches the client as a clean reply. The front's recorder keeps
+// the error and the peer's error counter counts it.
+func TestFrontAbortsTruncatedReply(t *testing.T) {
+	text, _ := hotModule(t)
+	canon := canonicalOf(t, text)
+	const maxBody = 4096 // copy cap: 1.5 x maxBody + 1 KiB = 7168 bytes
+	if len(canon) > maxBody {
+		t.Fatalf("test module is %d bytes, over the %d-byte body cap", len(canon), maxBody)
+	}
+	for _, c := range []struct {
+		name  string
+		reply func(w http.ResponseWriter)
+	}{
+		{"short write", func(w http.ResponseWriter) {
+			w.Header().Set("Content-Length", "1000")
+			w.Write(bytes.Repeat([]byte("a"), 100))
+		}},
+		{"chunked cut", func(w http.ResponseWriter) {
+			w.Write(bytes.Repeat([]byte("b"), 3000))
+			w.(http.Flusher).Flush()
+			panic(http.ErrAbortHandler)
+		}},
+		{"over the cap", func(w http.ResponseWriter) {
+			w.Write(bytes.Repeat([]byte("c"), 4*maxBody))
+		}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			peer := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				if r.URL.Path == "/cluster/health" {
+					return
+				}
+				io.Copy(io.Discard, r.Body)
+				c.reply(w)
+			}))
+			defer peer.Close()
+			addr := peer.Listener.Addr().String()
+			f, err := NewFront(FrontConfig{Peers: []string{addr}, MaxBody: maxBody})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer f.Close()
+			front := httptest.NewServer(f.Handler())
+			defer front.Close()
+
+			resp, err := http.Post(front.URL+"/compile?raw=1", "application/octet-stream", bytes.NewReader(canon))
+			if err == nil {
+				var body []byte
+				body, err = io.ReadAll(resp.Body)
+				resp.Body.Close()
+				if err == nil {
+					t.Fatalf("client read a clean %d reply of %d bytes", resp.StatusCode, len(body))
+				}
+			}
+
+			var dbg struct {
+				Requests []obs.RequestRecord `json:"requests"`
+			}
+			dresp, err := http.Get(front.URL + "/debug/requests")
+			if err != nil {
+				t.Fatal(err)
+			}
+			err = json.NewDecoder(dresp.Body).Decode(&dbg)
+			dresp.Body.Close()
+			if err != nil {
+				t.Fatal(err)
+			}
+			var rec *obs.RequestRecord
+			for i := range dbg.Requests {
+				if dbg.Requests[i].Endpoint == "/compile" {
+					rec = &dbg.Requests[i]
+				}
+			}
+			if rec == nil || rec.Error == "" {
+				t.Fatalf("front recorded the cut reply as %+v, want an error", rec)
+			}
+			if n := f.Metrics().Counter("llvm_front_peer_requests_total", "peer", addr, "result", "error").Value(); n != 1 {
+				t.Fatalf("peer errors = %v, want 1", n)
+			}
+		})
 	}
 }

@@ -4,6 +4,8 @@ import (
 	"net/http"
 	"sync"
 	"time"
+
+	"repro/internal/obs"
 )
 
 // Health tracks peer liveness. Peers start optimistically up (so the
@@ -119,4 +121,65 @@ func httpProbe(client *http.Client) func(peer string) bool {
 		resp.Body.Close()
 		return resp.StatusCode == http.StatusOK
 	}
+}
+
+// clusterView is the cluster surface node and front share: one
+// llvm_cluster_peer_up gauge per configured peer, and /cluster/health and
+// /cluster/peers answered as self in role ("node" or "front").
+type clusterView struct {
+	self, role string
+	ring       *Ring
+	health     *Health
+	start      time.Time
+}
+
+// newClusterView registers the peer-up gauges on metrics.
+func newClusterView(self, role string, ring *Ring, health *Health, metrics *obs.Registry) *clusterView {
+	for _, p := range ring.Peers() {
+		p := p
+		metrics.GaugeFunc("llvm_cluster_peer_up", func() float64 {
+			if health.Up(p) {
+				return 1
+			}
+			return 0
+		}, "peer", p)
+	}
+	return &clusterView{self: self, role: role, ring: ring, health: health, start: time.Now()}
+}
+
+// healthResponse is /cluster/health's JSON shape.
+type healthResponse struct {
+	Self          string  `json:"self"`
+	Role          string  `json:"role"`
+	Peers         int     `json:"peers"`
+	UptimeSeconds float64 `json:"uptime_seconds"`
+}
+
+func (v *clusterView) handleHealth(w http.ResponseWriter, r *http.Request) {
+	obs.WriteJSON(w, http.StatusOK, healthResponse{
+		Self:          v.self,
+		Role:          v.role,
+		Peers:         len(v.ring.Peers()),
+		UptimeSeconds: time.Since(v.start).Seconds(),
+	})
+}
+
+// peersResponse is /cluster/peers's JSON shape: membership, ring shape,
+// and this process's liveness view of each peer.
+type peersResponse struct {
+	Self   string          `json:"self"`
+	Role   string          `json:"role"`
+	VNodes int             `json:"vnodes"`
+	Peers  []string        `json:"peers"`
+	Up     map[string]bool `json:"up"`
+}
+
+func (v *clusterView) handlePeers(w http.ResponseWriter, r *http.Request) {
+	obs.WriteJSON(w, http.StatusOK, peersResponse{
+		Self:   v.self,
+		Role:   v.role,
+		VNodes: v.ring.VNodes(),
+		Peers:  v.ring.Peers(),
+		Up:     v.health.Snapshot(),
+	})
 }

@@ -54,7 +54,6 @@ type Node struct {
 	metrics *obs.Registry
 	client  *http.Client
 	maxBody int64
-	start   time.Time
 
 	// Per-peer counters, pre-registered from the configured peer list
 	// only: request data can never mint a new label value (the
@@ -100,7 +99,6 @@ func NewNode(cfg Config) (*Node, error) {
 		store:   cfg.Lifelong.Store,
 		client:  &http.Client{Timeout: cfg.PeerTimeout},
 		maxBody: cfg.Lifelong.MaxBody,
-		start:   time.Now(),
 	}
 	if n.maxBody <= 0 {
 		n.maxBody = tooling.MaxInputSize
@@ -111,6 +109,7 @@ func NewNode(cfg Config) (*Node, error) {
 	}
 	n.registerMetrics()
 	n.health = newHealth(ring.Peers(), cfg.Self, cfg.ProbeInterval, httpProbe(n.client))
+	view := newClusterView(cfg.Self, "node", ring, n.health, n.metrics)
 
 	lcfg := cfg.Lifelong
 	lcfg.Metrics = n.metrics
@@ -119,8 +118,8 @@ func NewNode(cfg Config) (*Node, error) {
 	lcfg.ExtraHandlers = map[string]http.Handler{
 		"/cluster/artifact": http.HandlerFunc(n.handleArtifact),
 		"/cluster/profile":  http.HandlerFunc(n.handleProfile),
-		"/cluster/health":   http.HandlerFunc(n.handleHealth),
-		"/cluster/peers":    http.HandlerFunc(n.handlePeers),
+		"/cluster/health":   http.HandlerFunc(view.handleHealth),
+		"/cluster/peers":    http.HandlerFunc(view.handlePeers),
 	}
 	n.srv = lifelong.NewServer(lcfg)
 	return n, nil
@@ -129,9 +128,9 @@ func NewNode(cfg Config) (*Node, error) {
 // registerMetrics pre-creates every per-peer series from the configured
 // peer list. llvm_cluster_fetch_total counts fetch-through attempts by
 // owning peer and outcome; llvm_cluster_profile_forward_total the profile
-// flows; llvm_cluster_peer_up the health view; and
-// llvm_cluster_owner_down_total the fail-open local compiles taken
-// because the owner was unreachable.
+// flows; and llvm_cluster_owner_down_total the fail-open local compiles
+// taken because the owner was unreachable. The clusterView registers
+// llvm_cluster_peer_up.
 func (n *Node) registerMetrics() {
 	n.fetchHit = map[string]*obs.Counter{}
 	n.fetchMiss = map[string]*obs.Counter{}
@@ -139,18 +138,11 @@ func (n *Node) registerMetrics() {
 	n.forwardOK = map[string]*obs.Counter{}
 	n.forwardErr = map[string]*obs.Counter{}
 	for _, p := range n.ring.Peers() {
-		p := p
 		n.fetchHit[p] = n.metrics.Counter("llvm_cluster_fetch_total", "peer", p, "result", "hit")
 		n.fetchMiss[p] = n.metrics.Counter("llvm_cluster_fetch_total", "peer", p, "result", "miss")
 		n.fetchErr[p] = n.metrics.Counter("llvm_cluster_fetch_total", "peer", p, "result", "error")
 		n.forwardOK[p] = n.metrics.Counter("llvm_cluster_profile_forward_total", "peer", p, "result", "ok")
 		n.forwardErr[p] = n.metrics.Counter("llvm_cluster_profile_forward_total", "peer", p, "result", "error")
-		n.metrics.GaugeFunc("llvm_cluster_peer_up", func() float64 {
-			if n.health.Up(p) {
-				return 1
-			}
-			return 0
-		}, "peer", p)
 	}
 	n.cOwnerDown = n.metrics.Counter("llvm_cluster_owner_down_total")
 	n.metrics.GaugeFunc("llvm_cluster_peers", func() float64 { return float64(len(n.ring.Peers())) })
@@ -315,17 +307,17 @@ func (n *Node) forwardProfile(ctx context.Context, modHash string, c *profile.Co
 // request into cascaded pipeline runs.
 func (n *Node) handleArtifact(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
-		clusterError(w, http.StatusMethodNotAllowed, "GET with ?module=HASH&spec=SPEC")
+		obs.WriteError(w, http.StatusMethodNotAllowed, "GET with ?module=HASH&spec=SPEC")
 		return
 	}
 	modHash := r.URL.Query().Get("module")
 	if !moduleHashRe.MatchString(modHash) {
-		clusterError(w, http.StatusBadRequest, "module must be a 64-char lowercase hex SHA-256")
+		obs.WriteError(w, http.StatusBadRequest, "module must be a 64-char lowercase hex SHA-256")
 		return
 	}
 	spec := r.URL.Query().Get("spec")
 	if spec == "" {
-		clusterError(w, http.StatusBadRequest, "missing spec parameter")
+		obs.WriteError(w, http.StatusBadRequest, "missing spec parameter")
 		return
 	}
 	var epoch int64
@@ -343,7 +335,7 @@ func (n *Node) handleArtifact(w http.ResponseWriter, r *http.Request) {
 		data, ok = n.store.GetArtifact(modHash, spec, 0)
 	}
 	if !ok {
-		clusterError(w, http.StatusNotFound, "no artifact for %s under %q", modHash[:12], spec)
+		obs.WriteError(w, http.StatusNotFound, "no artifact for %s under %q", modHash[:12], spec)
 		return
 	}
 	w, finish := lifelong.Compress(w, r)
@@ -367,102 +359,48 @@ type profileResponse struct {
 // — the same path local /run merges take, so cluster-wide and single-node
 // accumulation are literally the same algebra.
 func (n *Node) handleProfile(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		clusterError(w, http.StatusMethodNotAllowed, "POST profile counts as JSON")
+	body, ok := lifelong.ReadPost(w, r, n.maxBody, nil)
+	if !ok {
 		return
 	}
 	modHash := r.URL.Query().Get("module")
 	if !moduleHashRe.MatchString(modHash) {
-		clusterError(w, http.StatusBadRequest, "module must be a 64-char lowercase hex SHA-256")
-		return
-	}
-	body, err := lifelong.ReadBody(r, n.maxBody)
-	if err != nil {
-		clusterError(w, http.StatusBadRequest, "%v", err)
+		obs.WriteError(w, http.StatusBadRequest, "module must be a 64-char lowercase hex SHA-256")
 		return
 	}
 	var c profile.Counts
 	if err := json.Unmarshal(body, &c); err != nil {
-		clusterError(w, http.StatusUnprocessableEntity, "parsing counts: %v", err)
+		obs.WriteError(w, http.StatusUnprocessableEntity, "parsing counts: %v", err)
 		return
 	}
 	var total int64
 	for fn, per := range c.Funcs {
 		for _, v := range per {
 			if v < 0 {
-				clusterError(w, http.StatusUnprocessableEntity, "negative count in %%%s", fn)
+				obs.WriteError(w, http.StatusUnprocessableEntity, "negative count in %%%s", fn)
 				return
 			}
 			total += v
 		}
 	}
 	if total != c.Total || total == 0 {
-		clusterError(w, http.StatusUnprocessableEntity, "total %d does not match summed counts %d (or is zero)", c.Total, total)
+		obs.WriteError(w, http.StatusUnprocessableEntity, "total %d does not match summed counts %d (or is zero)", c.Total, total)
 		return
 	}
 	f, bumped, err := n.store.MergeProfile(modHash, &c)
 	if err != nil {
-		clusterError(w, http.StatusInternalServerError, "merging profile: %v", err)
+		obs.WriteError(w, http.StatusInternalServerError, "merging profile: %v", err)
 		return
 	}
-	clusterJSON(w, http.StatusOK, profileResponse{
+	obs.WriteJSON(w, http.StatusOK, profileResponse{
 		ModuleHash:    modHash,
 		ProfileEpoch:  f.Epoch,
 		EpochAdvanced: bumped,
 	})
 }
 
-// healthResponse is /cluster/health's JSON shape.
-type healthResponse struct {
-	Self          string  `json:"self"`
-	Role          string  `json:"role"`
-	Peers         int     `json:"peers"`
-	UptimeSeconds float64 `json:"uptime_seconds"`
-}
-
-func (n *Node) handleHealth(w http.ResponseWriter, r *http.Request) {
-	clusterJSON(w, http.StatusOK, healthResponse{
-		Self:          n.cfg.Self,
-		Role:          "node",
-		Peers:         len(n.ring.Peers()),
-		UptimeSeconds: time.Since(n.start).Seconds(),
-	})
-}
-
-// peersResponse is /cluster/peers's JSON shape: membership, ring shape,
-// and this node's liveness view of each peer.
-type peersResponse struct {
-	Self   string          `json:"self"`
-	Role   string          `json:"role"`
-	VNodes int             `json:"vnodes"`
-	Peers  []string        `json:"peers"`
-	Up     map[string]bool `json:"up"`
-}
-
-func (n *Node) handlePeers(w http.ResponseWriter, r *http.Request) {
-	clusterJSON(w, http.StatusOK, peersResponse{
-		Self:   n.cfg.Self,
-		Role:   "node",
-		VNodes: n.ring.VNodes(),
-		Peers:  n.ring.Peers(),
-		Up:     n.health.Snapshot(),
-	})
-}
-
 // ---------------------------------------------------------------------------
 // Shared HTTP helpers
-
-func clusterError(w http.ResponseWriter, code int, format string, args ...interface{}) {
-	clusterJSON(w, code, map[string]string{"error": fmt.Sprintf(format, args...)})
-}
-
-func clusterJSON(w http.ResponseWriter, code int, v interface{}) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "\t")
-	enc.Encode(v)
-}
 
 // readLimited reads at most max bytes from a peer response, erroring on
 // anything larger (a peer, however trusted, must not be able to balloon

@@ -7,6 +7,8 @@ import (
 	"io"
 	"net/http"
 	"strings"
+
+	"repro/internal/obs"
 )
 
 // ErrBodyTooLarge reports a request body above the caller's size cap. The
@@ -41,6 +43,35 @@ func ReadBody(r *http.Request, max int64) ([]byte, error) {
 		return nil, ErrBodyTooLarge
 	}
 	return data, nil
+}
+
+// ReadPost is the body prologue of every endpoint that takes a request
+// body, on the daemon, the cluster node and the front: POST or 405, then
+// count (when non-nil), so requests refused for their body still count,
+// then ReadBody, with 413 for a body over max and 400 for any other read
+// failure. The failure also goes on the request's flight-recorder record.
+// ok=false means the reply has been written.
+func ReadPost(w http.ResponseWriter, r *http.Request, max int64, count *obs.Counter) (body []byte, ok bool) {
+	if r.Method != http.MethodPost {
+		methodNotAllowed(w)
+		return nil, false
+	}
+	count.Inc()
+	body, err := ReadBody(r, max)
+	if err != nil {
+		obs.RecordFromContext(r.Context()).SetError(err.Error())
+		if errors.Is(err, ErrBodyTooLarge) {
+			obs.WriteError(w, http.StatusRequestEntityTooLarge, "request body exceeds the %d-byte limit", max)
+		} else {
+			obs.WriteError(w, http.StatusBadRequest, "%v", err)
+		}
+		return nil, false
+	}
+	return body, true
+}
+
+func methodNotAllowed(w http.ResponseWriter) {
+	obs.WriteError(w, http.StatusMethodNotAllowed, "POST the request body to this endpoint")
 }
 
 // acceptsGzip reports whether the client's Accept-Encoding admits gzip.

@@ -4,13 +4,11 @@ import (
 	"bytes"
 	"context"
 	"encoding/base64"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"net/http"
 	"runtime"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -67,10 +65,6 @@ type Config struct {
 	// request's trace id (also returned in the X-Trace-Id header), method,
 	// path, status, and latency.
 	AccessLog io.Writer
-	// Recorder is the flight recorder /debug/requests serves (nil = the
-	// server creates its own at obs.DefaultRecorderCap — the recorder is
-	// always on; its cost is one small struct copy per request).
-	Recorder *obs.Recorder
 	// EnablePprof mounts net/http/pprof under /debug/pprof/ (llvm-serve
 	// -pprof). Off by default: the profiling surface can stall the process
 	// and belongs behind an operator's explicit flag.
@@ -143,10 +137,7 @@ type Server struct {
 	lastActivity atomic.Int64 // UnixNano of the last request start/finish
 	start        time.Time
 
-	// recorder is the always-on flight recorder; httpObs is the shared
-	// observability middleware wrapping Handler()'s mux.
-	recorder *obs.Recorder
-	httpObs  *obs.HTTPObs
+	edge *obs.HTTPObs // middleware, /metrics, /debug, flight recorder
 
 	// Request and reopt counters live in the metrics registry; /stats reads
 	// them back from there (see handleStats) so the JSON and Prometheus
@@ -251,20 +242,7 @@ func NewServer(cfg Config) *Server {
 	if s.cfg.Tracer != nil {
 		s.store.Tracer = s.cfg.Tracer
 	}
-	s.recorder = s.cfg.Recorder
-	if s.recorder == nil {
-		s.recorder = obs.NewRecorder(0)
-	}
-	s.httpObs = &obs.HTTPObs{
-		Tracer:    s.cfg.Tracer,
-		Recorder:  s.recorder,
-		AccessLog: s.cfg.AccessLog,
-		Endpoint:  endpointLabel,
-		Latency: func(endpoint string) *obs.Histogram {
-			return s.metrics.Histogram("llvm_serve_request_seconds",
-				obs.ServeLatencyBuckets, "endpoint", endpoint)
-		},
-	}
+	s.edge = obs.NewHTTPObs(s.metrics, "llvm_serve_request_seconds", s.cfg.Tracer, s.cfg.AccessLog, s.cfg.EnablePprof)
 	s.sem = make(chan struct{}, s.cfg.Workers)
 	s.lastActivity.Store(time.Now().UnixNano())
 	if s.cfg.DisableReopt {
@@ -278,6 +256,10 @@ func NewServer(cfg Config) *Server {
 // Metrics returns the server's registry (for tests and embedding callers).
 func (s *Server) Metrics() *obs.Registry { return s.metrics }
 
+// Recorder returns the daemon's flight recorder (for the cluster layer's
+// hop annotations and for tests).
+func (s *Server) Recorder() *obs.Recorder { return s.edge.Recorder() }
+
 // Close stops the idle reoptimizer and waits for it to exit.
 func (s *Server) Close() {
 	select {
@@ -288,55 +270,31 @@ func (s *Server) Close() {
 	<-s.done
 }
 
-// Handler returns the daemon's HTTP mux. Every request is wrapped in the
-// shared observability middleware (obs.HTTPObs): a trace id — adopted
-// from a valid X-Trace-Id header or minted here, echoed back in the
-// response header and the access log — a request span parented under the
-// sender's X-Span-Id, a flight-recorder entry, and a per-endpoint latency
-// histogram.
+// Handler returns the daemon's HTTP surface behind the shared edge
+// (obs.HTTPObs): a trace id — adopted from a valid X-Trace-Id header or
+// minted here, echoed back in the response header and the access log — a
+// request span parented under the sender's X-Span-Id, a flight-recorder
+// entry, a per-endpoint latency histogram, and the /metrics and /debug
+// surface beside /compile, /run, /check and /stats.
 func (s *Server) Handler() http.Handler {
-	mux := http.NewServeMux()
-	mux.HandleFunc("/compile", s.withWorker(s.handleCompile))
-	mux.HandleFunc("/run", s.withWorker(s.handleRun))
-	mux.HandleFunc("/check", s.withWorker(s.handleCheck))
-	mux.HandleFunc("/stats", s.handleStats)
-	mux.HandleFunc("/metrics", s.handleMetrics)
-	s.addDebugHandlers(mux)
-	for path, h := range s.cfg.ExtraHandlers {
-		mux.Handle(path, h)
+	routes := map[string]http.Handler{
+		"/compile": s.withWorker(s.handleCompile),
+		"/run":     s.withWorker(s.handleRun),
+		"/check":   s.withWorker(s.handleCheck),
+		"/stats":   http.HandlerFunc(s.handleStats),
 	}
-	return s.httpObs.Middleware(mux)
+	for path, h := range s.cfg.ExtraHandlers {
+		routes[path] = h
+	}
+	return s.edge.Handler(routes)
 }
 
 // accessRecord is one structured access-log line — the flight recorder's
 // request record rendered as JSON; one schema for both surfaces.
 type accessRecord = obs.RequestRecord
 
-// endpointLabel maps a request path to the llvm_serve_request_seconds
-// endpoint label. Unknown paths collapse to "other": the label set is the
-// registry's series key, so labeling raw paths would let any client mint
-// a new histogram series per 404 and grow /metrics without bound. The
-// /debug tree collapses to one label for the same reason (trace IDs in
-// /debug/trace/<id> paths are client-chosen).
-func endpointLabel(path string) string {
-	switch path {
-	case "/compile", "/run", "/check", "/stats", "/metrics",
-		"/cluster/artifact", "/cluster/profile", "/cluster/health", "/cluster/peers":
-		return path
-	}
-	if strings.HasPrefix(path, "/debug/") {
-		return "/debug"
-	}
-	return "other"
-}
-
-// handleMetrics serves the registry in the Prometheus text exposition
-// format: pass, analysis-cache, interpreter, store, reopt, and request
-// series in one scrape.
-func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	s.metrics.WritePrometheus(w)
-}
+// debugRequestsResponse is /debug/requests' JSON shape.
+type debugRequestsResponse = obs.DebugRequests
 
 // withWorker funnels a handler through the bounded pool: the request
 // waits for a slot for up to its whole RequestTimeout and is rejected with
@@ -345,8 +303,9 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 // them early.
 func (s *Server) withWorker(h func(http.ResponseWriter, *http.Request)) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
+		// A wrong method is refused before it queues for a slot.
 		if r.Method != http.MethodPost {
-			httpError(w, http.StatusMethodNotAllowed, "POST a module (bytecode or assembly) to this endpoint")
+			methodNotAllowed(w)
 			return
 		}
 		ctx, cancel := context.WithTimeout(r.Context(), s.cfg.RequestTimeout)
@@ -358,7 +317,7 @@ func (s *Server) withWorker(h func(http.ResponseWriter, *http.Request)) http.Han
 			// The middleware already stamped X-Trace-Id on the response and
 			// will log this 503 with its status; the record keeps the why.
 			obs.RecordFromContext(r.Context()).SetError("saturated: no worker slot within the request budget")
-			httpError(w, http.StatusServiceUnavailable, "server saturated: no worker slot within the request budget")
+			obs.WriteError(w, http.StatusServiceUnavailable, "server saturated: no worker slot within the request budget")
 			return
 		}
 		defer func() { <-s.sem }()
@@ -372,22 +331,6 @@ func (s *Server) withWorker(h func(http.ResponseWriter, *http.Request)) http.Han
 	}
 }
 
-// readBody reads the request body, transparently decoding gzipped bodies
-// (Content-Encoding: gzip); the size cap applies to the decoded bytes.
-func (s *Server) readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
-	body, err := ReadBody(r, s.cfg.MaxBody)
-	if err != nil {
-		obs.RecordFromContext(r.Context()).SetError(err.Error())
-		if errors.Is(err, ErrBodyTooLarge) {
-			httpError(w, http.StatusRequestEntityTooLarge, "module exceeds the %d-byte limit", s.cfg.MaxBody)
-		} else {
-			httpError(w, http.StatusBadRequest, "%v", err)
-		}
-		return nil, false
-	}
-	return body, true
-}
-
 // intern parses body (bytecode or assembly), verifies the module and
 // stores it at its content address, replying 422 when body is not a valid
 // module. Verifying before PutModule is what keeps every module blob in
@@ -395,15 +338,15 @@ func (s *Server) readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool)
 func (s *Server) intern(w http.ResponseWriter, body []byte) (m *core.Module, hash string, canonical []byte, ok bool) {
 	m, err := tooling.LoadModuleBytes("request", body)
 	if err != nil {
-		httpError(w, http.StatusUnprocessableEntity, "parsing module: %v", err)
+		obs.WriteError(w, http.StatusUnprocessableEntity, "parsing module: %v", err)
 		return nil, "", nil, false
 	}
 	if err := core.Verify(m); err != nil {
-		httpError(w, http.StatusUnprocessableEntity, "module invalid: %v", err)
+		obs.WriteError(w, http.StatusUnprocessableEntity, "module invalid: %v", err)
 		return nil, "", nil, false
 	}
 	if hash, canonical, err = s.store.PutModule(m); err != nil {
-		httpError(w, http.StatusInternalServerError, "storing module: %v", err)
+		obs.WriteError(w, http.StatusInternalServerError, "storing module: %v", err)
 		return nil, "", nil, false
 	}
 	return m, hash, canonical, true
@@ -418,7 +361,6 @@ type compileResponse struct {
 }
 
 func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
-	s.cCompile.Inc()
 	rec := obs.RecordFromContext(r.Context())
 	sc := obs.SpanFromContext(r.Context())
 	// /compile responses (raw bytecode or base64 JSON) compress well;
@@ -426,7 +368,7 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 	w, finish := Compress(w, r)
 	defer finish()
 	tRead := time.Now()
-	body, ok := s.readBody(w, r)
+	body, ok := ReadPost(w, r, s.cfg.MaxBody, s.cCompile)
 	if !ok {
 		return
 	}
@@ -477,7 +419,7 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 	}
 	if err != nil {
 		rec.SetError(err.Error())
-		httpError(w, http.StatusInternalServerError, "compile: %v", err)
+		obs.WriteError(w, http.StatusInternalServerError, "compile: %v", err)
 		return
 	}
 	rec.SetCache(res.CacheWord())
@@ -491,7 +433,7 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 		w.Write(res.Data)
 		return
 	}
-	writeJSON(w, http.StatusOK, compileResponse{
+	obs.WriteJSON(w, http.StatusOK, compileResponse{
 		CompileResult: *res,
 		BytecodeB64:   base64.StdEncoding.EncodeToString(res.Data),
 		Size:          len(res.Data),
@@ -514,8 +456,7 @@ type runResponse struct {
 }
 
 func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
-	s.cRun.Inc()
-	body, ok := s.readBody(w, r)
+	body, ok := ReadPost(w, r, s.cfg.MaxBody, s.cRun)
 	if !ok {
 		return
 	}
@@ -541,7 +482,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	var out bytes.Buffer
 	mc, err := interp.NewMachine(mod, &out)
 	if err != nil {
-		httpError(w, http.StatusUnprocessableEntity, "preparing machine: %v", err)
+		obs.WriteError(w, http.StatusUnprocessableEntity, "preparing machine: %v", err)
 		return
 	}
 	mc.MaxSteps = s.cfg.MaxSteps
@@ -549,7 +490,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	mc.Metrics = s.metrics
 	mc.SetTier(interp.TierAuto)
 	if err := mc.AttachProgram(prog); err != nil {
-		httpError(w, http.StatusInternalServerError, "attaching program: %v", err)
+		obs.WriteError(w, http.StatusInternalServerError, "attaching program: %v", err)
 		return
 	}
 	if profiled {
@@ -608,7 +549,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 			}
 		}
 	}
-	writeJSON(w, http.StatusOK, resp)
+	obs.WriteJSON(w, http.StatusOK, resp)
 }
 
 // checkResponse is /check's JSON shape.
@@ -622,8 +563,7 @@ type checkResponse struct {
 }
 
 func (s *Server) handleCheck(w http.ResponseWriter, r *http.Request) {
-	s.cCheck.Inc()
-	body, ok := s.readBody(w, r)
+	body, ok := ReadPost(w, r, s.cfg.MaxBody, s.cCheck)
 	if !ok {
 		return
 	}
@@ -646,10 +586,10 @@ func (s *Server) handleCheck(w http.ResponseWriter, r *http.Request) {
 	ck.AM = am
 	rep, err := ck.Check(m)
 	if err != nil {
-		httpError(w, http.StatusInternalServerError, "check: %v", err)
+		obs.WriteError(w, http.StatusInternalServerError, "check: %v", err)
 		return
 	}
-	writeJSON(w, http.StatusOK, checkResponse{
+	obs.WriteJSON(w, http.StatusOK, checkResponse{
 		ModuleHash:      hash,
 		Diagnostics:     rep.Diags,
 		Errors:          diag.CountErrors(rep.Diags),
@@ -761,7 +701,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	resp.Alias.QueriesMust = qs.Must
 	resp.Latency = map[string]LatencySummary{}
 	for _, ep := range []string{"/compile", "/run", "/check", "/stats", "/metrics", "other"} {
-		h := s.httpObs.Latency(ep)
+		h := s.edge.Latency(ep)
 		if h.Count() == 0 {
 			continue
 		}
@@ -776,7 +716,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	resp.Reopt.LastModule = s.reoptLast
 	resp.Reopt.LastEpoch = s.reoptEpoch
 	s.reoptMu.Unlock()
-	writeJSON(w, http.StatusOK, resp)
+	obs.WriteJSON(w, http.StatusOK, resp)
 }
 
 // idleLoop is the idle-time reoptimizer (§3.6): whenever the request
@@ -866,18 +806,6 @@ func (s *Server) ReoptimizeAll() (built int, err error) {
 			built++
 		}
 	}
-}
-
-func httpError(w http.ResponseWriter, code int, format string, args ...interface{}) {
-	writeJSON(w, code, map[string]string{"error": fmt.Sprintf(format, args...)})
-}
-
-func writeJSON(w http.ResponseWriter, code int, v interface{}) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "\t")
-	enc.Encode(v)
 }
 
 func cacheWord(hit bool) string {

@@ -227,18 +227,13 @@ func TestMergeTracesAlignsAndRenumbers(t *testing.T) {
 // final status.
 func TestHTTPObsMiddleware(t *testing.T) {
 	var log bytes.Buffer
-	rec := NewRecorder(8)
-	o := &HTTPObs{
-		Tracer:    NewTracer(),
-		Recorder:  rec,
-		AccessLog: &log,
-	}
+	o := NewHTTPObs(nil, "", NewTracer(), &log, false)
 	var seen SpanContext
-	h := o.Middleware(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+	h := o.Handler(map[string]http.Handler{"/compile": http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		seen = SpanFromContext(r.Context())
 		RecordFromContext(r.Context()).SetCache("hit")
 		w.WriteHeader(http.StatusTeapot)
-	}))
+	})})
 
 	// Adopted: valid incoming ID with a parent span.
 	req := httptest.NewRequest("POST", "/compile", nil)
@@ -275,7 +270,7 @@ func TestHTTPObsMiddleware(t *testing.T) {
 		entry.Path != "/compile" || entry.Cache != "hit" {
 		t.Errorf("access log entry = %+v", entry)
 	}
-	if got := rec.ByTrace("t-incoming"); len(got) != 1 || got[0].Status != http.StatusTeapot {
+	if got := o.Recorder().ByTrace("t-incoming"); len(got) != 1 || got[0].Status != http.StatusTeapot {
 		t.Errorf("flight recorder ByTrace = %+v", got)
 	}
 }
@@ -284,10 +279,10 @@ func TestHTTPObsMiddleware(t *testing.T) {
 // nothing because the request context died is logged as 499, not 200.
 func TestHTTPObsClientGone(t *testing.T) {
 	var log bytes.Buffer
-	o := &HTTPObs{AccessLog: &log}
-	h := o.Middleware(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+	o := NewHTTPObs(nil, "", nil, &log, false)
+	h := o.Handler(map[string]http.Handler{"/run": http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		// Bail without writing, as a handler does when its budget expires.
-	}))
+	})})
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	req := httptest.NewRequest("POST", "/run", nil).WithContext(ctx)
