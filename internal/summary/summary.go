@@ -53,9 +53,6 @@ type FunctionSummary struct {
 // Compute builds summaries for every function in a module (the compile-time
 // half of the technique; runs per translation unit).
 func Compute(m *core.Module) []FunctionSummary {
-	cg := analysis.NewCallGraph(m)
-	mr := analysis.ModRef(m, cg)
-
 	var out []FunctionSummary
 	for _, f := range m.Funcs {
 		s := FunctionSummary{
@@ -112,7 +109,6 @@ func Compute(m *core.Module) []FunctionSummary {
 		sort.Strings(s.UncaughtCallees)
 		out = append(out, s)
 	}
-	_ = mr // full results are available to callers who want them eagerly
 	return out
 }
 
