@@ -136,7 +136,6 @@ type clusterView struct {
 // newClusterView registers the peer-up gauges on metrics.
 func newClusterView(self, role string, ring *Ring, health *Health, metrics *obs.Registry) *clusterView {
 	for _, p := range ring.Peers() {
-		p := p
 		metrics.GaugeFunc("llvm_cluster_peer_up", func() float64 {
 			if health.Up(p) {
 				return 1
