@@ -120,3 +120,102 @@ func TestIsSized(t *testing.T) {
 		}
 	}
 }
+
+// TestVerifierDiagnosticsPinned pins the exact diagnostics, and their
+// order, for functions that break the structural, phi and dominance rules
+// at once. Uses in unreachable code are not dominance-checked.
+func TestVerifierDiagnosticsPinned(t *testing.T) {
+	m := NewModule("broken")
+	add := func(b *BasicBlock, name string, x, y Value) *BinaryInst {
+		i := NewBinary(OpAdd, x, y)
+		i.SetName(name)
+		b.Append(i)
+		return i
+	}
+	one := NewInt(IntType, 1)
+
+	// %dom: dominance and phi-edge problems.
+	f := NewFunction("dom", NewFunctionType(IntType, BoolType, IntType))
+	m.AddFunc(f)
+	c, a := f.Args[0], f.Args[1]
+	c.SetName("c")
+	a.SetName("a")
+	entry, then, els, join, dead := NewBlock("entry"), NewBlock("then"), NewBlock("else"), NewBlock("join"), NewBlock("dead")
+	for _, b := range []*BasicBlock{entry, then, els, join, dead} {
+		f.AddBlock(b)
+	}
+	u := add(entry, "u", one, one)
+	late := add(entry, "late", a, one)
+	u.SetOperand(0, late)
+	entry.Append(NewCondBr(c, then, els))
+	tv := add(then, "t", a, one)
+	then.Append(NewBr(join))
+	ev := add(els, "e", tv, one)
+	els.Append(NewBr(join))
+	p := NewPhi(IntType)
+	p.SetName("p")
+	p.AddIncoming(tv, then)
+	p.AddIncoming(a, entry)
+	join.Append(p)
+	q := NewPhi(IntType)
+	q.SetName("q")
+	q.AddIncoming(tv, then)
+	q.AddIncoming(ev, els)
+	join.Append(q)
+	r := NewPhi(IntType)
+	r.SetName("r")
+	r.AddIncoming(ev, then)
+	r.AddIncoming(ev, els)
+	r.AddIncoming(tv, then)
+	join.Append(r)
+	join.Append(NewRet(p))
+	d := add(dead, "d", one, one)
+	dd := add(dead, "dd", a, one)
+	d.SetOperand(0, dd)
+	dead.Append(NewRet(d))
+
+	// %shape: block structure problems.
+	g := NewFunction("shape", NewFunctionType(IntType, BoolType))
+	m.AddFunc(g)
+	gc := g.Args[0]
+	gc.SetName("c")
+	g0, g1, g2, g3 := NewBlock("entry"), NewBlock("mid"), NewBlock("empty"), NewBlock("open")
+	for _, b := range []*BasicBlock{g0, g1, g2, g3} {
+		g.AddBlock(b)
+	}
+	g0.Append(NewCondBr(gc, g1, g3))
+	g1.Append(NewBr(g0))
+	x := add(g1, "x", one, one)
+	late2 := NewPhi(IntType)
+	late2.SetName("late")
+	late2.AddIncoming(x, g1)
+	g1.Append(late2)
+	g1.Append(NewRet(NewBool(true)))
+	g3.Append(NewBr(dead))
+	add(g3, "y", one, one)
+
+	err := Verify(m)
+	if err == nil {
+		t.Fatal("verifier accepted broken module")
+	}
+	want := []string{
+		"in %dom: phi %p in block %join missing entry for predecessor %else",
+		"in %dom: phi %p in block %join has entry for non-predecessor %entry",
+		"in %dom: phi %r in block %join has duplicate entries for %then",
+		"in %dom: use of %late in block %entry before its definition",
+		"in %dom: definition of %t (block %then) does not dominate use in block %else",
+		"in %dom: phi %r incoming %e does not dominate predecessor %then",
+		"in %shape: entry block %entry has predecessors",
+		"in %shape: terminator br in the middle of block %mid",
+		"in %shape: phi after non-phi instruction in block %mid",
+		"in %shape: ret bool in function returning int",
+		"in %shape: block %empty is empty",
+		"in %shape: terminator br in the middle of block %open",
+		"in %shape: br references block %dead from another function",
+		"in %shape: block %open does not end with a terminator",
+	}
+	got := err.(*VerifyError).Problems
+	if strings.Join(got, "\n") != strings.Join(want, "\n") {
+		t.Errorf("diagnostics:\n  %s\nwant:\n  %s", strings.Join(got, "\n  "), strings.Join(want, "\n  "))
+	}
+}
