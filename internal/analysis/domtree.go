@@ -9,95 +9,18 @@ import (
 	"repro/internal/core"
 )
 
-// DomTree is the dominator tree of a function. Unreachable blocks have no
-// entry (Idom returns nil and Dominates returns false for them).
+// DomTree is the dominator tree of a function: a view of the one
+// dominator kernel, core.Dominators. Unreachable blocks have no entry
+// (Idom returns nil and Dominates returns false for them).
 type DomTree struct {
-	fn       *core.Function
-	idom     map[*core.BasicBlock]*core.BasicBlock
-	children map[*core.BasicBlock][]*core.BasicBlock
-	// Pre/post numbering of the dominator tree for O(1) Dominates queries.
-	pre, post map[*core.BasicBlock]int
-	rpo       []*core.BasicBlock
+	fn  *core.Function
+	dom *core.Dominators
 }
 
 // NewDomTree computes the dominator tree with the iterative
 // Cooper-Harvey-Kennedy algorithm over reverse postorder.
 func NewDomTree(f *core.Function) *DomTree {
-	dt := &DomTree{
-		fn:       f,
-		idom:     map[*core.BasicBlock]*core.BasicBlock{},
-		children: map[*core.BasicBlock][]*core.BasicBlock{},
-		pre:      map[*core.BasicBlock]int{},
-		post:     map[*core.BasicBlock]int{},
-	}
-	if len(f.Blocks) == 0 {
-		return dt
-	}
-	entry := f.Entry()
-	dt.rpo = ReversePostorder(f)
-	num := map[*core.BasicBlock]int{}
-	for i, b := range dt.rpo {
-		num[b] = i
-	}
-
-	dt.idom[entry] = entry
-	intersect := func(a, b *core.BasicBlock) *core.BasicBlock {
-		for a != b {
-			for num[a] > num[b] {
-				a = dt.idom[a]
-			}
-			for num[b] > num[a] {
-				b = dt.idom[b]
-			}
-		}
-		return a
-	}
-	for changed := true; changed; {
-		changed = false
-		for _, b := range dt.rpo {
-			if b == entry {
-				continue
-			}
-			var newIdom *core.BasicBlock
-			for _, p := range b.Preds() {
-				if dt.idom[p] == nil {
-					continue
-				}
-				if newIdom == nil {
-					newIdom = p
-				} else {
-					newIdom = intersect(p, newIdom)
-				}
-			}
-			if newIdom != nil && dt.idom[b] != newIdom {
-				dt.idom[b] = newIdom
-				changed = true
-			}
-		}
-	}
-
-	// Children lists and Euler numbering for Dominates queries.
-	for _, b := range dt.rpo {
-		if b == entry {
-			continue
-		}
-		if id := dt.idom[b]; id != nil {
-			dt.children[id] = append(dt.children[id], b)
-		}
-	}
-	counter := 0
-	var dfs func(b *core.BasicBlock)
-	dfs = func(b *core.BasicBlock) {
-		counter++
-		dt.pre[b] = counter
-		for _, c := range dt.children[b] {
-			dfs(c)
-		}
-		counter++
-		dt.post[b] = counter
-	}
-	dfs(entry)
-	return dt
+	return &DomTree{fn: f, dom: core.NewDominators(f)}
 }
 
 // Function returns the function the tree was built for.
@@ -105,29 +28,13 @@ func (dt *DomTree) Function() *core.Function { return dt.fn }
 
 // Idom returns the immediate dominator of b (nil for the entry block and
 // for unreachable blocks).
-func (dt *DomTree) Idom(b *core.BasicBlock) *core.BasicBlock {
-	id := dt.idom[b]
-	if id == b {
-		return nil
-	}
-	return id
-}
+func (dt *DomTree) Idom(b *core.BasicBlock) *core.BasicBlock { return dt.dom.Idom(b) }
 
 // Reachable reports whether b is reachable from the entry block.
-func (dt *DomTree) Reachable(b *core.BasicBlock) bool {
-	_, ok := dt.idom[b]
-	return ok
-}
+func (dt *DomTree) Reachable(b *core.BasicBlock) bool { return dt.dom.Reachable(b) }
 
 // Dominates reports whether a dominates b (every block dominates itself).
-func (dt *DomTree) Dominates(a, b *core.BasicBlock) bool {
-	pa, oka := dt.pre[a]
-	pb, okb := dt.pre[b]
-	if !oka || !okb {
-		return false
-	}
-	return pa <= pb && dt.post[a] >= dt.post[b]
-}
+func (dt *DomTree) Dominates(a, b *core.BasicBlock) bool { return dt.dom.Dominates(a, b) }
 
 // StrictlyDominates reports whether a dominates b and a != b.
 func (dt *DomTree) StrictlyDominates(a, b *core.BasicBlock) bool {
@@ -135,10 +42,10 @@ func (dt *DomTree) StrictlyDominates(a, b *core.BasicBlock) bool {
 }
 
 // Children returns the dominator-tree children of b.
-func (dt *DomTree) Children(b *core.BasicBlock) []*core.BasicBlock { return dt.children[b] }
+func (dt *DomTree) Children(b *core.BasicBlock) []*core.BasicBlock { return dt.dom.Children(b) }
 
 // RPO returns the reachable blocks in reverse postorder.
-func (dt *DomTree) RPO() []*core.BasicBlock { return dt.rpo }
+func (dt *DomTree) RPO() []*core.BasicBlock { return dt.dom.RPO() }
 
 // DominatesValueUse reports whether the definition of v dominates the use
 // (user, opIdx), handling phi uses (which must dominate the incoming edge's
@@ -169,66 +76,40 @@ func (dt *DomTree) DominatesValueUse(v core.Value, user core.Instruction, opIdx 
 // φ placement in SSA construction (Cytron et al.).
 type DomFrontier map[*core.BasicBlock][]*core.BasicBlock
 
-// NewDomFrontier computes dominance frontiers from the dominator tree.
+// NewDomFrontier computes dominance frontiers from the dominator tree: for
+// each join b (in reverse postorder) and each reachable predecessor p, b
+// joins the frontier of every block from p up to, not including, idom(b).
 func NewDomFrontier(dt *DomTree) DomFrontier {
 	df := DomFrontier{}
-	for _, b := range dt.rpo {
-		preds := b.Preds()
-		if len(preds) < 2 {
-			continue
-		}
-		for _, p := range preds {
-			if !dt.Reachable(p) {
+	d := dt.dom
+	rpo := d.RPO()
+	// last[r] is 1 + the RPO number of the last block added to DF(r), so
+	// a join reached from several predecessors is added once.
+	last := make([]int32, len(rpo))
+	for bn, b := range rpo {
+		stop := d.IdomNum(bn)
+		for _, u := range b.Uses() {
+			t, ok := u.User.(core.Instruction)
+			if !ok || !t.IsTerminator() {
 				continue
 			}
-			runner := p
-			for runner != nil && runner != dt.idom[b] {
-				if !containsBlock(df[runner], b) {
-					df[runner] = append(df[runner], b)
+			for r := d.Num(t.Parent()); r >= 0 && r != stop; r = d.IdomNum(r) {
+				if last[r] != int32(bn+1) {
+					last[r] = int32(bn + 1)
+					df[rpo[r]] = append(df[rpo[r]], b)
 				}
-				if dt.idom[runner] == runner {
+				if r == 0 {
 					break // entry
 				}
-				runner = dt.idom[runner]
 			}
 		}
 	}
 	return df
 }
 
-func containsBlock(s []*core.BasicBlock, b *core.BasicBlock) bool {
-	for _, x := range s {
-		if x == b {
-			return true
-		}
-	}
-	return false
-}
-
 // ReversePostorder returns the blocks reachable from entry in reverse
 // postorder (a topological order ignoring back edges).
-func ReversePostorder(f *core.Function) []*core.BasicBlock {
-	if len(f.Blocks) == 0 {
-		return nil
-	}
-	var post []*core.BasicBlock
-	seen := map[*core.BasicBlock]bool{}
-	var dfs func(b *core.BasicBlock)
-	dfs = func(b *core.BasicBlock) {
-		seen[b] = true
-		for _, s := range b.Succs() {
-			if !seen[s] {
-				dfs(s)
-			}
-		}
-		post = append(post, b)
-	}
-	dfs(f.Entry())
-	for i, j := 0, len(post)-1; i < j; i, j = i+1, j-1 {
-		post[i], post[j] = post[j], post[i]
-	}
-	return post
-}
+func ReversePostorder(f *core.Function) []*core.BasicBlock { return core.ReversePostorder(f) }
 
 // ReachableBlocks returns the set of blocks reachable from entry.
 func ReachableBlocks(f *core.Function) map[*core.BasicBlock]bool {

@@ -1,6 +1,7 @@
 package analysis
 
 import (
+	"slices"
 	"sort"
 
 	"repro/internal/core"
@@ -30,19 +31,17 @@ func (l *Loop) Depth() int {
 }
 
 // Exits returns the blocks outside the loop that are branched to from
-// inside it, in a stable order.
+// inside it, ordered by block ID.
 func (l *Loop) Exits() []*core.BasicBlock {
 	var out []*core.BasicBlock
-	seen := map[*core.BasicBlock]bool{}
 	for b := range l.Blocks {
 		for _, s := range b.Succs() {
-			if !l.Blocks[s] && !seen[s] {
-				seen[s] = true
+			if !l.Blocks[s] && !slices.Contains(out, s) {
 				out = append(out, s)
 			}
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name() < out[j].Name() })
+	slices.SortFunc(out, func(a, b *core.BasicBlock) int { return a.ID() - b.ID() })
 	return out
 }
 
@@ -68,16 +67,23 @@ type LoopInfo struct {
 	TopLevel []*Loop
 	// ByHeader maps a header block to its (innermost) loop.
 	ByHeader map[*core.BasicBlock]*Loop
-	// loopOf maps each block to the innermost loop containing it.
-	loopOf map[*core.BasicBlock]*Loop
+	dom      *core.Dominators
+	// loopOf is the innermost loop containing each block, by RPO number
+	// (only reachable blocks are in loops).
+	loopOf []*Loop
 }
 
 // LoopFor returns the innermost loop containing b, or nil.
-func (li *LoopInfo) LoopFor(b *core.BasicBlock) *Loop { return li.loopOf[b] }
+func (li *LoopInfo) LoopFor(b *core.BasicBlock) *Loop {
+	if n := li.dom.Num(b); n >= 0 {
+		return li.loopOf[n]
+	}
+	return nil
+}
 
 // Depth returns the loop nesting depth of b (0 = not in a loop).
 func (li *LoopInfo) Depth(b *core.BasicBlock) int {
-	if l := li.loopOf[b]; l != nil {
+	if l := li.LoopFor(b); l != nil {
 		return l.Depth()
 	}
 	return 0
@@ -103,16 +109,19 @@ func (li *LoopInfo) All() []*Loop {
 // dominates their source), merging loops that share a header and nesting
 // loops by block containment.
 func NewLoopInfo(f *core.Function, dt *DomTree) *LoopInfo {
-	li := &LoopInfo{ByHeader: map[*core.BasicBlock]*Loop{}, loopOf: map[*core.BasicBlock]*Loop{}}
+	rpo := dt.RPO()
+	li := &LoopInfo{ByHeader: map[*core.BasicBlock]*Loop{}, dom: dt.dom, loopOf: make([]*Loop, len(rpo))}
 
 	// Find back edges and collect loop bodies.
-	for _, b := range dt.RPO() {
+	var headers []*core.BasicBlock
+	for _, b := range rpo {
 		for _, s := range b.Succs() {
 			if dt.Dominates(s, b) {
 				loop := li.ByHeader[s]
 				if loop == nil {
 					loop = &Loop{Header: s, Blocks: map[*core.BasicBlock]bool{s: true}}
 					li.ByHeader[s] = loop
+					headers = append(headers, s)
 				}
 				loop.Latches = append(loop.Latches, b)
 				// Walk predecessors backward from the latch to the header.
@@ -134,12 +143,7 @@ func NewLoopInfo(f *core.Function, dt *DomTree) *LoopInfo {
 
 	// Establish nesting: visit headers in RPO; a loop is a subloop of the
 	// innermost loop already known to contain its header (other than itself).
-	var headers []*core.BasicBlock
-	for _, b := range dt.RPO() {
-		if li.ByHeader[b] != nil {
-			headers = append(headers, b)
-		}
-	}
+	slices.SortFunc(headers, func(a, b *core.BasicBlock) int { return li.dom.Num(a) - li.dom.Num(b) })
 	// Sort outer loops first (bigger block sets first for same header order).
 	sort.SliceStable(headers, func(i, j int) bool {
 		return len(li.ByHeader[headers[i]].Blocks) > len(li.ByHeader[headers[j]].Blocks)
@@ -147,7 +151,7 @@ func NewLoopInfo(f *core.Function, dt *DomTree) *LoopInfo {
 	for _, h := range headers {
 		loop := li.ByHeader[h]
 		// Find enclosing loop: innermost loop of the header other than loop.
-		if enc := li.loopOf[h]; enc != nil && enc != loop {
+		if enc := li.LoopFor(h); enc != nil && enc != loop {
 			loop.Parent = enc
 			enc.Subs = append(enc.Subs, loop)
 		} else {
@@ -155,9 +159,9 @@ func NewLoopInfo(f *core.Function, dt *DomTree) *LoopInfo {
 		}
 		// Claim blocks for this (inner-more) loop.
 		for b := range loop.Blocks {
-			cur := li.loopOf[b]
-			if cur == nil || len(cur.Blocks) > len(loop.Blocks) {
-				li.loopOf[b] = loop
+			n := li.dom.Num(b)
+			if cur := li.loopOf[n]; cur == nil || len(cur.Blocks) > len(loop.Blocks) {
+				li.loopOf[n] = loop
 			}
 		}
 	}

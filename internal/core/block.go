@@ -1,13 +1,19 @@
 package core
 
+import "slices"
+
 // BasicBlock is a maximal straight-line sequence of instructions ending in
 // exactly one terminator. Blocks are Values of label type so terminators
 // can reference them as operands; a block's use list therefore identifies
 // its predecessors (plus any blockaddress-like constant uses, which this IR
 // does not have).
+//
+// A block attached to a function carries an ID, dense and unique within
+// that function (see Function.NumBlockIDs); analyses index slices by it.
 type BasicBlock struct {
 	valueBase
 	parent *Function
+	id     int32
 	Instrs []Instruction
 }
 
@@ -22,15 +28,26 @@ func NewBlock(name string) *BasicBlock {
 // Parent returns the containing function, or nil for a detached block.
 func (b *BasicBlock) Parent() *Function { return b.parent }
 
+// ID returns the block's number within its function: dense, unique, and
+// stable until the block joins another function. A block that has never
+// been attached to a function has ID 0.
+func (b *BasicBlock) ID() int { return int(b.id) }
+
 // Append adds inst at the end of the block.
 func (b *BasicBlock) Append(inst Instruction) {
 	inst.setParent(b)
+	if b.parent != nil {
+		b.parent.numberInst(inst)
+	}
 	b.Instrs = append(b.Instrs, inst)
 }
 
 // InsertAt inserts inst before position i.
 func (b *BasicBlock) InsertAt(i int, inst Instruction) {
 	inst.setParent(b)
+	if b.parent != nil {
+		b.parent.numberInst(inst)
+	}
 	b.Instrs = append(b.Instrs, nil)
 	copy(b.Instrs[i+1:], b.Instrs[i:])
 	b.Instrs[i] = inst
@@ -97,48 +114,91 @@ func (b *BasicBlock) Terminator() Instruction {
 	return nil
 }
 
+// NumSuccs returns the number of successors, counting a block reached by
+// two edges twice (len(b.Succs()) without building the list).
+func (b *BasicBlock) NumSuccs() int {
+	if t := b.Terminator(); t != nil {
+		return numSuccs(t)
+	}
+	return 0
+}
+
+// Succ returns the i'th successor in Succs order.
+func (b *BasicBlock) Succ(i int) *BasicBlock { return succ(b.Terminator(), i) }
+
+// numSuccs and succ read the successors of terminator t in the order
+// Succs lists them.
+func numSuccs(t Instruction) int {
+	switch t.(type) {
+	case *BranchInst:
+		if t.NumOperands() == 3 {
+			return 2
+		}
+		return 1
+	case *SwitchInst:
+		return t.NumOperands() / 2
+	case *InvokeInst:
+		return 2
+	}
+	return 0
+}
+
+func succ(t Instruction, i int) *BasicBlock {
+	ops := t.Operands()
+	switch t.(type) {
+	case *BranchInst:
+		if len(ops) == 3 {
+			return ops[1+i].(*BasicBlock)
+		}
+		return ops[0].(*BasicBlock)
+	case *SwitchInst:
+		return ops[1+2*i].(*BasicBlock)
+	}
+	return ops[len(ops)-2+i].(*BasicBlock) // invoke
+}
+
 // Succs returns the successor blocks in terminator operand order.
 func (b *BasicBlock) Succs() []*BasicBlock {
 	t := b.Terminator()
-	if t == nil {
-		return nil
+	if t == nil || numSuccs(t) == 0 {
+		return nil // ret, unwind
 	}
-	switch term := t.(type) {
-	case *BranchInst:
-		if term.IsConditional() {
-			return []*BasicBlock{term.TrueDest(), term.FalseDest()}
-		}
-		return []*BasicBlock{term.TrueDest()}
-	case *SwitchInst:
-		out := []*BasicBlock{term.Default()}
-		for i := 0; i < term.NumCases(); i++ {
-			_, dest := term.Case(i)
-			out = append(out, dest)
-		}
-		return out
-	case *InvokeInst:
-		return []*BasicBlock{term.NormalDest(), term.UnwindDest()}
+	out := make([]*BasicBlock, numSuccs(t))
+	for i := range out {
+		out[i] = succ(t, i)
 	}
-	return nil // ret, unwind
+	return out
 }
 
 // Preds returns the predecessor blocks (blocks whose terminators reference
 // b), deduplicated, in a stable order.
 func (b *BasicBlock) Preds() []*BasicBlock {
 	var out []*BasicBlock
-	seen := map[*BasicBlock]bool{}
 	for _, u := range b.uses {
-		inst, ok := u.User.(Instruction)
-		if !ok || !inst.IsTerminator() {
-			continue
-		}
-		p := inst.Parent()
-		if p != nil && !seen[p] {
-			seen[p] = true
+		if p := predOf(u); p != nil && !slices.Contains(out, p) {
 			out = append(out, p)
 		}
 	}
 	return out
+}
+
+// predOf returns the block whose terminator makes the use u of a block,
+// or nil when u is not a terminator's (a phi's incoming-block operand).
+func predOf(u Use) *BasicBlock {
+	if inst, ok := u.User.(Instruction); ok && inst.IsTerminator() {
+		return inst.Parent()
+	}
+	return nil
+}
+
+// hasPreds reports whether some terminator branches to b.
+func (b *BasicBlock) hasPreds() bool {
+	for _, u := range b.uses {
+		if predOf(u) != nil {
+			return true
+		}
+	}
+	return false
 }
 
 // Phis returns the phi instructions at the head of the block.
@@ -197,6 +257,9 @@ func (b *BasicBlock) MoveTailTo(i int, dest *BasicBlock) {
 	tail := b.Instrs[i:]
 	for _, inst := range tail {
 		inst.setParent(dest)
+		if dest.parent != b.parent && dest.parent != nil {
+			dest.parent.numberInst(inst)
+		}
 	}
 	dest.Instrs = append(dest.Instrs, tail...)
 	clear(tail)

@@ -202,9 +202,12 @@ func NewString(s string) *ConstantArray {
 
 func (c *ConstantArray) isConstant() {}
 
-// AsString decodes a NUL-terminated sbyte array back into a Go string,
-// reporting ok=false if the array is not printable string data.
+// AsString decodes a NUL-terminated sbyte or ubyte array back into a Go
+// string, reporting ok=false if the array is not such string data.
 func (c *ConstantArray) AsString() (string, bool) {
+	if k := c.typ.(*ArrayType).Elem.Kind(); k != SByteKind && k != UByteKind {
+		return "", false // c"..." cannot spell wider elements
+	}
 	var b strings.Builder
 	for i, e := range c.Elems {
 		ci, ok := e.(*ConstantInt)
@@ -220,7 +223,7 @@ func (c *ConstantArray) AsString() (string, bool) {
 }
 
 // String returns the literal spelling, using the c"..." shorthand for
-// printable NUL-terminated sbyte arrays.
+// printable NUL-terminated sbyte and ubyte arrays.
 func (c *ConstantArray) String() string {
 	if s, ok := c.AsString(); ok && isPrintable(s) {
 		return "c" + quoteLL(s+"\x00")

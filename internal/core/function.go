@@ -38,6 +38,17 @@ func (a *Argument) Index() int { return a.index }
 // of basic blocks, the first of which is the entry block. A Function value
 // has pointer-to-function type, so it can be used directly as a call or
 // invoke callee and stored in memory like any other pointer.
+//
+// A function numbers its blocks and instructions (cmd/compile's Block.ID
+// and Value.ID): every block in Blocks and every instruction in them has
+// an ID in [1, NumBlockIDs) or [1, NumInstIDs), unique within the
+// function, so analyses can keep per-block and per-instruction facts in
+// slices. IDs are handed out only where the function is mutated — when a
+// block joins it (AddBlock, InsertBlocksAfter, with all its instructions)
+// and when an instruction is inserted into one of its blocks (Append,
+// InsertAt, InsertBefore) — and never by an analysis, so reading a
+// function, concurrently or not, writes nothing. The verifier checks the
+// contract.
 type Function struct {
 	valueBase
 	parent  *Module
@@ -45,6 +56,8 @@ type Function struct {
 	Linkage Linkage
 	Args    []*Argument
 	Blocks  []*BasicBlock
+
+	lastBlockID, lastInstID int32
 }
 
 // NewFunction creates a detached function with the given name and
@@ -77,9 +90,33 @@ func (f *Function) Entry() *BasicBlock {
 	return f.Blocks[0]
 }
 
+// NumBlockIDs bounds the block IDs of f: every block in f has an ID
+// below it, so a slice of this length can be indexed by BasicBlock.ID.
+func (f *Function) NumBlockIDs() int { return int(f.lastBlockID) + 1 }
+
+// NumInstIDs bounds the instruction IDs of f the same way.
+func (f *Function) NumInstIDs() int { return int(f.lastInstID) + 1 }
+
+// adopt makes f the parent of b and gives b and its instructions fresh
+// IDs; a block keeps no number from a function it belonged to before.
+func (f *Function) adopt(b *BasicBlock) {
+	b.parent = f
+	f.lastBlockID++
+	b.id = f.lastBlockID
+	for _, inst := range b.Instrs {
+		f.numberInst(inst)
+	}
+}
+
+// numberInst gives inst a fresh instruction ID of f.
+func (f *Function) numberInst(inst Instruction) {
+	f.lastInstID++
+	inst.setID(f.lastInstID)
+}
+
 // AddBlock appends a block to the function.
 func (f *Function) AddBlock(b *BasicBlock) {
-	b.parent = f
+	f.adopt(b)
 	f.Blocks = append(f.Blocks, b)
 }
 
@@ -94,7 +131,7 @@ func (f *Function) InsertBlocksAfter(mark *BasicBlock, bs ...*BasicBlock) {
 		panic("core.InsertBlocksAfter: mark not in function")
 	}
 	for _, b := range bs {
-		b.parent = f
+		f.adopt(b)
 	}
 	f.Blocks = slices.Insert(f.Blocks, i+1, bs...)
 }

@@ -114,6 +114,10 @@ type Instruction interface {
 	Parent() *BasicBlock
 	setParent(*BasicBlock)
 	IsTerminator() bool
+	// ID returns the instruction's number within its function (see
+	// Function.NumInstIDs); 0 if it was never inserted into a function.
+	ID() int
+	setID(int32)
 }
 
 // instrBase supplies the shared Instruction plumbing.
@@ -121,11 +125,14 @@ type instrBase struct {
 	userBase
 	parent *BasicBlock
 	op     Opcode
+	id     int32
 }
 
 func (i *instrBase) Opcode() Opcode          { return i.op }
 func (i *instrBase) Parent() *BasicBlock     { return i.parent }
 func (i *instrBase) setParent(b *BasicBlock) { i.parent = b }
+func (i *instrBase) ID() int                 { return int(i.id) }
+func (i *instrBase) setID(id int32)          { i.id = id }
 func (i *instrBase) IsTerminator() bool      { return IsTerminatorOp(i.op) }
 
 // ---------------------------------------------------------------------------
@@ -577,6 +584,27 @@ func (i *PhiInst) IncomingFor(pred *BasicBlock) Value {
 		}
 	}
 	return nil
+}
+
+// incomingIndex returns the first incoming entry for pred, or -1.
+func (i *PhiInst) incomingIndex(pred *BasicBlock) int {
+	for n := 1; n < len(i.ops); n += 2 {
+		if i.ops[n] == Value(pred) {
+			return n / 2
+		}
+	}
+	return -1
+}
+
+// incomingCount returns the number of incoming entries for pred.
+func (i *PhiInst) incomingCount(pred *BasicBlock) int {
+	c := 0
+	for n := 1; n < len(i.ops); n += 2 {
+		if i.ops[n] == Value(pred) {
+			c++
+		}
+	}
+	return c
 }
 
 // RemoveIncoming deletes the n'th incoming pair.

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 )
 
@@ -78,11 +79,8 @@ func (v *verifier) verifyFunction(f *Function) {
 		return
 	}
 
-	inFunc := map[*BasicBlock]bool{}
-	for _, b := range f.Blocks {
-		inFunc[b] = true
-	}
-	if len(f.Entry().Preds()) > 0 {
+	idsOK := v.verifyIDs(f)
+	if f.Entry().hasPreds() {
 		v.errf("entry block %%%s has predecessors", f.Entry().Name())
 	}
 
@@ -91,6 +89,7 @@ func (v *verifier) verifyFunction(f *Function) {
 			v.errf("block %%%s is empty", b.Name())
 			continue
 		}
+		firstNonPhi := b.FirstNonPhi()
 		for k, inst := range b.Instrs {
 			isLast := k == len(b.Instrs)-1
 			if inst.IsTerminator() != isLast {
@@ -100,18 +99,53 @@ func (v *verifier) verifyFunction(f *Function) {
 					v.errf("terminator %s in the middle of block %%%s", inst.Opcode(), b.Name())
 				}
 			}
-			if _, isPhi := inst.(*PhiInst); isPhi && k >= b.FirstNonPhi() {
+			if _, isPhi := inst.(*PhiInst); isPhi && k >= firstNonPhi {
 				v.errf("phi after non-phi instruction in block %%%s", b.Name())
 			}
-			v.verifyInst(inst, inFunc)
+			v.verifyInst(inst)
 		}
 	}
 
 	v.verifyPhisMatchPreds(f)
-	v.verifySSADominance(f)
+	if idsOK {
+		v.verifySSADominance(f)
+	}
 }
 
-func (v *verifier) verifyInst(inst Instruction, inFunc map[*BasicBlock]bool) {
+// verifyIDs checks the numbering contract of Function: every block and
+// instruction has an ID in range and unique within f. A violation means
+// some path inserted IR without going through the numbering mutators; the
+// dominance check, which indexes by ID, is skipped then.
+func (v *verifier) verifyIDs(f *Function) bool {
+	ok := true
+	blocks := make([]bool, f.NumBlockIDs())
+	insts := make([]bool, f.NumInstIDs())
+	for _, b := range f.Blocks {
+		if id := b.ID(); id <= 0 || id >= len(blocks) {
+			v.errf("block %%%s has ID %d outside [1, %d)", b.Name(), id, len(blocks))
+			ok = false
+		} else if blocks[id] {
+			v.errf("block %%%s reuses ID %d", b.Name(), id)
+			ok = false
+		} else {
+			blocks[id] = true
+		}
+		for _, inst := range b.Instrs {
+			if id := inst.ID(); id <= 0 || id >= len(insts) {
+				v.errf("%s in block %%%s has ID %d outside [1, %d)", inst.Opcode(), b.Name(), id, len(insts))
+				ok = false
+			} else if insts[id] {
+				v.errf("%s in block %%%s reuses ID %d", inst.Opcode(), b.Name(), id)
+				ok = false
+			} else {
+				insts[id] = true
+			}
+		}
+	}
+	return ok
+}
+
+func (v *verifier) verifyInst(inst Instruction) {
 	// All operands present, blocks belong to the function, instruction
 	// operands belong to some block of the same function.
 	for i := 0; i < inst.NumOperands(); i++ {
@@ -120,7 +154,7 @@ func (v *verifier) verifyInst(inst Instruction, inFunc map[*BasicBlock]bool) {
 			v.errf("%s has nil operand %d", inst.Opcode(), i)
 			return
 		}
-		if blk, ok := op.(*BasicBlock); ok && !inFunc[blk] {
+		if blk, ok := op.(*BasicBlock); ok && blk.Parent() != v.fn {
 			v.errf("%s references block %%%s from another function", inst.Opcode(), blk.Name())
 		}
 		if oi, ok := op.(Instruction); ok {
@@ -302,29 +336,31 @@ func castAllowed(src, dst Type) bool {
 }
 
 // verifyPhisMatchPreds checks each phi has exactly one entry per CFG
-// predecessor.
+// predecessor. Problems are reported per phi: missing predecessors in
+// predecessor order, then stray and duplicate entries in incoming order.
 func (v *verifier) verifyPhisMatchPreds(f *Function) {
 	for _, b := range f.Blocks {
-		preds := b.Preds()
-		predSet := map[*BasicBlock]int{}
-		for _, p := range preds {
-			predSet[p]++
+		if len(b.Instrs) == 0 {
+			continue
 		}
+		if _, ok := b.Instrs[0].(*PhiInst); !ok {
+			continue
+		}
+		preds := b.Preds()
 		for _, phi := range b.Phis() {
-			seen := map[*BasicBlock]int{}
-			for n := 0; n < phi.NumIncoming(); n++ {
-				_, blk := phi.Incoming(n)
-				seen[blk]++
-			}
-			for p := range predSet {
-				if seen[p] == 0 {
+			for _, p := range preds {
+				if phi.incomingCount(p) == 0 {
 					v.errf("phi %%%s in block %%%s missing entry for predecessor %%%s", phi.Name(), b.Name(), p.Name())
 				}
 			}
-			for s, n := range seen {
-				if predSet[s] == 0 {
+			for n := 0; n < phi.NumIncoming(); n++ {
+				_, s := phi.Incoming(n)
+				if phi.incomingIndex(s) != n {
+					continue // reported at its first entry
+				}
+				if !slices.Contains(preds, s) {
 					v.errf("phi %%%s in block %%%s has entry for non-predecessor %%%s", phi.Name(), b.Name(), s.Name())
-				} else if n > 1 {
+				} else if phi.incomingCount(s) > 1 {
 					v.errf("phi %%%s in block %%%s has duplicate entries for %%%s", phi.Name(), b.Name(), s.Name())
 				}
 			}
@@ -334,29 +370,15 @@ func (v *verifier) verifyPhisMatchPreds(f *Function) {
 
 // verifySSADominance checks every use is dominated by its definition.
 func (v *verifier) verifySSADominance(f *Function) {
-	dom := computeDominators(f)
-	if dom == nil {
-		return
-	}
-	dominates := func(a, b *BasicBlock) bool {
-		for x := b; x != nil; x = dom[x] {
-			if x == a {
-				return true
-			}
-			if dom[x] == x {
-				return x == a
-			}
-		}
-		return false
-	}
-	idx := map[Instruction]int{}
+	dom := NewDominators(f)
+	pos := make([]int32, f.NumInstIDs()) // by instruction ID: index in its block
 	for _, b := range f.Blocks {
 		for k, inst := range b.Instrs {
-			idx[inst] = k
+			pos[inst.ID()] = int32(k)
 		}
 	}
 	for _, b := range f.Blocks {
-		if _, reachable := dom[b]; !reachable {
+		if !dom.Reachable(b) {
 			continue // SSA dominance is only meaningful in reachable code
 		}
 		for _, inst := range b.Instrs {
@@ -372,99 +394,28 @@ func (v *verifier) verifySSADominance(f *Function) {
 					if db == pred {
 						continue
 					}
-					if !dominates(db, pred) {
+					if !dom.Dominates(db, pred) {
 						v.errf("phi %%%s incoming %%%s does not dominate predecessor %%%s",
 							phi.Name(), val.Name(), pred.Name())
 					}
 				}
 				continue
 			}
-			for i := 0; i < inst.NumOperands(); i++ {
-				def, ok := inst.Operand(i).(Instruction)
+			for _, op := range inst.Operands() {
+				def, ok := op.(Instruction)
 				if !ok {
 					continue
 				}
 				db := def.Parent()
 				if db == b {
-					if idx[def] >= idx[inst] {
+					if pos[def.ID()] >= pos[inst.ID()] {
 						v.errf("use of %%%s in block %%%s before its definition", def.Name(), b.Name())
 					}
-				} else if !dominates(db, b) {
+				} else if !dom.Dominates(db, b) {
 					v.errf("definition of %%%s (block %%%s) does not dominate use in block %%%s",
 						def.Name(), db.Name(), b.Name())
 				}
 			}
 		}
 	}
-}
-
-// computeDominators returns the immediate-dominator map using the
-// Cooper-Harvey-Kennedy iterative algorithm; the entry block maps to
-// itself. Unreachable blocks are absent from the map (uses in unreachable
-// code are not dominance-checked).
-func computeDominators(f *Function) map[*BasicBlock]*BasicBlock {
-	if len(f.Blocks) == 0 {
-		return nil
-	}
-	entry := f.Blocks[0]
-	// Reverse postorder.
-	var order []*BasicBlock
-	num := map[*BasicBlock]int{}
-	visited := map[*BasicBlock]bool{}
-	var dfs func(*BasicBlock)
-	dfs = func(b *BasicBlock) {
-		visited[b] = true
-		for _, s := range b.Succs() {
-			if !visited[s] {
-				dfs(s)
-			}
-		}
-		order = append(order, b)
-	}
-	dfs(entry)
-	// order is postorder; reverse it.
-	for i, j := 0, len(order)-1; i < j; i, j = i+1, j-1 {
-		order[i], order[j] = order[j], order[i]
-	}
-	for i, b := range order {
-		num[b] = i
-	}
-
-	idom := map[*BasicBlock]*BasicBlock{entry: entry}
-	intersect := func(a, b *BasicBlock) *BasicBlock {
-		for a != b {
-			for num[a] > num[b] {
-				a = idom[a]
-			}
-			for num[b] > num[a] {
-				b = idom[b]
-			}
-		}
-		return a
-	}
-	changed := true
-	for changed {
-		changed = false
-		for _, b := range order {
-			if b == entry {
-				continue
-			}
-			var newIdom *BasicBlock
-			for _, p := range b.Preds() {
-				if idom[p] == nil {
-					continue // predecessor not yet processed or unreachable
-				}
-				if newIdom == nil {
-					newIdom = p
-				} else {
-					newIdom = intersect(p, newIdom)
-				}
-			}
-			if newIdom != nil && idom[b] != newIdom {
-				idom[b] = newIdom
-				changed = true
-			}
-		}
-	}
-	return idom
 }

@@ -35,12 +35,12 @@ func hasSideEffects(inst core.Instruction) bool {
 
 // RunOnFunction deletes instructions not transitively required by a root.
 func (a *ADCE) RunOnFunction(f *core.Function) int {
-	live := map[core.Instruction]bool{}
+	live := newBitset(f.NumInstIDs()) // by instruction ID
 	var work []core.Instruction
 
 	markLive := func(inst core.Instruction) {
-		if !live[inst] {
-			live[inst] = true
+		if !live.has(inst.ID()) {
+			live.add(inst.ID())
 			work = append(work, inst)
 		}
 	}
@@ -66,7 +66,7 @@ func (a *ADCE) RunOnFunction(f *core.Function) int {
 	for _, b := range f.Blocks {
 		for i := len(b.Instrs) - 1; i >= 0; i-- {
 			inst := b.Instrs[i]
-			if live[inst] {
+			if live.has(inst.ID()) {
 				continue
 			}
 			// Dead instructions may still be used by other dead ones that
@@ -80,3 +80,11 @@ func (a *ADCE) RunOnFunction(f *core.Function) int {
 	}
 	return deleted
 }
+
+// bitset is a fixed-size set of small non-negative integers.
+type bitset []uint64
+
+func newBitset(n int) bitset { return make(bitset, (n+63)/64) }
+
+func (s bitset) has(i int) bool { return s[i/64]&(1<<(i%64)) != 0 }
+func (s bitset) add(i int)      { s[i/64] |= 1 << (i % 64) }

@@ -1,8 +1,8 @@
 package passes
 
 import (
-	"fmt"
-	"strings"
+	"math"
+	"sync"
 
 	"repro/internal/analysis"
 	"repro/internal/core"
@@ -53,27 +53,40 @@ func (c *CSE) runOnFunctionWith(f *core.Function, am *analysis.Manager) int {
 	if !c.NoAlias {
 		pt = dsa.Of(am, f.Parent())
 	}
-	table := map[string]core.Instruction{}
-	changed := 0
+	keys := cseKeysPool.Get().(*cseKeys)
+	defer cseKeysPool.Put(keys)
+	keys.reset()
+	table := map[exprKey]core.Instruction{}
+	var (
+		added []exprKey // the table's entries, innermost scope last
+		buf   []core.Instruction
+		// Block-local available memory values: address → value the cell
+		// holds, pruned by alias queries at each potential clobber.
+		avail   []memAvail
+		changed int
+	)
 
 	var walk func(b *core.BasicBlock)
 	walk = func(b *core.BasicBlock) {
-		var added []string
-		// Block-local available memory values: address → value the cell
-		// holds, pruned by alias queries at each potential clobber.
-		var avail []memAvail
-		for _, inst := range append([]core.Instruction(nil), b.Instrs...) {
+		scope := len(added)
+		avail = avail[:0]
+		buf = append(buf[:0], b.Instrs...)
+		for _, inst := range buf {
 			if pt != nil {
 				if done, ate := c.memCSE(f, b, inst, pt, &avail); ate {
 					changed += done
 					continue
 				}
 			}
-			key, ok := exprKey(inst)
+			key, ok := keys.expr(inst)
 			if !ok {
 				continue
 			}
-			if prev, hit := table[key]; hit {
+			prev, hit := table[key]
+			if !hit && key.commutes() {
+				prev, hit = table[key.swapped()]
+			}
+			if hit {
 				if c.rem.Enabled() {
 					c.rem.Appliedf("cse",
 						diag.Pos{Fn: f.Name(), Block: b.Name(), Inst: core.InstDebugString(inst)},
@@ -91,39 +104,177 @@ func (c *CSE) runOnFunctionWith(f *core.Function, am *analysis.Manager) int {
 		for _, child := range dt.Children(b) {
 			walk(child)
 		}
-		for _, k := range added {
+		for _, k := range added[scope:] {
 			delete(table, k)
 		}
+		added = added[:scope]
 	}
 	walk(f.Entry())
 	return changed
 }
 
-// exprKey builds a structural key for pure instructions; ok is false for
-// instructions with memory effects or control flow.
-func exprKey(inst core.Instruction) (string, bool) {
+// exprKey identifies a pure expression structurally: two instructions with
+// equal keys compute the same value. Operands are operandKeys; the index
+// list of a getelementptr after its first index is an interned list ID.
+type exprKey struct {
+	op   core.Opcode
+	typ  int32 // canonical type: a binary operator's operand type, a cast's result type
+	a, b operandKey
+	rest int32
+}
+
+func (k exprKey) commutes() bool { return core.IsCommutative(k.op) && k.a != k.b }
+
+func (k exprKey) swapped() exprKey { k.a, k.b = k.b, k.a; return k }
+
+// operandKey identifies an operand: int, float, bool and null constants by
+// canonical type and bits, every other value by identity.
+type operandKey struct {
+	v    core.Value
+	kind uint8
+	typ  int32
+	bits uint64
+}
+
+const (
+	opIdentity uint8 = iota
+	opInt
+	opFloat
+	opBool
+	opNull
+)
+
+// cseKeys builds keys. It interns types, so that equal types built as
+// different objects get one ID, and operand lists; both tables live for
+// one function.
+type cseKeys struct {
+	types  map[core.Type]int32
+	shapes map[typeShape]int32
+	lists  map[listLink]int32
+}
+
+var cseKeysPool = sync.Pool{New: func() any {
+	return &cseKeys{types: map[core.Type]int32{}, shapes: map[typeShape]int32{}, lists: map[listLink]int32{}}
+}}
+
+func (k *cseKeys) reset() {
+	clear(k.types)
+	clear(k.shapes)
+	clear(k.lists)
+}
+
+// typeShape is a type with its component types replaced by their IDs. Two
+// types get the same shape exactly when they print the same: a named
+// struct (or opaque type) is its name.
+type typeShape struct {
+	kind      core.TypeKind
+	name      string
+	elem, ret int32 // elem: pointee, array element, or interned field/parameter list
+	n         int   // array length; 1 for a variadic function
+}
+
+// listLink is one step of an interned list: the list so far, then one more
+// element (a type ID, or an operand).
+type listLink struct {
+	prev int32
+	typ  int32
+	op   operandKey
+}
+
+// typeID returns t's canonical ID.
+func (k *cseKeys) typeID(t core.Type) int32 {
+	if p, ok := t.(*core.PrimitiveType); ok {
+		return int32(p.Kind()) + 1 // primitive types are singletons
+	}
+	if id, ok := k.types[t]; ok {
+		return id
+	}
+	var s typeShape
+	switch x := t.(type) {
+	case *core.PointerType:
+		s = typeShape{kind: core.PointerKind, elem: k.typeID(x.Elem)}
+	case *core.ArrayType:
+		s = typeShape{kind: core.ArrayKind, elem: k.typeID(x.Elem), n: x.Len}
+	case *core.StructType:
+		if x.Name != "" {
+			s = typeShape{kind: core.OpaqueKind, name: x.Name}
+		} else {
+			s = typeShape{kind: core.StructKind, elem: k.typeList(x.Fields)}
+		}
+	case *core.FunctionType:
+		s = typeShape{kind: core.FunctionKind, ret: k.typeID(x.Ret), elem: k.typeList(x.Params)}
+		if x.Variadic {
+			s.n = 1
+		}
+	case *core.OpaqueType:
+		s = typeShape{kind: core.OpaqueKind, name: x.Name}
+	}
+	id, ok := k.shapes[s]
+	if !ok {
+		id = int32(len(k.shapes)) + 64 // above the primitive IDs
+		k.shapes[s] = id
+	}
+	k.types[t] = id
+	return id
+}
+
+func (k *cseKeys) typeList(ts []core.Type) int32 {
+	id := int32(0)
+	for _, t := range ts {
+		id = k.link(listLink{prev: id, typ: k.typeID(t)})
+	}
+	return id
+}
+
+func (k *cseKeys) link(l listLink) int32 {
+	id, ok := k.lists[l]
+	if !ok {
+		id = int32(len(k.lists)) + 1
+		k.lists[l] = id
+	}
+	return id
+}
+
+func (k *cseKeys) operand(v core.Value) operandKey {
+	switch c := v.(type) {
+	case *core.ConstantInt:
+		return operandKey{kind: opInt, typ: k.typeID(c.Type()), bits: c.Val}
+	case *core.ConstantFloat:
+		bits := math.Float64bits(c.Val)
+		if math.IsNaN(c.Val) {
+			bits = math.Float64bits(math.NaN()) // every NaN prints alike
+		}
+		return operandKey{kind: opFloat, typ: k.typeID(c.Type()), bits: bits}
+	case *core.ConstantBool:
+		if c.Val {
+			return operandKey{kind: opBool, bits: 1}
+		}
+		return operandKey{kind: opBool}
+	case *core.ConstantNull:
+		return operandKey{kind: opNull, typ: k.typeID(c.Type())}
+	}
+	return operandKey{v: v}
+}
+
+// expr builds the key of a pure instruction; ok is false for instructions
+// with memory effects or control flow.
+func (k *cseKeys) expr(inst core.Instruction) (exprKey, bool) {
 	switch i := inst.(type) {
 	case *core.BinaryInst:
-		a, b := valueKey(i.LHS()), valueKey(i.RHS())
-		op := i.Opcode()
-		// Canonical operand order for commutative operators.
-		if core.IsCommutative(op) && b < a {
-			a, b = b, a
-		}
-		return fmt.Sprintf("%d|%s|%s|%s", op, i.LHS().Type(), a, b), true
+		return exprKey{op: i.Opcode(), typ: k.typeID(i.LHS().Type()), a: k.operand(i.LHS()), b: k.operand(i.RHS())}, true
 	case *core.CastInst:
-		return fmt.Sprintf("cast|%s|%s", i.Type(), valueKey(i.Val())), true
+		return exprKey{op: core.OpCast, typ: k.typeID(i.Type()), a: k.operand(i.Val())}, true
 	case *core.GetElementPtrInst:
-		var sb strings.Builder
-		sb.WriteString("gep|")
-		sb.WriteString(valueKey(i.Base()))
-		for _, ix := range i.Indices() {
-			sb.WriteString("|")
-			sb.WriteString(valueKey(ix))
+		key := exprKey{op: core.OpGetElementPtr, a: k.operand(i.Base())}
+		if ix := i.Indices(); len(ix) > 0 {
+			key.b = k.operand(ix[0])
+			for _, v := range ix[1:] {
+				key.rest = k.link(listLink{prev: key.rest, op: k.operand(v)})
+			}
 		}
-		return sb.String(), true
+		return key, true
 	}
-	return "", false
+	return exprKey{}, false
 }
 
 // memAvail records that the memory at ptr currently holds val (within the
@@ -192,19 +343,4 @@ func (c *CSE) pruneForCall(callee core.Value, pt *dsa.Result, avail *[]memAvail)
 		}
 	}
 	*avail = kept
-}
-
-// valueKey identifies a value: constants structurally, others by identity.
-func valueKey(v core.Value) string {
-	switch c := v.(type) {
-	case *core.ConstantInt:
-		return fmt.Sprintf("ci:%s:%d", c.Type(), c.Val)
-	case *core.ConstantFloat:
-		return fmt.Sprintf("cf:%s:%x", c.Type(), c.Val)
-	case *core.ConstantBool:
-		return fmt.Sprintf("cb:%v", c.Val)
-	case *core.ConstantNull:
-		return fmt.Sprintf("cn:%s", c.Type())
-	}
-	return fmt.Sprintf("v:%p", v)
 }

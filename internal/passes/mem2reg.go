@@ -56,12 +56,15 @@ func (m *Mem2Reg) runOnFunctionWith(f *core.Function, am *analysis.Manager) int 
 	}
 	dt := am.DomTree(f)
 	df := am.DomFrontier(f)
-	for _, a := range promotable {
-		name := a.Name()
-		phis := promote(f, a, dt, df)
-		if m.rem.Enabled() {
+	names := make([]string, len(promotable))
+	for k, a := range promotable {
+		names[k] = a.Name()
+	}
+	phis := promote(f, promotable, dt, df)
+	if m.rem.Enabled() {
+		for k, name := range names {
 			m.rem.Appliedf("mem2reg", diag.Pos{Fn: f.Name(), Block: f.Entry().Name()},
-				"promoted %%%s to register (%d phis)", name, phis)
+				"promoted %%%s to register (%d phis)", name, phis[k])
 		}
 	}
 	return len(promotable)
@@ -92,113 +95,212 @@ func promotionBlocker(a *core.AllocaInst) string {
 	return ""
 }
 
-// isPromotable reports whether the alloca can live in a register.
-func isPromotable(a *core.AllocaInst) bool { return promotionBlocker(a) == "" }
+// renameStep is one edit the renaming walk found for an alloca: replace
+// and erase a load, erase a store, or add a phi incoming edge. val is the
+// value as the walk saw it, before earlier allocas' loads are resolved.
+type renameStep struct {
+	inst core.Instruction // the load or store; nil for a phi edge
+	val  core.Value
+	phi  *core.PhiInst
+	from *core.BasicBlock
+}
 
-// promote rewrites one alloca into SSA form, returning the number of
-// φ-functions inserted.
-func promote(f *core.Function, a *core.AllocaInst, dt *analysis.DomTree, df analysis.DomFrontier) int {
-	t := a.AllocType
+// placedPhi is the φ of alloca k at the head of a block.
+type placedPhi struct {
+	k   int
+	phi *core.PhiInst
+}
 
-	// Blocks containing stores (definitions).
-	defBlocks := map[*core.BasicBlock]bool{}
-	for _, u := range a.Uses() {
-		if st, ok := u.User.(*core.StoreInst); ok {
-			defBlocks[st.Parent()] = true
+// promote rewrites the allocas into SSA form and returns the number of
+// φ-functions inserted for each.
+//
+// It places every alloca's φs at the iterated dominance frontier of its
+// stores, then renames all of them in one walk over the dominator tree,
+// which records each alloca's edits. The edits are then applied alloca by
+// alloca, in walk order, each value resolved through the loads of the
+// allocas already rewritten. That is the exact sequence of IR edits one
+// walk per alloca makes, so φ order, incoming order and every use list
+// come out the same.
+func promote(f *core.Function, allocas []*core.AllocaInst, dt *analysis.DomTree, df analysis.DomFrontier) []int {
+	nb, ni := f.NumBlockIDs(), f.NumInstIDs()
+	slot := make([]int32, ni) // by alloca ID: 1 + its index in allocas
+	for k, a := range allocas {
+		slot[a.ID()] = int32(k + 1)
+	}
+	// allocaOf returns the index of the promoted alloca inst loads from
+	// or stores to, or -1.
+	allocaOf := func(inst core.Instruction) int {
+		var ptr core.Value
+		switch i := inst.(type) {
+		case *core.LoadInst:
+			ptr = i.Ptr()
+		case *core.StoreInst:
+			ptr = i.Ptr()
+		default:
+			return -1
+		}
+		if a, ok := ptr.(*core.AllocaInst); ok && a.ID() < ni {
+			return int(slot[a.ID()]) - 1
+		}
+		return -1
+	}
+
+	// Insert φ at the iterated dominance frontier of each alloca's def
+	// blocks. hasPhi and queued hold, by block ID, 1 + the index of the
+	// last alloca that placed a φ there or queued the block.
+	phis := make([][]*core.PhiInst, len(allocas))
+	atHead := make([][]placedPhi, nb) // by block ID, in placement order
+	hasPhi := make([]int32, nb)
+	queued := make([]int32, nb)
+	var work []*core.BasicBlock
+	for k, a := range allocas {
+		stamp := int32(k + 1)
+		work = work[:0]
+		for _, u := range a.Uses() {
+			if st, ok := u.User.(*core.StoreInst); ok && queued[st.Parent().ID()] != stamp {
+				queued[st.Parent().ID()] = stamp
+				work = append(work, st.Parent())
+			}
+		}
+		for len(work) > 0 {
+			b := work[len(work)-1]
+			work = work[:len(work)-1]
+			for _, fr := range df[b] {
+				if hasPhi[fr.ID()] == stamp {
+					continue
+				}
+				phi := core.NewPhi(a.AllocType)
+				phi.SetName(a.Name() + ".phi")
+				fr.InsertAt(0, phi)
+				hasPhi[fr.ID()] = stamp
+				atHead[fr.ID()] = append(atHead[fr.ID()], placedPhi{k, phi})
+				phis[k] = append(phis[k], phi)
+				if queued[fr.ID()] != stamp {
+					queued[fr.ID()] = stamp
+					work = append(work, fr)
+				}
+			}
 		}
 	}
 
-	// Insert φ at the iterated dominance frontier of the def blocks.
-	phiFor := map[*core.BasicBlock]*core.PhiInst{}
-	work := make([]*core.BasicBlock, 0, len(defBlocks))
-	for b := range defBlocks {
-		work = append(work, b)
+	// Rename: one walk of the dominator tree carrying every alloca's
+	// current value; undo restores the values on the way back up.
+	steps := make([][]renameStep, len(allocas))
+	cur := make([]core.Value, len(allocas))
+	for k, a := range allocas {
+		cur[k] = core.NewUndef(a.AllocType)
 	}
-	inWork := map[*core.BasicBlock]bool{}
-	for _, b := range work {
-		inWork[b] = true
+	loadOf := make([]int32, ni) // by load ID: 1 + the alloca it reads
+	repl := make([]core.Value, ni)
+	type saved struct {
+		k int
+		v core.Value
 	}
-	for len(work) > 0 {
-		b := work[len(work)-1]
-		work = work[:len(work)-1]
-		for _, fr := range df[b] {
-			if phiFor[fr] != nil {
+	var undo []saved
+	set := func(k int, v core.Value) {
+		undo = append(undo, saved{k, cur[k]})
+		cur[k] = v
+	}
+	var rename func(b *core.BasicBlock)
+	rename = func(b *core.BasicBlock) {
+		mark := len(undo)
+		for _, p := range atHead[b.ID()] {
+			set(p.k, p.phi)
+		}
+		for _, inst := range b.Instrs {
+			k := allocaOf(inst)
+			if k < 0 {
 				continue
 			}
-			phi := core.NewPhi(t)
-			phi.SetName(a.Name() + ".phi")
-			fr.InsertAt(0, phi)
-			phiFor[fr] = phi
-			if !inWork[fr] {
-				inWork[fr] = true
-				work = append(work, fr)
+			if st, ok := inst.(*core.StoreInst); ok {
+				steps[k] = append(steps[k], renameStep{inst: st})
+				set(k, st.Val())
+				continue
 			}
+			steps[k] = append(steps[k], renameStep{inst: inst, val: cur[k]})
+			loadOf[inst.ID()] = int32(k + 1)
+			repl[inst.ID()] = cur[k]
 		}
-	}
-
-	// Rename: walk the dominator tree carrying the current value.
-	type frame struct {
-		block *core.BasicBlock
-		val   core.Value
-	}
-	undef := core.Value(core.NewUndef(t))
-	var rename func(b *core.BasicBlock, cur core.Value)
-	rename = func(b *core.BasicBlock, cur core.Value) {
-		if phi := phiFor[b]; phi != nil {
-			cur = phi
-		}
-		for _, inst := range append([]core.Instruction(nil), b.Instrs...) {
-			switch i := inst.(type) {
-			case *core.LoadInst:
-				if i.Ptr() == core.Value(a) {
-					core.ReplaceAllUses(i, cur)
-					b.Erase(i)
-				}
-			case *core.StoreInst:
-				if i.Ptr() == core.Value(a) {
-					cur = i.Val()
-					b.Erase(i)
-				}
-			}
-		}
-		// Fill φ operands in successors.
-		for _, succ := range b.Succs() {
-			if phi := phiFor[succ]; phi != nil {
-				phi.AddIncoming(cur, b)
+		for i, n := 0, b.NumSuccs(); i < n; i++ {
+			for _, p := range atHead[b.Succ(i).ID()] {
+				steps[p.k] = append(steps[p.k], renameStep{val: cur[p.k], phi: p.phi, from: b})
 			}
 		}
 		for _, child := range dt.Children(b) {
-			rename(child, cur)
+			rename(child)
+		}
+		for len(undo) > mark {
+			s := undo[len(undo)-1]
+			cur[s.k] = s.v
+			undo = undo[:len(undo)-1]
 		}
 	}
-	_ = frame{}
-	rename(f.Entry(), undef)
+	rename(f.Entry())
 
-	// Successor lists may repeat a block (e.g. a conditional branch with
-	// both edges to one target); AddIncoming above then added duplicates.
-	// Deduplicate per predecessor.
-	for _, phi := range phiFor {
-		seen := map[*core.BasicBlock]bool{}
-		for n := phi.NumIncoming() - 1; n >= 0; n-- {
-			_, blk := phi.Incoming(n)
-			if seen[blk] {
-				phi.RemoveIncoming(n)
+	// resolve returns what v is once the loads of allocas 0..k that the
+	// walk visited have been replaced: a value the walk saw is either
+	// such a load, replaced by the value current at it, or final.
+	resolve := func(v core.Value, k int) core.Value {
+		for {
+			l, ok := v.(*core.LoadInst)
+			if !ok || l.ID() >= ni || loadOf[l.ID()] == 0 || int(loadOf[l.ID()]) > k+1 {
+				return v
 			}
-			seen[blk] = true
+			v = repl[l.ID()]
 		}
 	}
 
-	// Loads/stores in unreachable blocks were not visited by the renamer;
-	// drop them so the alloca has no uses left.
-	for _, u := range append([]core.Use(nil), a.Uses()...) {
-		switch inst := u.User.(type) {
-		case *core.LoadInst:
-			core.ReplaceAllUses(inst, core.NewUndef(t))
-			inst.Parent().Erase(inst)
-		case *core.StoreInst:
-			inst.Parent().Erase(inst)
+	for k, a := range allocas {
+		t := a.AllocType
+		for _, s := range steps[k] {
+			switch i := s.inst.(type) {
+			case *core.LoadInst:
+				core.ReplaceAllUses(i, resolve(s.val, k))
+				i.Parent().Erase(i)
+			case *core.StoreInst:
+				i.Parent().Erase(i)
+			default:
+				s.phi.AddIncoming(resolve(s.val, k), s.from)
+			}
+		}
+
+		// Successor lists may repeat a block (e.g. a conditional branch
+		// with both edges to one target), which added duplicate incoming
+		// edges; keep the last entry per predecessor.
+		for _, phi := range phis[k] {
+			dedupIncoming(phi)
+		}
+
+		// Loads/stores in unreachable blocks were not visited by the
+		// renamer; drop them so the alloca has no uses left.
+		for _, u := range append([]core.Use(nil), a.Uses()...) {
+			switch inst := u.User.(type) {
+			case *core.LoadInst:
+				core.ReplaceAllUses(inst, core.NewUndef(t))
+				inst.Parent().Erase(inst)
+			case *core.StoreInst:
+				inst.Parent().Erase(inst)
+			}
+		}
+		f.Entry().Erase(a)
+	}
+	counts := make([]int, len(allocas))
+	for k := range phis {
+		counts[k] = len(phis[k])
+	}
+	return counts
+}
+
+// dedupIncoming removes all but the last incoming entry of each
+// predecessor of phi.
+func dedupIncoming(phi *core.PhiInst) {
+	for n := phi.NumIncoming() - 1; n >= 0; n-- {
+		_, blk := phi.Incoming(n)
+		for later := n + 1; later < phi.NumIncoming(); later++ {
+			if _, b := phi.Incoming(later); b == blk {
+				phi.RemoveIncoming(n)
+				break
+			}
 		}
 	}
-	f.Entry().Erase(a)
-	return len(phiFor)
 }

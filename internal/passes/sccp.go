@@ -37,11 +37,18 @@ type latticeValue struct {
 	val   core.Constant
 }
 
+// sccpSolver keeps the lattice by instruction ID, executable blocks by
+// block ID, and executable CFG edges as one flag per successor slot:
+// edges[edgeOff[id]+k] is the k'th successor edge of the block with that
+// ID. An edge is the pair (from, to), so a block reached by two edges of
+// one terminator counts as one edge, marked and read through its first
+// slot.
 type sccpSolver struct {
 	fn        *core.Function
-	values    map[core.Value]latticeValue
-	bbExec    map[*core.BasicBlock]bool
-	edgeExec  map[[2]*core.BasicBlock]bool
+	values    []latticeValue
+	bbExec    []bool
+	edgeOff   []int32
+	edges     []bool
 	instWork  []core.Instruction
 	blockWork []*core.BasicBlock
 }
@@ -52,29 +59,30 @@ func (s *SCCP) RunOnFunction(f *core.Function) int {
 		return 0
 	}
 	sv := &sccpSolver{
-		fn:       f,
-		values:   map[core.Value]latticeValue{},
-		bbExec:   map[*core.BasicBlock]bool{},
-		edgeExec: map[[2]*core.BasicBlock]bool{},
+		fn:      f,
+		values:  make([]latticeValue, f.NumInstIDs()),
+		bbExec:  make([]bool, f.NumBlockIDs()),
+		edgeOff: make([]int32, f.NumBlockIDs()),
 	}
-	// Arguments are overdefined; constants are themselves.
-	for _, a := range f.Args {
-		sv.values[a] = latticeValue{state: latOverdefined}
+	n := int32(0)
+	for _, b := range f.Blocks {
+		sv.edgeOff[b.ID()] = n
+		n += int32(b.NumSuccs())
 	}
+	sv.edges = make([]bool, n)
 	sv.markBlockExecutable(f.Entry())
 	sv.solve()
 
 	changed := 0
+	var buf []core.Instruction
 	for _, b := range f.Blocks {
-		if !sv.bbExec[b] {
+		if !sv.bbExec[b.ID()] {
 			continue
 		}
-		for _, inst := range append([]core.Instruction(nil), b.Instrs...) {
-			lv := sv.values[inst]
+		buf = append(buf[:0], b.Instrs...)
+		for _, inst := range buf {
+			lv := sv.values[inst.ID()]
 			if lv.state != latConst || inst.Type() == core.VoidType {
-				continue
-			}
-			if _, isC := core.Value(inst).(core.Constant); isC {
 				continue
 			}
 			core.ReplaceAllUses(inst, lv.val)
@@ -87,40 +95,42 @@ func (s *SCCP) RunOnFunction(f *core.Function) int {
 	return changed
 }
 
+// lattice returns v's lattice value: simple constants are themselves,
+// arguments and other constants are overdefined, and instructions are
+// what the solver has proven so far.
 func (sv *sccpSolver) lattice(v core.Value) latticeValue {
-	if c, ok := v.(core.Constant); ok {
-		if _, isPh := v.(*core.Placeholder); !isPh {
-			switch c.(type) {
-			case *core.ConstantInt, *core.ConstantFloat, *core.ConstantBool, *core.ConstantNull:
-				return latticeValue{state: latConst, val: c}
-			}
-		}
+	switch x := v.(type) {
+	case *core.ConstantInt, *core.ConstantFloat, *core.ConstantBool, *core.ConstantNull:
+		return latticeValue{state: latConst, val: x.(core.Constant)}
+	case core.Instruction:
+		return sv.values[x.ID()]
+	case core.Constant, *core.Argument:
 		return latticeValue{state: latOverdefined}
 	}
-	return sv.values[v]
+	return latticeValue{}
 }
 
-func (sv *sccpSolver) markOverdefined(v core.Value) {
-	if sv.values[v].state == latOverdefined {
+func (sv *sccpSolver) markOverdefined(inst core.Instruction) {
+	if sv.values[inst.ID()].state == latOverdefined {
 		return
 	}
-	sv.values[v] = latticeValue{state: latOverdefined}
-	sv.notifyUsers(v)
+	sv.values[inst.ID()] = latticeValue{state: latOverdefined}
+	sv.notifyUsers(inst)
 }
 
-func (sv *sccpSolver) markConst(v core.Value, c core.Constant) {
-	cur := sv.values[v]
+func (sv *sccpSolver) markConst(inst core.Instruction, c core.Constant) {
+	cur := sv.values[inst.ID()]
 	if cur.state == latOverdefined {
 		return
 	}
 	if cur.state == latConst {
 		if !constEq(cur.val, c) {
-			sv.markOverdefined(v)
+			sv.markOverdefined(inst)
 		}
 		return
 	}
-	sv.values[v] = latticeValue{state: latConst, val: c}
-	sv.notifyUsers(v)
+	sv.values[inst.ID()] = latticeValue{state: latConst, val: c}
+	sv.notifyUsers(inst)
 }
 
 func (sv *sccpSolver) notifyUsers(v core.Value) {
@@ -132,20 +142,31 @@ func (sv *sccpSolver) notifyUsers(v core.Value) {
 }
 
 func (sv *sccpSolver) markBlockExecutable(b *core.BasicBlock) {
-	if sv.bbExec[b] {
+	if sv.bbExec[b.ID()] {
 		return
 	}
-	sv.bbExec[b] = true
+	sv.bbExec[b.ID()] = true
 	sv.blockWork = append(sv.blockWork, b)
 }
 
+// edgeSlot returns the flag index of the edge from → to: the first
+// successor slot of from that targets to, or -1 if there is none.
+func (sv *sccpSolver) edgeSlot(from, to *core.BasicBlock) int {
+	for k, n := 0, from.NumSuccs(); k < n; k++ {
+		if from.Succ(k) == to {
+			return int(sv.edgeOff[from.ID()]) + k
+		}
+	}
+	return -1
+}
+
 func (sv *sccpSolver) markEdgeExecutable(from, to *core.BasicBlock) {
-	key := [2]*core.BasicBlock{from, to}
-	if sv.edgeExec[key] {
+	e := sv.edgeSlot(from, to)
+	if sv.edges[e] {
 		return
 	}
-	sv.edgeExec[key] = true
-	if sv.bbExec[to] {
+	sv.edges[e] = true
+	if sv.bbExec[to.ID()] {
 		// Re-visit the phis of to: a new incoming edge may change them.
 		for _, phi := range to.Phis() {
 			sv.instWork = append(sv.instWork, phi)
@@ -167,7 +188,7 @@ func (sv *sccpSolver) solve() {
 		for len(sv.instWork) > 0 {
 			inst := sv.instWork[len(sv.instWork)-1]
 			sv.instWork = sv.instWork[:len(sv.instWork)-1]
-			if sv.bbExec[inst.Parent()] {
+			if sv.bbExec[inst.Parent().ID()] {
 				sv.visit(inst)
 			}
 		}
@@ -270,7 +291,7 @@ func (sv *sccpSolver) visitPhi(phi *core.PhiInst) {
 	var result latticeValue
 	for n := 0; n < phi.NumIncoming(); n++ {
 		v, pred := phi.Incoming(n)
-		if !sv.edgeExec[[2]*core.BasicBlock{pred, phi.Parent()}] {
+		if e := sv.edgeSlot(pred, phi.Parent()); e < 0 || !sv.edges[e] {
 			continue
 		}
 		lv := sv.lattice(v)
