@@ -648,11 +648,16 @@ func (p *parser) parseConstantOperand(t core.Type) (core.Constant, error) {
 		if err := p.advance(); err != nil {
 			return nil, err
 		}
+		// The bytes are sbyte unless the expected type says ubyte.
+		elem := core.Type(core.SByteType)
+		if at, ok := t.(*core.ArrayType); ok && at.Elem.Kind() == core.UByteKind {
+			elem = core.UByteType
+		}
 		elems := make([]core.Constant, len(data))
 		for i := 0; i < len(data); i++ {
-			elems[i] = core.NewInt(core.SByteType, int64(data[i]))
+			elems[i] = core.NewInt(elem, int64(data[i]))
 		}
-		return core.NewArrayConst(core.SByteType, elems), nil
+		return core.NewArrayConst(elem, elems), nil
 
 	case p.atPunct("["):
 		at, ok := t.(*core.ArrayType)
