@@ -308,3 +308,33 @@ func TestDominatesValueUse(t *testing.T) {
 		t.Error("later instruction must not dominate earlier one")
 	}
 }
+
+// TestLoopExitsDeterministic: unnamed exit blocks used to tie in the name
+// sort and come out in map order; exits are ordered by block ID.
+func TestLoopExitsDeterministic(t *testing.T) {
+	f := core.NewFunction("f", core.NewFunctionType(core.VoidType, core.BoolType))
+	c := f.Args[0]
+	entry, head, body, exitA, exitB := core.NewBlock("entry"), core.NewBlock(""), core.NewBlock(""), core.NewBlock(""), core.NewBlock("")
+	for _, b := range []*core.BasicBlock{entry, head, body, exitB, exitA} {
+		f.AddBlock(b)
+	}
+	entry.Append(core.NewBr(head))
+	head.Append(core.NewCondBr(c, body, exitA))
+	body.Append(core.NewCondBr(c, head, exitB))
+	exitA.Append(core.NewRet(nil))
+	exitB.Append(core.NewRet(nil))
+	if err := core.VerifyFunction(f); err != nil {
+		t.Fatal(err)
+	}
+	li := NewLoopInfo(f, NewDomTree(f))
+	loop := li.ByHeader[head]
+	if loop == nil {
+		t.Fatal("loop not found")
+	}
+	for i := 0; i < 100; i++ {
+		exits := loop.Exits()
+		if len(exits) != 2 || exits[0] != exitB || exits[1] != exitA {
+			t.Fatalf("run %d: exits = %v, want [exitB exitA] (block ID order)", i, exits)
+		}
+	}
+}

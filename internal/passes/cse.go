@@ -56,15 +56,12 @@ func (c *CSE) runOnFunctionWith(f *core.Function, am *analysis.Manager) int {
 	keys := cseKeysPool.Get().(*cseKeys)
 	defer cseKeysPool.Put(keys)
 	keys.reset()
-	table := map[exprKey]core.Instruction{}
-	var (
-		added []exprKey // the table's entries, innermost scope last
-		buf   []core.Instruction
-		// Block-local available memory values: address → value the cell
-		// holds, pruned by alias queries at each potential clobber.
-		avail   []memAvail
-		changed int
-	)
+	table, added, buf := keys.table, keys.added[:0], keys.buf[:0]
+	// Block-local available memory values: address → value the cell
+	// holds, pruned by alias queries at each potential clobber.
+	avail := keys.avail[:0]
+	changed := 0
+	defer func() { keys.added, keys.buf, keys.avail = added[:0], buf[:0], avail[:0] }()
 
 	var walk func(b *core.BasicBlock)
 	walk = func(b *core.BasicBlock) {
@@ -145,22 +142,30 @@ const (
 )
 
 // cseKeys builds keys. It interns types, so that equal types built as
-// different objects get one ID, and operand lists; both tables live for
-// one function.
+// different objects get one ID, and operand lists. Its tables, and the
+// scoped expression table with its buffers, live for one function and
+// are then pooled for the next.
 type cseKeys struct {
 	types  map[core.Type]int32
 	shapes map[typeShape]int32
 	lists  map[listLink]int32
+
+	table map[exprKey]core.Instruction
+	added []exprKey // the table's entries, innermost scope last
+	buf   []core.Instruction
+	avail []memAvail
 }
 
 var cseKeysPool = sync.Pool{New: func() any {
-	return &cseKeys{types: map[core.Type]int32{}, shapes: map[typeShape]int32{}, lists: map[listLink]int32{}}
+	return &cseKeys{types: map[core.Type]int32{}, shapes: map[typeShape]int32{},
+		lists: map[listLink]int32{}, table: map[exprKey]core.Instruction{}}
 }}
 
 func (k *cseKeys) reset() {
 	clear(k.types)
 	clear(k.shapes)
 	clear(k.lists)
+	clear(k.table)
 }
 
 // typeShape is a type with its component types replaced by their IDs. Two
