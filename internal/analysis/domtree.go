@@ -10,42 +10,27 @@ import (
 )
 
 // DomTree is the dominator tree of a function: a view of the one
-// dominator kernel, core.Dominators. Unreachable blocks have no entry
-// (Idom returns nil and Dominates returns false for them).
+// dominator kernel, whose Idom, Reachable, Dominates, Children and RPO it
+// answers with. Unreachable blocks have no entry (Idom returns nil and
+// Dominates returns false for them).
 type DomTree struct {
-	fn  *core.Function
-	dom *core.Dominators
+	*core.Dominators
+	fn *core.Function
 }
 
 // NewDomTree computes the dominator tree with the iterative
 // Cooper-Harvey-Kennedy algorithm over reverse postorder.
 func NewDomTree(f *core.Function) *DomTree {
-	return &DomTree{fn: f, dom: core.NewDominators(f)}
+	return &DomTree{Dominators: core.NewDominators(f), fn: f}
 }
 
 // Function returns the function the tree was built for.
 func (dt *DomTree) Function() *core.Function { return dt.fn }
 
-// Idom returns the immediate dominator of b (nil for the entry block and
-// for unreachable blocks).
-func (dt *DomTree) Idom(b *core.BasicBlock) *core.BasicBlock { return dt.dom.Idom(b) }
-
-// Reachable reports whether b is reachable from the entry block.
-func (dt *DomTree) Reachable(b *core.BasicBlock) bool { return dt.dom.Reachable(b) }
-
-// Dominates reports whether a dominates b (every block dominates itself).
-func (dt *DomTree) Dominates(a, b *core.BasicBlock) bool { return dt.dom.Dominates(a, b) }
-
 // StrictlyDominates reports whether a dominates b and a != b.
 func (dt *DomTree) StrictlyDominates(a, b *core.BasicBlock) bool {
 	return a != b && dt.Dominates(a, b)
 }
-
-// Children returns the dominator-tree children of b.
-func (dt *DomTree) Children(b *core.BasicBlock) []*core.BasicBlock { return dt.dom.Children(b) }
-
-// RPO returns the reachable blocks in reverse postorder.
-func (dt *DomTree) RPO() []*core.BasicBlock { return dt.dom.RPO() }
 
 // DominatesValueUse reports whether the definition of v dominates the use
 // (user, opIdx), handling phi uses (which must dominate the incoming edge's
@@ -81,7 +66,7 @@ type DomFrontier map[*core.BasicBlock][]*core.BasicBlock
 // joins the frontier of every block from p up to, not including, idom(b).
 func NewDomFrontier(dt *DomTree) DomFrontier {
 	df := DomFrontier{}
-	d := dt.dom
+	d := dt.Dominators
 	rpo := d.RPO()
 	// last[r] is 1 + the RPO number of the last block added to DF(r), so
 	// a join reached from several predecessors is added once.

@@ -110,7 +110,7 @@ func (li *LoopInfo) All() []*Loop {
 // loops by block containment.
 func NewLoopInfo(f *core.Function, dt *DomTree) *LoopInfo {
 	rpo := dt.RPO()
-	li := &LoopInfo{ByHeader: map[*core.BasicBlock]*Loop{}, dom: dt.dom, loopOf: make([]*Loop, len(rpo))}
+	li := &LoopInfo{ByHeader: map[*core.BasicBlock]*Loop{}, dom: dt.Dominators, loopOf: make([]*Loop, len(rpo))}
 
 	// Find back edges and collect loop bodies.
 	var headers []*core.BasicBlock

@@ -8,17 +8,12 @@ import (
 	"fmt"
 	"hash"
 	"os"
-	"path/filepath"
 	"sort"
-	"strings"
 	"testing"
 
-	"repro/internal/asm"
 	"repro/internal/codegen"
 	"repro/internal/core"
-	"repro/internal/frontend/minic"
-	"repro/internal/linker"
-	"repro/internal/passes"
+	"repro/internal/corpus"
 	"repro/internal/workload"
 )
 
@@ -40,35 +35,27 @@ type goldenModule struct {
 // followed by every .ll module under examples/, in a fixed order.
 func goldenCorpus(tb testing.TB) []goldenModule {
 	tb.Helper()
-	var out []goldenModule
-	for _, p := range workload.Suite() {
-		out = append(out,
-			goldenModule{p.Name + "/raw", buildSuite(tb, p, false)},
-			goldenModule{p.Name + "/lto", buildSuite(tb, p, true)})
+	mods, err := corpus.Golden("../..")
+	if err != nil {
+		tb.Fatal(err)
 	}
-	return append(out, exampleModules(tb)...)
+	return toGolden(mods)
 }
 
 // exampleModules parses every .ll module under examples/, in path order.
 func exampleModules(tb testing.TB) []goldenModule {
 	tb.Helper()
-	var out []goldenModule
-	files, err := filepath.Glob("../../examples/*/*.ll")
+	mods, err := corpus.Examples("../..")
 	if err != nil {
 		tb.Fatal(err)
 	}
-	sort.Strings(files)
-	for _, path := range files {
-		src, err := os.ReadFile(path)
-		if err != nil {
-			tb.Fatal(err)
-		}
-		name := strings.TrimPrefix(filepath.ToSlash(path), "../../")
-		m, err := asm.ParseModule(name, string(src))
-		if err != nil {
-			tb.Fatalf("%s: %v", name, err)
-		}
-		out = append(out, goldenModule{name, m})
+	return toGolden(mods)
+}
+
+func toGolden(mods []corpus.Module) []goldenModule {
+	out := make([]goldenModule, len(mods))
+	for i, cm := range mods {
+		out[i] = goldenModule{cm.Name, cm.M}
 	}
 	return out
 }
@@ -78,34 +65,11 @@ func exampleModules(tb testing.TB) []goldenModule {
 // pipeline on the linked module.
 func buildSuite(tb testing.TB, p workload.Profile, opt bool) *core.Module {
 	tb.Helper()
-	prog := workload.Generate(p)
-	var mods []*core.Module
-	for i, src := range prog.Units {
-		m, err := minic.Compile(fmt.Sprintf("%s.u%d", p.Name, i), src)
-		if err != nil {
-			tb.Fatalf("%s unit %d: %v", p.Name, i, err)
-		}
-		if opt {
-			if _, err := passes.NewPassManager().AddStandardPipeline().Run(m); err != nil {
-				tb.Fatalf("%s unit %d: %v", p.Name, i, err)
-			}
-		}
-		mods = append(mods, m)
-	}
-	linked, err := linker.Link(p.Name, mods...)
+	m, err := corpus.Suite(p, opt)
 	if err != nil {
-		tb.Fatalf("%s: %v", p.Name, err)
+		tb.Fatal(err)
 	}
-	if opt {
-		passes.NewInternalize().RunOnModule(linked)
-		if _, err := passes.NewPassManager().AddLinkTimePipeline().Run(linked); err != nil {
-			tb.Fatalf("%s: %v", p.Name, err)
-		}
-	}
-	if err := core.Verify(linked); err != nil {
-		tb.Fatalf("%s: %v", p.Name, err)
-	}
-	return linked
+	return m
 }
 
 var goldenTargets = []codegen.Target{codegen.Cisc86{}, codegen.RiscV9{}}

@@ -131,8 +131,10 @@ func ReplaceAllUses(old, new Value) {
 	if old == new {
 		return
 	}
-	// Copy because SetOperand mutates the use list.
-	uses := append([]Use(nil), old.Uses()...)
+	// Copy because SetOperand mutates the use list; most values have few
+	// uses, so the copy usually stays on the stack.
+	var buf [8]Use
+	uses := append(buf[:0], old.Uses()...)
 	for _, u := range uses {
 		u.User.SetOperand(u.Index, new)
 	}

@@ -95,10 +95,11 @@ func promotionBlocker(a *core.AllocaInst) string {
 	return ""
 }
 
-// renameStep is one edit the renaming walk found for an alloca: replace
+// renameStep is one edit the renaming walk found for alloca k: replace
 // and erase a load, erase a store, or add a phi incoming edge. val is the
 // value as the walk saw it, before earlier allocas' loads are resolved.
 type renameStep struct {
+	k    int
 	inst core.Instruction // the load or store; nil for a phi edge
 	val  core.Value
 	phi  *core.PhiInst
@@ -185,11 +186,13 @@ func promote(f *core.Function, allocas []*core.AllocaInst, dt *analysis.DomTree,
 
 	// Rename: one walk of the dominator tree carrying every alloca's
 	// current value; undo restores the values on the way back up.
-	steps := make([][]renameStep, len(allocas))
 	cur := make([]core.Value, len(allocas))
+	nuses := 0
 	for k, a := range allocas {
 		cur[k] = core.NewUndef(a.AllocType)
+		nuses += core.NumUses(a)
 	}
+	steps := make([]renameStep, 0, nuses)
 	loadOf := make([]int32, ni) // by load ID: 1 + the alloca it reads
 	repl := make([]core.Value, ni)
 	type saved struct {
@@ -213,17 +216,17 @@ func promote(f *core.Function, allocas []*core.AllocaInst, dt *analysis.DomTree,
 				continue
 			}
 			if st, ok := inst.(*core.StoreInst); ok {
-				steps[k] = append(steps[k], renameStep{inst: st})
+				steps = append(steps, renameStep{k: k, inst: st})
 				set(k, st.Val())
 				continue
 			}
-			steps[k] = append(steps[k], renameStep{inst: inst, val: cur[k]})
+			steps = append(steps, renameStep{k: k, inst: inst, val: cur[k]})
 			loadOf[inst.ID()] = int32(k + 1)
 			repl[inst.ID()] = cur[k]
 		}
 		for i, n := 0, b.NumSuccs(); i < n; i++ {
 			for _, p := range atHead[b.Succ(i).ID()] {
-				steps[p.k] = append(steps[p.k], renameStep{val: cur[p.k], phi: p.phi, from: b})
+				steps = append(steps, renameStep{k: p.k, val: cur[p.k], phi: p.phi, from: b})
 			}
 		}
 		for _, child := range dt.Children(b) {
@@ -250,9 +253,25 @@ func promote(f *core.Function, allocas []*core.AllocaInst, dt *analysis.DomTree,
 		}
 	}
 
+	// Group the steps by alloca, each group in walk order.
+	start := make([]int32, len(allocas)+1)
+	for _, s := range steps {
+		start[s.k+1]++
+	}
+	for k := range allocas {
+		start[k+1] += start[k]
+	}
+	order := make([]int32, len(steps))
+	next := append([]int32(nil), start[:len(allocas)]...)
+	for i, s := range steps {
+		order[next[s.k]] = int32(i)
+		next[s.k]++
+	}
+
 	for k, a := range allocas {
 		t := a.AllocType
-		for _, s := range steps[k] {
+		for _, n := range order[start[k]:start[k+1]] {
+			s := &steps[n]
 			switch i := s.inst.(type) {
 			case *core.LoadInst:
 				core.ReplaceAllUses(i, resolve(s.val, k))
