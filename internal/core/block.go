@@ -191,16 +191,6 @@ func predOf(u Use) *BasicBlock {
 	return nil
 }
 
-// hasPreds reports whether some terminator branches to b.
-func (b *BasicBlock) hasPreds() bool {
-	for _, u := range b.uses {
-		if predOf(u) != nil {
-			return true
-		}
-	}
-	return false
-}
-
 // Phis returns the phi instructions at the head of the block.
 func (b *BasicBlock) Phis() []*PhiInst {
 	var out []*PhiInst

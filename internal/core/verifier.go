@@ -80,7 +80,7 @@ func (v *verifier) verifyFunction(f *Function) {
 	}
 
 	idsOK := v.verifyIDs(f)
-	if f.Entry().hasPreds() {
+	if len(f.Entry().Preds()) > 0 {
 		v.errf("entry block %%%s has predecessors", f.Entry().Name())
 	}
 

@@ -219,3 +219,28 @@ func TestVerifierDiagnosticsPinned(t *testing.T) {
 		t.Errorf("diagnostics:\n  %s\nwant:\n  %s", strings.Join(got, "\n  "), strings.Join(want, "\n  "))
 	}
 }
+
+// TestVerifierChecksIDs: IR placed in a function behind the numbering
+// mutators (here by writing the slices directly) fails verification.
+func TestVerifierChecksIDs(t *testing.T) {
+	m := NewModule("ids")
+	f := NewFunction("f", NewFunctionType(VoidType))
+	m.AddFunc(f)
+	entry := NewBlock("entry")
+	f.AddBlock(entry)
+	entry.Instrs = append(entry.Instrs, NewBr(entry))
+	entry.Instrs[0].setParent(entry)
+	f.Blocks = append(f.Blocks, entry)
+	err := Verify(m)
+	if err == nil {
+		t.Fatal("verifier accepted unnumbered IR")
+	}
+	for _, want := range []string{
+		"in %f: br in block %entry has ID 0 outside [1, 1)",
+		"in %f: block %entry reuses ID 1",
+	} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q does not mention %q", err, want)
+		}
+	}
+}
