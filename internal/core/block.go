@@ -13,7 +13,6 @@ import "slices"
 type BasicBlock struct {
 	valueBase
 	parent *Function
-	id     int32
 	Instrs []Instruction
 }
 

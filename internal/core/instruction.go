@@ -125,7 +125,6 @@ type instrBase struct {
 	userBase
 	parent *BasicBlock
 	op     Opcode
-	id     int32
 }
 
 func (i *instrBase) Opcode() Opcode          { return i.op }

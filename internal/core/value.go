@@ -54,11 +54,16 @@ type User interface {
 // its callee or of a constant that other functions reference too. Values that
 // live inside a single function (instructions, arguments, blocks) stay
 // lock-free; exactly one goroutine ever touches them.
+//
+// id is the number a block or instruction gets from its function (see
+// Function.NumBlockIDs); other values leave it zero. It fills the padding
+// after shared, so it costs no memory.
 type valueBase struct {
 	name   string
 	typ    Type
 	uses   []Use
 	shared bool
+	id     int32
 	mu     sync.Mutex
 }
 
