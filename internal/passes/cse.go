@@ -134,7 +134,7 @@ type operandKey struct {
 }
 
 const (
-	opIdentity uint8 = iota
+	opIdentity uint8 = iota // compared by v
 	opInt
 	opFloat
 	opBool

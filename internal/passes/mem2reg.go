@@ -56,15 +56,11 @@ func (m *Mem2Reg) runOnFunctionWith(f *core.Function, am *analysis.Manager) int 
 	}
 	dt := am.DomTree(f)
 	df := am.DomFrontier(f)
-	names := make([]string, len(promotable))
-	for k, a := range promotable {
-		names[k] = a.Name()
-	}
 	phis := promote(f, promotable, dt, df)
 	if m.rem.Enabled() {
-		for k, name := range names {
+		for k, a := range promotable {
 			m.rem.Appliedf("mem2reg", diag.Pos{Fn: f.Name(), Block: f.Entry().Name()},
-				"promoted %%%s to register (%d phis)", name, phis[k])
+				"promoted %%%s to register (%d phis)", a.Name(), len(phis[k]))
 		}
 	}
 	return len(promotable)
@@ -112,8 +108,8 @@ type placedPhi struct {
 	phi *core.PhiInst
 }
 
-// promote rewrites the allocas into SSA form and returns the number of
-// φ-functions inserted for each.
+// promote rewrites the allocas into SSA form and returns the φ-functions
+// inserted for each.
 //
 // It places every alloca's φs at the iterated dominance frontier of its
 // stores, then renames all of them in one walk over the dominator tree,
@@ -122,7 +118,7 @@ type placedPhi struct {
 // allocas already rewritten. That is the exact sequence of IR edits one
 // walk per alloca makes, so φ order, incoming order and every use list
 // come out the same.
-func promote(f *core.Function, allocas []*core.AllocaInst, dt *analysis.DomTree, df analysis.DomFrontier) []int {
+func promote(f *core.Function, allocas []*core.AllocaInst, dt *analysis.DomTree, df analysis.DomFrontier) [][]*core.PhiInst {
 	nb, ni := f.NumBlockIDs(), f.NumInstIDs()
 	slot := make([]int32, ni) // by alloca ID: 1 + its index in allocas
 	for k, a := range allocas {
@@ -140,7 +136,7 @@ func promote(f *core.Function, allocas []*core.AllocaInst, dt *analysis.DomTree,
 		default:
 			return -1
 		}
-		if a, ok := ptr.(*core.AllocaInst); ok && a.ID() < ni {
+		if a, ok := ptr.(*core.AllocaInst); ok {
 			return int(slot[a.ID()]) - 1
 		}
 		return -1
@@ -246,7 +242,7 @@ func promote(f *core.Function, allocas []*core.AllocaInst, dt *analysis.DomTree,
 	resolve := func(v core.Value, k int) core.Value {
 		for {
 			l, ok := v.(*core.LoadInst)
-			if !ok || l.ID() >= ni || loadOf[l.ID()] == 0 || int(loadOf[l.ID()]) > k+1 {
+			if !ok || loadOf[l.ID()] == 0 || int(loadOf[l.ID()]) > k+1 {
 				return v
 			}
 			v = repl[l.ID()]
@@ -303,11 +299,7 @@ func promote(f *core.Function, allocas []*core.AllocaInst, dt *analysis.DomTree,
 		}
 		f.Entry().Erase(a)
 	}
-	counts := make([]int, len(allocas))
-	for k := range phis {
-		counts[k] = len(phis[k])
-	}
-	return counts
+	return phis
 }
 
 // dedupIncoming removes all but the last incoming entry of each
