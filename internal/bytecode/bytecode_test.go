@@ -3,10 +3,12 @@ package bytecode
 import (
 	"bytes"
 	"compress/flate"
+	"errors"
 	"testing"
 
 	"repro/internal/asm"
 	"repro/internal/core"
+	"repro/internal/wire"
 )
 
 // roundTrip encodes m, decodes the bytes, and checks the decoded module
@@ -273,34 +275,6 @@ func TestBytecodeCompressibility(t *testing.T) {
 	}
 }
 
-func TestVarintEdgeCases(t *testing.T) {
-	var w writer
-	vals := []uint64{0, 1, 127, 128, 300, 1 << 20, 1<<63 - 1}
-	for _, v := range vals {
-		w.uvarint(v)
-	}
-	svals := []int64{0, -1, 1, -64, 64, -1 << 40, 1<<62 - 1}
-	for _, v := range svals {
-		w.svarint(v)
-	}
-	r := &reader{buf: w.bytes()}
-	for _, want := range vals {
-		got, err := r.uvarint()
-		if err != nil || got != want {
-			t.Fatalf("uvarint(%d) = %d, %v", want, got, err)
-		}
-	}
-	for _, want := range svals {
-		got, err := r.svarint()
-		if err != nil || got != want {
-			t.Fatalf("svarint(%d) = %d, %v", want, got, err)
-		}
-	}
-	if _, err := r.uvarint(); err == nil {
-		t.Error("read past end did not error")
-	}
-}
-
 func TestSizeComparableToText(t *testing.T) {
 	// Bytecode should be substantially smaller than the textual form.
 	m := parseSrc(t, loopSrc)
@@ -308,5 +282,26 @@ func TestSizeComparableToText(t *testing.T) {
 	bc := len(mustEncStripped(t, m))
 	if bc >= text {
 		t.Errorf("bytecode (%d) not smaller than text (%d)", bc, text)
+	}
+}
+
+// TestDecodeRejectsOverflowingVarint: a ten-byte varint whose last byte
+// carries more than the 64th bit does not fit in 64 bits. The image with
+// the largest magnitude constant decodes; the same image with that
+// varint's last byte raised to 0x7f is refused.
+func TestDecodeRejectsOverflowingVarint(t *testing.T) {
+	data := mustEnc(t, parseSrc(t, "%g = global long -9223372036854775808\n"))
+	if _, err := Decode(data); err != nil {
+		t.Fatal(err)
+	}
+	maxEnc := append(bytes.Repeat([]byte{0xff}, 9), 0x01)
+	i := bytes.Index(data, maxEnc)
+	if i < 0 {
+		t.Fatalf("no ten-byte varint in % x", data)
+	}
+	bad := bytes.Clone(data)
+	bad[i+9] = 0x7f
+	if m, err := Decode(bad); m != nil || !errors.Is(err, wire.ErrOverflow) {
+		t.Fatalf("Decode = %v, %v; want ErrOverflow", m, err)
 	}
 }

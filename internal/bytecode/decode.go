@@ -1,10 +1,10 @@
 package bytecode
 
 import (
-	"bytes"
 	"fmt"
 
 	"repro/internal/core"
+	"repro/internal/wire"
 )
 
 // Decode parses a bytecode image back into a Module. Hostile input is
@@ -12,39 +12,27 @@ import (
 // panic in an IR constructor — is reported as an error carrying the byte
 // offset where decoding stopped, never as a Go panic.
 func Decode(data []byte) (m *core.Module, err error) {
-	r := &reader{buf: data}
+	r := wire.NewReader(data)
 	defer func() {
 		if rec := recover(); rec != nil {
-			m, err = nil, fmt.Errorf("bytecode: offset %d: invalid input: %v", r.pos, rec)
+			m, err = nil, fmt.Errorf("bytecode: offset %d: invalid input: %v", r.Offset(), rec)
 		} else if err != nil {
-			err = fmt.Errorf("bytecode: offset %d: %w", r.pos, err)
+			m, err = nil, fmt.Errorf("bytecode: offset %d: %w", r.Offset(), err)
 		}
 	}()
-	var magic [4]byte
-	for i := range magic {
-		b, err := r.u8()
-		if err != nil {
-			return nil, err
-		}
-		magic[i] = b
+	r.Expect(string(Magic[:]))
+	if ver := r.Byte(); r.Err() == nil && ver != Version {
+		r.Failf("unsupported version %d", ver)
 	}
-	if !bytes.Equal(magic[:], Magic[:]) {
-		return nil, fmt.Errorf("bad magic %q", magic)
+	if r.Err() != nil {
+		return nil, r.Err()
 	}
-	ver, err := r.u8()
-	if err != nil {
-		return nil, err
-	}
-	if ver != Version {
-		return nil, fmt.Errorf("unsupported version %d", ver)
-	}
-
 	d := &decoder{r: r}
 	return d.run()
 }
 
 type decoder struct {
-	r     *reader
+	r     *wire.Reader
 	strs  []string
 	types []core.Type
 	m     *core.Module
@@ -53,333 +41,224 @@ type decoder struct {
 }
 
 func (d *decoder) run() (*core.Module, error) {
-	// String table.
-	n, err := d.r.uvarint()
-	if err != nil {
-		return nil, err
-	}
-	if n > uint64(d.r.remaining()) {
-		return nil, ErrTruncated
-	}
-	d.strs = make([]string, n)
+	r := d.r
+	// Each string is at least its length byte.
+	d.strs = make([]string, r.Count(1))
 	for i := range d.strs {
-		if d.strs[i], err = d.r.str(); err != nil {
-			return nil, err
-		}
+		d.strs[i] = r.Str()
 	}
-	modName, err := d.r.str()
-	if err != nil {
-		return nil, err
+	modName := r.Str()
+	d.readTypeTable()
+	if r.Err() != nil {
+		return nil, r.Err()
 	}
 	d.m = core.NewModule(modName)
 
-	// Types.
-	if d.types, err = readTypeTable(d.r, d.strs); err != nil {
-		return nil, err
-	}
-
-	// Named module types.
-	nNamed, err := d.r.uvarint()
-	if err != nil {
-		return nil, err
-	}
-	for i := uint64(0); i < nNamed; i++ {
-		nameID, err := d.r.uvarint()
-		if err != nil {
-			return nil, err
-		}
-		typeID, err := d.r.uvarint()
-		if err != nil {
-			return nil, err
-		}
-		name, err := lookupString(d.strs, nameID)
-		if err != nil {
-			return nil, err
-		}
-		t, err := d.typeByID(typeID)
-		if err != nil {
-			return nil, err
+	// Named module types: (name id, type id) pairs.
+	for n := r.Count(2); n > 0; n-- {
+		name, t := d.str(r.Uvarint()), d.readType()
+		if r.Err() != nil {
+			return nil, r.Err()
 		}
 		d.m.AddTypeName(name, t)
 	}
 
-	// Global headers.
-	nGlobals, err := d.r.uvarint()
-	if err != nil {
-		return nil, err
+	// Global and function headers: name id, type id, flag byte.
+	type hdr struct {
+		name  string
+		t     core.Type
+		flags byte
 	}
-	// Each header is at least 3 bytes (two varints and a flag byte); a
-	// declared count beyond that is hostile — reject before preallocating.
-	if nGlobals > uint64(d.r.remaining())/3 {
-		return nil, ErrTruncated
+	readHdrs := func() []hdr {
+		hdrs := make([]hdr, r.Count(3))
+		for i := range hdrs {
+			hdrs[i] = hdr{d.str(r.Uvarint()), d.readType(), r.Byte()}
+		}
+		return hdrs
 	}
-	type gHdr struct {
-		g       *core.GlobalVariable
-		hasInit bool
+	gHdrs := readHdrs()
+	fHdrs := readHdrs()
+	if r.Err() != nil {
+		return nil, r.Err()
 	}
-	gHdrs := make([]gHdr, 0, nGlobals)
-	for i := uint64(0); i < nGlobals; i++ {
-		nameID, err := d.r.uvarint()
-		if err != nil {
-			return nil, err
-		}
-		typeID, err := d.r.uvarint()
-		if err != nil {
-			return nil, err
-		}
-		flags, err := d.r.u8()
-		if err != nil {
-			return nil, err
-		}
-		name, err := lookupString(d.strs, nameID)
-		if err != nil {
-			return nil, err
-		}
-		vt, err := d.typeByID(typeID)
-		if err != nil {
-			return nil, err
-		}
-		g := core.NewGlobal(name, vt, nil)
-		g.IsConst = flags&flagConst != 0
-		if flags&flagInternal != 0 {
-			g.Linkage = core.InternalLinkage
-		}
-		gHdrs = append(gHdrs, gHdr{g, flags&flagHasInit != 0})
-	}
-
-	// Function headers.
-	nFuncs, err := d.r.uvarint()
-	if err != nil {
-		return nil, err
-	}
-	if nFuncs > uint64(d.r.remaining())/3 {
-		return nil, ErrTruncated
-	}
-	type fHdr struct {
-		f       *core.Function
-		hasBody bool
-	}
-	fHdrs := make([]fHdr, 0, nFuncs)
-	for i := uint64(0); i < nFuncs; i++ {
-		nameID, err := d.r.uvarint()
-		if err != nil {
-			return nil, err
-		}
-		typeID, err := d.r.uvarint()
-		if err != nil {
-			return nil, err
-		}
-		flags, err := d.r.u8()
-		if err != nil {
-			return nil, err
-		}
-		name, err := lookupString(d.strs, nameID)
-		if err != nil {
-			return nil, err
-		}
-		t, err := d.typeByID(typeID)
-		if err != nil {
-			return nil, err
-		}
-		sig, ok := t.(*core.FunctionType)
+	// Module values in encoder order: functions, then globals.
+	d.modValues = make([]core.Value, 0, len(fHdrs)+len(gHdrs))
+	for _, h := range fHdrs {
+		sig, ok := h.t.(*core.FunctionType)
 		if !ok {
-			return nil, fmt.Errorf("bytecode: function %q has non-function type %s", name, t)
+			return nil, fmt.Errorf("function %q has non-function type %s", h.name, h.t)
 		}
-		f := core.NewFunction(name, sig)
-		if flags&flagInternal != 0 {
+		f := core.NewFunction(h.name, sig)
+		if h.flags&flagInternal != 0 {
 			f.Linkage = core.InternalLinkage
 		}
-		fHdrs = append(fHdrs, fHdr{f, flags&flagHasInit != 0})
+		d.m.AddFunc(f)
+		d.modValues = append(d.modValues, f)
 	}
-
-	// Register module values in encoder order: functions then globals.
-	for _, fh := range fHdrs {
-		d.m.AddFunc(fh.f)
-		d.modValues = append(d.modValues, fh.f)
-	}
-	for _, gh := range gHdrs {
-		d.m.AddGlobal(gh.g)
-	}
-	for _, gh := range gHdrs {
-		d.modValues = append(d.modValues, gh.g)
+	for _, h := range gHdrs {
+		g := core.NewGlobal(h.name, h.t, nil)
+		g.IsConst = h.flags&flagConst != 0
+		if h.flags&flagInternal != 0 {
+			g.Linkage = core.InternalLinkage
+		}
+		d.m.AddGlobal(g)
+		d.modValues = append(d.modValues, g)
 	}
 
 	// Global initializers.
-	for _, gh := range gHdrs {
-		if gh.hasInit {
-			c, err := d.readConstant()
-			if err != nil {
-				return nil, err
+	for i, g := range d.m.Globals {
+		if gHdrs[i].flags&flagHasInit != 0 {
+			if g.Init = d.readConstant(); r.Err() != nil {
+				return nil, r.Err()
 			}
-			gh.g.Init = c
 		}
 	}
 
 	// Function bodies.
-	for _, fh := range fHdrs {
-		if fh.hasBody {
-			if err := d.readFunctionBody(fh.f); err != nil {
-				return nil, fmt.Errorf("function %%%s: %w", fh.f.Name(), err)
+	for i, f := range d.m.Funcs {
+		if fHdrs[i].flags&flagHasInit != 0 {
+			if d.readFunctionBody(f); r.Err() != nil {
+				return nil, fmt.Errorf("function %%%s: %w", f.Name(), r.Err())
 			}
 		}
 	}
 	return d.m, nil
 }
 
-func (d *decoder) typeByID(id uint64) (core.Type, error) {
-	if id >= uint64(len(d.types)) {
-		return nil, fmt.Errorf("bytecode: type id %d out of range", id)
+// str resolves a string-table id. Like the other table lookups, it fails
+// the reader on an id out of range and returns the zero value once the
+// reader has failed.
+func (d *decoder) str(id uint64) string {
+	if d.r.Err() == nil && id < uint64(len(d.strs)) {
+		return d.strs[id]
 	}
-	return d.types[id], nil
+	d.r.Failf("string id %d out of range", id)
+	return ""
 }
 
-func (d *decoder) readConstant() (core.Constant, error) {
-	kind, err := d.r.u8()
-	if err != nil {
-		return nil, err
+// typeByID resolves a type id.
+func (d *decoder) typeByID(id uint64) core.Type {
+	if d.r.Err() == nil && id < uint64(len(d.types)) {
+		return d.types[id]
+	}
+	d.r.Failf("type id %d out of range", id)
+	return nil
+}
+
+// readType reads and resolves a type id.
+func (d *decoder) readType() core.Type { return d.typeByID(d.r.Uvarint()) }
+
+// readConstant reads one constant record, recursively for aggregates. It
+// returns nil once the reader has failed.
+func (d *decoder) readConstant() core.Constant {
+	r := d.r
+	kind := r.Byte()
+	if kind == ckModRef {
+		id := r.Uvarint()
+		if r.Err() == nil && id >= uint64(len(d.modValues)) {
+			r.Failf("module value id %d out of range", id)
+		}
+		if r.Err() != nil {
+			return nil
+		}
+		return d.modValues[id].(core.Constant)
+	}
+	if kind == ckBool {
+		b := r.Byte()
+		if r.Err() != nil {
+			return nil
+		}
+		return core.NewBool(b != 0)
+	}
+	if kind == ckExprGEP {
+		// Each index is a constant record of at least two bytes.
+		n := r.Count(2)
+		base := d.readConstant()
+		idx := make([]core.Constant, n)
+		ivals := make([]core.Value, n)
+		for i := range idx {
+			idx[i] = d.readConstant()
+			ivals[i] = idx[i]
+		}
+		if r.Err() != nil {
+			return nil
+		}
+		if _, err := core.GEPResultType(base.Type(), ivals); err != nil {
+			r.Fail(err)
+			return nil
+		}
+		return core.NewConstGEP(base, idx...)
+	}
+
+	// Every other kind starts with its type.
+	t := d.readType()
+	if r.Err() != nil {
+		return nil
 	}
 	switch kind {
-	case ckModRef:
-		id, err := d.r.uvarint()
-		if err != nil {
-			return nil, err
-		}
-		if id >= uint64(len(d.modValues)) {
-			return nil, fmt.Errorf("bytecode: module value id %d out of range", id)
-		}
-		return d.modValues[id].(core.Constant), nil
 	case ckInt:
-		t, err := d.readType()
-		if err != nil {
-			return nil, err
-		}
-		v, err := d.r.svarint()
-		if err != nil {
-			return nil, err
-		}
+		v := r.Svarint()
 		if !core.IsInteger(t) {
-			return nil, fmt.Errorf("bytecode: int constant of type %s", t)
+			r.Failf("int constant of type %s", t)
 		}
-		return core.NewInt(t, v), nil
+		if r.Err() == nil {
+			return core.NewInt(t, v)
+		}
 	case ckFloat:
-		t, err := d.readType()
-		if err != nil {
-			return nil, err
-		}
-		v, err := d.r.f64()
-		if err != nil {
-			return nil, err
-		}
+		v := r.F64()
 		if !core.IsFloatingPoint(t) {
-			return nil, fmt.Errorf("bytecode: float constant of type %s", t)
+			r.Failf("float constant of type %s", t)
 		}
-		return core.NewFloat(t, v), nil
-	case ckBool:
-		b, err := d.r.u8()
-		if err != nil {
-			return nil, err
+		if r.Err() == nil {
+			return core.NewFloat(t, v)
 		}
-		return core.NewBool(b != 0), nil
 	case ckNull:
-		t, err := d.readType()
-		if err != nil {
-			return nil, err
+		if pt, ok := t.(*core.PointerType); ok {
+			return core.NewNull(pt)
 		}
-		pt, ok := t.(*core.PointerType)
-		if !ok {
-			return nil, fmt.Errorf("bytecode: null constant of type %s", t)
-		}
-		return core.NewNull(pt), nil
+		r.Failf("null constant of type %s", t)
 	case ckUndef:
-		t, err := d.readType()
-		if err != nil {
-			return nil, err
-		}
-		return core.NewUndef(t), nil
+		return core.NewUndef(t)
 	case ckZero:
-		t, err := d.readType()
-		if err != nil {
-			return nil, err
-		}
-		return core.NewZero(t), nil
+		return core.NewZero(t)
 	case ckArray:
-		t, err := d.readType()
-		if err != nil {
-			return nil, err
-		}
 		at, ok := t.(*core.ArrayType)
 		if !ok {
-			return nil, fmt.Errorf("bytecode: array constant of type %s", t)
+			r.Failf("array constant of type %s", t)
+			return nil
 		}
 		// Each element record is at least one byte, so a length beyond the
 		// remaining input is a lie; reject before allocating for it.
-		if at.Len < 0 || at.Len > d.r.remaining() {
-			return nil, ErrTruncated
+		if at.Len < 0 || at.Len > r.Remaining() {
+			r.Fail(wire.ErrTruncated)
+			return nil
 		}
 		elems := make([]core.Constant, at.Len)
 		for i := range elems {
-			if elems[i], err = d.readConstant(); err != nil {
-				return nil, err
-			}
+			elems[i] = d.readConstant()
 		}
-		return core.NewArrayConst(at.Elem, elems), nil
+		if r.Err() == nil {
+			return core.NewArrayConst(at.Elem, elems)
+		}
 	case ckStruct:
-		t, err := d.readType()
-		if err != nil {
-			return nil, err
-		}
 		st, ok := t.(*core.StructType)
 		if !ok {
-			return nil, fmt.Errorf("bytecode: struct constant of type %s", t)
+			r.Failf("struct constant of type %s", t)
+			return nil
 		}
 		fields := make([]core.Constant, len(st.Fields))
 		for i := range fields {
-			if fields[i], err = d.readConstant(); err != nil {
-				return nil, err
-			}
+			fields[i] = d.readConstant()
 		}
-		return core.NewStructConst(st, fields), nil
+		if r.Err() == nil {
+			return core.NewStructConst(st, fields)
+		}
 	case ckExprCast:
-		t, err := d.readType()
-		if err != nil {
-			return nil, err
+		if v := d.readConstant(); r.Err() == nil {
+			return core.NewConstCast(v, t)
 		}
-		v, err := d.readConstant()
-		if err != nil {
-			return nil, err
-		}
-		return core.NewConstCast(v, t), nil
-	case ckExprGEP:
-		n, err := d.r.uvarint()
-		if err != nil {
-			return nil, err
-		}
-		base, err := d.readConstant()
-		if err != nil {
-			return nil, err
-		}
-		idx := make([]core.Constant, n)
-		for i := range idx {
-			if idx[i], err = d.readConstant(); err != nil {
-				return nil, err
-			}
-		}
-		ivals := make([]core.Value, len(idx))
-		for i, x := range idx {
-			ivals[i] = x
-		}
-		if _, err := core.GEPResultType(base.Type(), ivals); err != nil {
-			return nil, fmt.Errorf("bytecode: %w", err)
-		}
-		return core.NewConstGEP(base, idx...), nil
+	default:
+		r.Failf("bad constant kind %d", kind)
 	}
-	return nil, fmt.Errorf("bytecode: bad constant kind %d", kind)
-}
-
-func (d *decoder) readType() (core.Type, error) {
-	id, err := d.r.uvarint()
-	if err != nil {
-		return nil, err
-	}
-	return d.typeByID(id)
+	return nil
 }

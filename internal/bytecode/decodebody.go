@@ -15,31 +15,24 @@ type bodyDecoder struct {
 	fwd    map[uint64]*core.Placeholder
 }
 
-func (d *decoder) readFunctionBody(f *core.Function) error {
+// readFunctionBody decodes f's blocks, constant pool, instructions and
+// symbol tables. A malformation fails the decoder's reader.
+func (d *decoder) readFunctionBody(f *core.Function) {
+	r := d.r
 	bd := &bodyDecoder{d: d, f: f, fwd: map[uint64]*core.Placeholder{}}
 
-	nBlocks, err := d.r.uvarint()
-	if err != nil {
-		return err
-	}
-	if nBlocks > uint64(d.r.remaining())+1 {
-		return ErrTruncated
-	}
-	bd.blocks = make([]*core.BasicBlock, nBlocks)
+	// Each block costs at least its instruction-count byte.
+	bd.blocks = make([]*core.BasicBlock, r.Count(1))
 	for i := range bd.blocks {
 		bd.blocks[i] = core.NewBlock("")
 		f.AddBlock(bd.blocks[i])
 	}
 
-	// Constant pool.
-	nPool, err := d.r.uvarint()
-	if err != nil {
-		return err
-	}
-	for i := uint64(0); i < nPool; i++ {
-		c, err := d.readConstant()
-		if err != nil {
-			return err
+	// Constant pool; each record is at least a kind byte and a varint.
+	for n := r.Count(2); n > 0; n-- {
+		c := d.readConstant()
+		if r.Err() != nil {
+			return
 		}
 		bd.values = append(bd.values, c)
 	}
@@ -47,534 +40,336 @@ func (d *decoder) readFunctionBody(f *core.Function) error {
 		bd.values = append(bd.values, a)
 	}
 
-	// Block instruction counts.
-	counts := make([]uint64, nBlocks)
+	// Block instruction counts, then the instructions, each at least a byte.
+	counts := make([]int, len(bd.blocks))
 	for i := range counts {
-		if counts[i], err = d.r.uvarint(); err != nil {
-			return err
-		}
+		counts[i] = r.Count(1)
 	}
-
-	// Instructions.
 	for bi, blk := range bd.blocks {
-		for k := uint64(0); k < counts[bi]; k++ {
-			inst, err := bd.readInstruction()
-			if err != nil {
-				return err
+		for k := 0; k < counts[bi]; k++ {
+			inst := bd.readInstruction()
+			if r.Err() != nil {
+				return
 			}
 			blk.Append(inst)
 			bd.values = append(bd.values, inst)
 		}
 	}
+	if r.Err() != nil {
+		return
+	}
 
 	// Resolve forward references.
 	for id, ph := range bd.fwd {
 		if id >= uint64(len(bd.values)) {
-			return fmt.Errorf("bytecode: forward value id %d never defined", id)
+			r.Failf("forward value id %d never defined", id)
+			return
 		}
 		core.ReplaceAllUses(ph, bd.values[id])
 	}
 
-	// Symbol tables.
-	nNamed, err := d.r.uvarint()
-	if err != nil {
-		return err
-	}
-	for i := uint64(0); i < nNamed; i++ {
-		vid, err := d.r.uvarint()
-		if err != nil {
-			return err
+	// Symbol tables: (value id, string id), then (block id, string id).
+	for n := r.Count(2); n > 0; n-- {
+		vid, name := r.Uvarint(), d.str(r.Uvarint())
+		if r.Err() == nil && vid >= uint64(len(bd.values)) {
+			r.Failf("symbol value id %d out of range", vid)
 		}
-		sid, err := d.r.uvarint()
-		if err != nil {
-			return err
-		}
-		name, err := lookupString(d.strs, sid)
-		if err != nil {
-			return err
-		}
-		if vid >= uint64(len(bd.values)) {
-			return fmt.Errorf("bytecode: symbol value id %d out of range", vid)
+		if r.Err() != nil {
+			return
 		}
 		bd.values[vid].SetName(name)
 	}
-	nNamedBlocks, err := d.r.uvarint()
-	if err != nil {
-		return err
+	for n := r.Count(2); n > 0; n-- {
+		blk, name := bd.block(r.Uvarint()), d.str(r.Uvarint())
+		if r.Err() != nil {
+			return
+		}
+		blk.SetName(name)
 	}
-	for i := uint64(0); i < nNamedBlocks; i++ {
-		bid, err := d.r.uvarint()
-		if err != nil {
-			return err
-		}
-		sid, err := d.r.uvarint()
-		if err != nil {
-			return err
-		}
-		name, err := lookupString(d.strs, sid)
-		if err != nil {
-			return err
-		}
-		if bid >= uint64(len(bd.blocks)) {
-			return fmt.Errorf("bytecode: symbol block id %d out of range", bid)
-		}
-		bd.blocks[bid].SetName(name)
-	}
-	return nil
 }
 
 // value resolves a value id, creating a typed placeholder for forward refs.
-func (bd *bodyDecoder) value(id uint64, t core.Type) (core.Value, error) {
+// It returns nil once the reader has failed.
+func (bd *bodyDecoder) value(id uint64, t core.Type) core.Value {
+	r := bd.d.r
+	if r.Err() != nil {
+		return nil
+	}
 	if id < uint64(len(bd.values)) {
-		return bd.values[id], nil
+		return bd.values[id]
 	}
 	if ph, ok := bd.fwd[id]; ok {
-		return ph, nil
+		return ph
 	}
 	if t == nil {
-		return nil, fmt.Errorf("bytecode: untyped forward reference to value %d", id)
+		r.Failf("untyped forward reference to value %d", id)
+		return nil
 	}
 	ph := core.NewPlaceholder(fmt.Sprintf("fwd.%d", id), t)
 	bd.fwd[id] = ph
-	return ph, nil
+	return ph
 }
 
 // definedValue resolves a value id that must already be defined (compact
 // encoding guarantees backward references).
-func (bd *bodyDecoder) definedValue(id uint64) (core.Value, error) {
-	if id >= uint64(len(bd.values)) {
-		return nil, fmt.Errorf("bytecode: compact operand %d is a forward reference", id)
+func (bd *bodyDecoder) definedValue(id uint64) core.Value {
+	if bd.d.r.Err() == nil && id < uint64(len(bd.values)) {
+		return bd.values[id]
 	}
-	return bd.values[id], nil
+	bd.d.r.Failf("compact operand %d is a forward reference", id)
+	return nil
 }
 
-func (bd *bodyDecoder) block(id uint64) (*core.BasicBlock, error) {
-	if id >= uint64(len(bd.blocks)) {
-		return nil, fmt.Errorf("bytecode: block id %d out of range", id)
+func (bd *bodyDecoder) block(id uint64) *core.BasicBlock {
+	if bd.d.r.Err() == nil && id < uint64(len(bd.blocks)) {
+		return bd.blocks[id]
 	}
-	return bd.blocks[id], nil
+	bd.d.r.Failf("block id %d out of range", id)
+	return nil
 }
 
 // typedOperand reads (type id, value id).
-func (bd *bodyDecoder) typedOperand() (core.Value, error) {
-	t, err := bd.d.readType()
-	if err != nil {
-		return nil, err
-	}
-	id, err := bd.d.r.uvarint()
-	if err != nil {
-		return nil, err
-	}
-	return bd.value(id, t)
+func (bd *bodyDecoder) typedOperand() core.Value {
+	t := bd.d.readType()
+	return bd.value(bd.d.r.Uvarint(), t)
 }
 
-func (bd *bodyDecoder) readInstruction() (core.Instruction, error) {
-	first, err := bd.d.r.peek()
-	if err != nil {
-		return nil, err
-	}
-	if first&0x80 != 0 {
+// readInstruction decodes one instruction record. It returns nil exactly
+// when the reader has failed; no instruction is built from a field read
+// after the failure.
+func (bd *bodyDecoder) readInstruction() core.Instruction {
+	if bd.d.r.Peek()&0x80 != 0 {
 		return bd.readEscape()
 	}
 	return bd.readCompact()
 }
 
-func (bd *bodyDecoder) readCompact() (core.Instruction, error) {
-	word, err := bd.d.r.u32()
-	if err != nil {
-		return nil, err
-	}
+func (bd *bodyDecoder) readCompact() core.Instruction {
+	r := bd.d.r
+	word := r.U32()
 	op := core.Opcode(word >> 26)
-	typeID := uint64(word >> 17 & 0x1FF)
+	t := bd.d.typeByID(uint64(word >> 17 & 0x1FF))
 	op1 := uint64(word >> 9 & 0xFF)
 	op2 := uint64(word & 0x1FF)
 
-	t, err := bd.d.typeByID(typeID)
-	if err != nil {
-		return nil, err
+	// Resolve the operands the opcode uses: an optional or required first
+	// value, a second value, or a block.
+	var a, b core.Value
+	var blk *core.BasicBlock
+	switch {
+	case op == core.OpRet || op == core.OpMalloc || op == core.OpAlloca:
+		if op1 != noOp1 {
+			a = bd.definedValue(op1)
+		}
+	case op == core.OpFree || op == core.OpLoad || op == core.OpCast || op == core.OpVAArg:
+		a = bd.definedValue(op1)
+	case op == core.OpStore || core.IsBinaryOp(op) || core.IsComparisonOp(op):
+		a, b = bd.definedValue(op1), bd.definedValue(op2)
+	case op == core.OpBr:
+		blk = bd.block(op1)
+	case op != core.OpUnwind:
+		r.Failf("opcode %s not valid in compact form", op)
 	}
-	getOp := func(id uint64) (core.Value, error) { return bd.definedValue(id) }
+	if op == core.OpLoad && r.Err() == nil && a.Type().Kind() != core.PointerKind {
+		r.Failf("load of non-pointer")
+	}
+	if r.Err() != nil {
+		return nil
+	}
 
 	switch op {
 	case core.OpRet:
-		if op1 == noOp1 {
-			return core.NewRet(nil), nil
-		}
-		v, err := getOp(op1)
-		if err != nil {
-			return nil, err
-		}
-		return core.NewRet(v), nil
+		return core.NewRet(a)
 	case core.OpBr:
-		blk, err := bd.block(op1)
-		if err != nil {
-			return nil, err
-		}
-		return core.NewBr(blk), nil
+		return core.NewBr(blk)
 	case core.OpUnwind:
-		return core.NewUnwind(), nil
-	case core.OpMalloc, core.OpAlloca:
-		var n core.Value
-		if op1 != noOp1 {
-			if n, err = getOp(op1); err != nil {
-				return nil, err
-			}
-		}
-		if op == core.OpMalloc {
-			return core.NewMalloc(t, n), nil
-		}
-		return core.NewAlloca(t, n), nil
+		return core.NewUnwind()
+	case core.OpMalloc:
+		return core.NewMalloc(t, a)
+	case core.OpAlloca:
+		return core.NewAlloca(t, a)
 	case core.OpFree:
-		p, err := getOp(op1)
-		if err != nil {
-			return nil, err
-		}
-		return core.NewFree(p), nil
+		return core.NewFree(a)
 	case core.OpLoad:
-		p, err := getOp(op1)
-		if err != nil {
-			return nil, err
-		}
-		if p.Type().Kind() != core.PointerKind {
-			return nil, fmt.Errorf("bytecode: load of non-pointer")
-		}
-		return core.NewLoad(p), nil
+		return core.NewLoad(a)
 	case core.OpStore:
-		v, err := getOp(op1)
-		if err != nil {
-			return nil, err
-		}
-		p, err := getOp(op2)
-		if err != nil {
-			return nil, err
-		}
-		return core.NewStore(v, p), nil
+		return core.NewStore(a, b)
 	case core.OpCast:
-		v, err := getOp(op1)
-		if err != nil {
-			return nil, err
-		}
-		return core.NewCast(v, t), nil
+		return core.NewCast(a, t)
 	case core.OpVAArg:
-		v, err := getOp(op1)
-		if err != nil {
-			return nil, err
-		}
-		return core.NewVAArg(v, t), nil
+		return core.NewVAArg(a, t)
 	}
-	if core.IsBinaryOp(op) || core.IsComparisonOp(op) {
-		lhs, err := getOp(op1)
-		if err != nil {
-			return nil, err
-		}
-		rhs, err := getOp(op2)
-		if err != nil {
-			return nil, err
-		}
-		return core.NewBinary(op, lhs, rhs), nil
-	}
-	return nil, fmt.Errorf("bytecode: opcode %s not valid in compact form", op)
+	return core.NewBinary(op, a, b)
 }
 
-func (bd *bodyDecoder) readEscape() (core.Instruction, error) {
-	b, err := bd.d.r.u8()
-	if err != nil {
-		return nil, err
+// typedOperands reads a count and that many typed operands (call
+// arguments, GEP indices), each at least two bytes.
+func (bd *bodyDecoder) typedOperands() []core.Value {
+	vs := make([]core.Value, bd.d.r.Count(2))
+	for i := range vs {
+		vs[i] = bd.typedOperand()
 	}
-	op := core.Opcode(b & 0x7F)
+	return vs
+}
+
+func (bd *bodyDecoder) readEscape() core.Instruction {
 	r := bd.d.r
+	op := core.Opcode(r.Byte() & 0x7F)
 
 	switch {
 	case op == core.OpRet:
-		has, err := r.u8()
-		if err != nil {
-			return nil, err
+		var v core.Value
+		if r.Byte() != 0 {
+			v = bd.typedOperand()
 		}
-		if has == 0 {
-			return core.NewRet(nil), nil
+		if r.Err() == nil {
+			return core.NewRet(v)
 		}
-		v, err := bd.typedOperand()
-		if err != nil {
-			return nil, err
-		}
-		return core.NewRet(v), nil
 
 	case op == core.OpBr:
-		cond, err := r.u8()
-		if err != nil {
-			return nil, err
-		}
-		if cond == 0 {
-			bid, err := r.uvarint()
-			if err != nil {
-				return nil, err
+		if r.Byte() == 0 {
+			if blk := bd.block(r.Uvarint()); r.Err() == nil {
+				return core.NewBr(blk)
 			}
-			blk, err := bd.block(bid)
-			if err != nil {
-				return nil, err
-			}
-			return core.NewBr(blk), nil
+			return nil
 		}
-		c, err := bd.typedOperand()
-		if err != nil {
-			return nil, err
+		c, tb, fb := bd.typedOperand(), bd.block(r.Uvarint()), bd.block(r.Uvarint())
+		if r.Err() == nil {
+			return core.NewCondBr(c, tb, fb)
 		}
-		tid, err := r.uvarint()
-		if err != nil {
-			return nil, err
-		}
-		fid, err := r.uvarint()
-		if err != nil {
-			return nil, err
-		}
-		tb, err := bd.block(tid)
-		if err != nil {
-			return nil, err
-		}
-		fb, err := bd.block(fid)
-		if err != nil {
-			return nil, err
-		}
-		return core.NewCondBr(c, tb, fb), nil
 
 	case op == core.OpSwitch:
-		v, err := bd.typedOperand()
-		if err != nil {
-			return nil, err
-		}
-		defID, err := r.uvarint()
-		if err != nil {
-			return nil, err
-		}
-		def, err := bd.block(defID)
-		if err != nil {
-			return nil, err
+		v, def := bd.typedOperand(), bd.block(r.Uvarint())
+		if r.Err() != nil {
+			return nil
 		}
 		sw := core.NewSwitch(v, def)
-		n, err := r.uvarint()
-		if err != nil {
-			return nil, err
-		}
-		for i := uint64(0); i < n; i++ {
-			cid, err := r.uvarint()
-			if err != nil {
-				return nil, err
-			}
-			bidv, err := r.uvarint()
-			if err != nil {
-				return nil, err
-			}
-			cv, err := bd.definedValue(cid)
-			if err != nil {
-				return nil, err
+		// Each case is a (value id, block id) pair.
+		for n := r.Count(2); n > 0; n-- {
+			cv, blk := bd.definedValue(r.Uvarint()), bd.block(r.Uvarint())
+			if r.Err() != nil {
+				return nil
 			}
 			ci, ok := cv.(*core.ConstantInt)
 			if !ok {
-				return nil, fmt.Errorf("bytecode: switch case is not an integer constant")
-			}
-			blk, err := bd.block(bidv)
-			if err != nil {
-				return nil, err
+				r.Failf("switch case is not an integer constant")
+				return nil
 			}
 			sw.AddCase(ci, blk)
 		}
-		return sw, nil
+		if r.Err() == nil {
+			return sw
+		}
 
 	case op == core.OpInvoke, op == core.OpCall:
-		callee, err := bd.typedOperand()
-		if err != nil {
-			return nil, err
+		callee := bd.typedOperand()
+		if r.Err() == nil && core.CalleeFunctionType(callee) == nil {
+			r.Failf("callee is not a function pointer")
 		}
-		if core.CalleeFunctionType(callee) == nil {
-			return nil, fmt.Errorf("bytecode: callee is not a function pointer")
-		}
-		n, err := r.uvarint()
-		if err != nil {
-			return nil, err
-		}
-		if n > uint64(r.remaining())+1 {
-			return nil, ErrTruncated
-		}
-		args := make([]core.Value, n)
-		for i := range args {
-			if args[i], err = bd.typedOperand(); err != nil {
-				return nil, err
-			}
-		}
+		args := bd.typedOperands()
 		if op == core.OpCall {
-			return core.NewCall(callee, args...), nil
+			if r.Err() == nil {
+				return core.NewCall(callee, args...)
+			}
+			return nil
 		}
-		nid, err := r.uvarint()
-		if err != nil {
-			return nil, err
+		nb, ub := bd.block(r.Uvarint()), bd.block(r.Uvarint())
+		if r.Err() == nil {
+			return core.NewInvoke(callee, args, nb, ub)
 		}
-		uid, err := r.uvarint()
-		if err != nil {
-			return nil, err
-		}
-		nb, err := bd.block(nid)
-		if err != nil {
-			return nil, err
-		}
-		ub, err := bd.block(uid)
-		if err != nil {
-			return nil, err
-		}
-		return core.NewInvoke(callee, args, nb, ub), nil
 
 	case op == core.OpUnwind:
-		return core.NewUnwind(), nil
+		return core.NewUnwind()
 
 	case core.IsBinaryOp(op) || core.IsComparisonOp(op):
-		t, err := bd.d.readType()
-		if err != nil {
-			return nil, err
-		}
-		lid, err := r.uvarint()
-		if err != nil {
-			return nil, err
-		}
-		rid, err := r.uvarint()
-		if err != nil {
-			return nil, err
-		}
-		lhs, err := bd.value(lid, t)
-		if err != nil {
-			return nil, err
-		}
+		t := bd.d.readType()
+		lid, rid := r.Uvarint(), r.Uvarint()
 		rt := t
 		if op == core.OpShl || op == core.OpShr {
 			rt = core.UByteType
 		}
-		rhs, err := bd.value(rid, rt)
-		if err != nil {
-			return nil, err
+		lhs := bd.value(lid, t)
+		rhs := bd.value(rid, rt)
+		if r.Err() == nil {
+			return core.NewBinary(op, lhs, rhs)
 		}
-		return core.NewBinary(op, lhs, rhs), nil
 
 	case op == core.OpMalloc, op == core.OpAlloca:
-		t, err := bd.d.readType()
-		if err != nil {
-			return nil, err
-		}
-		has, err := r.u8()
-		if err != nil {
-			return nil, err
-		}
+		t := bd.d.readType()
 		var n core.Value
-		if has != 0 {
-			if n, err = bd.typedOperand(); err != nil {
-				return nil, err
-			}
+		if r.Byte() != 0 {
+			n = bd.typedOperand()
+		}
+		if r.Err() != nil {
+			return nil
 		}
 		if op == core.OpMalloc {
-			return core.NewMalloc(t, n), nil
+			return core.NewMalloc(t, n)
 		}
-		return core.NewAlloca(t, n), nil
+		return core.NewAlloca(t, n)
 
 	case op == core.OpFree:
-		p, err := bd.typedOperand()
-		if err != nil {
-			return nil, err
+		if p := bd.typedOperand(); r.Err() == nil {
+			return core.NewFree(p)
 		}
-		return core.NewFree(p), nil
 
 	case op == core.OpLoad:
-		p, err := bd.typedOperand()
-		if err != nil {
-			return nil, err
+		p := bd.typedOperand()
+		if r.Err() == nil && p.Type().Kind() != core.PointerKind {
+			r.Failf("load of non-pointer")
 		}
-		if p.Type().Kind() != core.PointerKind {
-			return nil, fmt.Errorf("bytecode: load of non-pointer")
+		if r.Err() == nil {
+			return core.NewLoad(p)
 		}
-		return core.NewLoad(p), nil
 
 	case op == core.OpStore:
-		v, err := bd.typedOperand()
-		if err != nil {
-			return nil, err
+		v, p := bd.typedOperand(), bd.typedOperand()
+		if r.Err() == nil {
+			return core.NewStore(v, p)
 		}
-		p, err := bd.typedOperand()
-		if err != nil {
-			return nil, err
-		}
-		return core.NewStore(v, p), nil
 
 	case op == core.OpGetElementPtr:
-		base, err := bd.typedOperand()
-		if err != nil {
-			return nil, err
-		}
-		n, err := r.uvarint()
-		if err != nil {
-			return nil, err
-		}
-		if n > uint64(r.remaining())+1 {
-			return nil, ErrTruncated
-		}
-		idx := make([]core.Value, n)
-		for i := range idx {
-			if idx[i], err = bd.typedOperand(); err != nil {
-				return nil, err
-			}
+		base, idx := bd.typedOperand(), bd.typedOperands()
+		if r.Err() != nil {
+			return nil
 		}
 		if _, err := core.GEPResultType(base.Type(), idx); err != nil {
-			return nil, fmt.Errorf("bytecode: %w", err)
+			r.Fail(err)
+			return nil
 		}
-		return core.NewGEP(base, idx...), nil
+		return core.NewGEP(base, idx...)
 
 	case op == core.OpPhi:
-		t, err := bd.d.readType()
-		if err != nil {
-			return nil, err
+		t := bd.d.readType()
+		if r.Err() != nil {
+			return nil
 		}
 		phi := core.NewPhi(t)
-		n, err := r.uvarint()
-		if err != nil {
-			return nil, err
-		}
-		for i := uint64(0); i < n; i++ {
-			vid, err := r.uvarint()
-			if err != nil {
-				return nil, err
-			}
-			bid, err := r.uvarint()
-			if err != nil {
-				return nil, err
-			}
-			v, err := bd.value(vid, t)
-			if err != nil {
-				return nil, err
-			}
-			blk, err := bd.block(bid)
-			if err != nil {
-				return nil, err
+		// Each incoming edge is a (value id, block id) pair.
+		for n := r.Count(2); n > 0; n-- {
+			vid, bid := r.Uvarint(), r.Uvarint()
+			v, blk := bd.value(vid, t), bd.block(bid)
+			if r.Err() != nil {
+				return nil
 			}
 			phi.AddIncoming(v, blk)
 		}
-		return phi, nil
+		if r.Err() == nil {
+			return phi
+		}
 
-	case op == core.OpCast:
-		t, err := bd.d.readType()
-		if err != nil {
-			return nil, err
+	case op == core.OpCast, op == core.OpVAArg:
+		t, v := bd.d.readType(), bd.typedOperand()
+		if r.Err() != nil {
+			return nil
 		}
-		v, err := bd.typedOperand()
-		if err != nil {
-			return nil, err
+		if op == core.OpCast {
+			return core.NewCast(v, t)
 		}
-		return core.NewCast(v, t), nil
+		return core.NewVAArg(v, t)
 
-	case op == core.OpVAArg:
-		t, err := bd.d.readType()
-		if err != nil {
-			return nil, err
-		}
-		v, err := bd.typedOperand()
-		if err != nil {
-			return nil, err
-		}
-		return core.NewVAArg(v, t), nil
+	default:
+		r.Failf("bad escape opcode %d", op)
 	}
-	return nil, fmt.Errorf("bytecode: bad escape opcode %d", op)
+	return nil
 }

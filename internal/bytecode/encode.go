@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/core"
+	"repro/internal/wire"
 )
 
 // Constant record kinds.
@@ -76,22 +77,22 @@ func (e *encoder) run() ([]byte, error) {
 		e.modIDs[g] = uint64(len(e.m.Funcs) + i)
 	}
 
-	var hdr, inits, bodies writer
+	var hdr, inits, bodies wire.Writer
 
 	// Named module types.
 	names := e.m.TypeNames()
-	hdr.uvarint(uint64(len(names)))
+	hdr.Uvarint(uint64(len(names)))
 	for _, n := range names {
 		t, _ := e.m.NamedType(n)
-		hdr.uvarint(e.strs.id(n))
-		hdr.uvarint(e.types.id(t))
+		hdr.Uvarint(e.strs.id(n))
+		hdr.Uvarint(e.types.id(t))
 	}
 
 	// Global headers.
-	hdr.uvarint(uint64(len(e.m.Globals)))
+	hdr.Uvarint(uint64(len(e.m.Globals)))
 	for _, g := range e.m.Globals {
-		hdr.uvarint(e.strs.id(g.Name()))
-		hdr.uvarint(e.types.id(g.ValueType))
+		hdr.Uvarint(e.strs.id(g.Name()))
+		hdr.Uvarint(e.types.id(g.ValueType))
 		var flags byte
 		if g.IsConst {
 			flags |= flagConst
@@ -102,14 +103,14 @@ func (e *encoder) run() ([]byte, error) {
 		if g.Init != nil {
 			flags |= flagHasInit
 		}
-		hdr.u8(flags)
+		hdr.Byte(flags)
 	}
 
 	// Function headers.
-	hdr.uvarint(uint64(len(e.m.Funcs)))
+	hdr.Uvarint(uint64(len(e.m.Funcs)))
 	for _, f := range e.m.Funcs {
-		hdr.uvarint(e.strs.id(f.Name()))
-		hdr.uvarint(e.types.id(f.Sig))
+		hdr.Uvarint(e.strs.id(f.Name()))
+		hdr.Uvarint(e.types.id(f.Sig))
 		var flags byte
 		if f.Linkage == core.InternalLinkage {
 			flags |= flagInternal
@@ -117,7 +118,7 @@ func (e *encoder) run() ([]byte, error) {
 		if !f.IsDeclaration() {
 			flags |= flagHasInit
 		}
-		hdr.u8(flags)
+		hdr.Byte(flags)
 	}
 
 	// Global initializers.
@@ -141,69 +142,64 @@ func (e *encoder) run() ([]byte, error) {
 	// Serialize the type table before the string table is emitted: a named
 	// struct may appear only inside the type graph, so writing its record
 	// can register a string the table must still include.
-	var typesBuf writer
+	var typesBuf wire.Writer
 	if err := e.types.write(&typesBuf, e.strs); err != nil {
 		return nil, err
 	}
 
 	// Assemble: magic, version, strings, types, header, inits, bodies.
-	var out writer
-	out.buf = append(out.buf, Magic[:]...)
-	out.u8(Version)
-	out.uvarint(uint64(len(e.strs.list)))
+	var out wire.Writer
+	out.Raw(Magic[:])
+	out.Byte(Version)
+	out.Uvarint(uint64(len(e.strs.list)))
 	for _, s := range e.strs.list {
-		out.str(s)
+		out.Str(s)
 	}
-	out.uvarint(uint64(len(e.m.Name)))
-	out.buf = append(out.buf, e.m.Name...)
-	out.buf = append(out.buf, typesBuf.buf...)
-	out.buf = append(out.buf, hdr.buf...)
-	out.buf = append(out.buf, inits.buf...)
-	out.buf = append(out.buf, bodies.buf...)
-	return out.bytes(), nil
+	out.Str(e.m.Name)
+	out.Raw(typesBuf.Bytes())
+	out.Raw(hdr.Bytes())
+	out.Raw(inits.Bytes())
+	out.Raw(bodies.Bytes())
+	return out.Bytes(), nil
 }
 
 // writeConstant emits a constant record (recursively for aggregates).
-func (e *encoder) writeConstant(w *writer, c core.Constant) error {
+func (e *encoder) writeConstant(w *wire.Writer, c core.Constant) error {
 	switch cc := c.(type) {
 	case *core.Function, *core.GlobalVariable:
-		w.u8(ckModRef)
-		w.uvarint(e.modIDs[c])
+		w.Byte(ckModRef)
+		w.Uvarint(e.modIDs[c])
 	case *core.ConstantInt:
-		w.u8(ckInt)
-		w.uvarint(e.types.id(cc.Type()))
-		w.svarint(cc.SExt())
+		w.Byte(ckInt)
+		w.Uvarint(e.types.id(cc.Type()))
+		w.Svarint(cc.SExt())
 	case *core.ConstantFloat:
-		w.u8(ckFloat)
-		w.uvarint(e.types.id(cc.Type()))
-		w.f64(cc.Val)
+		w.Byte(ckFloat)
+		w.Uvarint(e.types.id(cc.Type()))
+		w.F64(cc.Val)
 	case *core.ConstantBool:
-		w.u8(ckBool)
-		if cc.Val {
-			w.u8(1)
-		} else {
-			w.u8(0)
-		}
+		w.Byte(ckBool)
+		w.Bool(cc.Val)
 	case *core.ConstantNull:
-		w.u8(ckNull)
-		w.uvarint(e.types.id(cc.Type()))
+		w.Byte(ckNull)
+		w.Uvarint(e.types.id(cc.Type()))
 	case *core.ConstantUndef:
-		w.u8(ckUndef)
-		w.uvarint(e.types.id(cc.Type()))
+		w.Byte(ckUndef)
+		w.Uvarint(e.types.id(cc.Type()))
 	case *core.ConstantZero:
-		w.u8(ckZero)
-		w.uvarint(e.types.id(cc.Type()))
+		w.Byte(ckZero)
+		w.Uvarint(e.types.id(cc.Type()))
 	case *core.ConstantArray:
-		w.u8(ckArray)
-		w.uvarint(e.types.id(cc.Type()))
+		w.Byte(ckArray)
+		w.Uvarint(e.types.id(cc.Type()))
 		for _, el := range cc.Elems {
 			if err := e.writeConstant(w, el); err != nil {
 				return err
 			}
 		}
 	case *core.ConstantStruct:
-		w.u8(ckStruct)
-		w.uvarint(e.types.id(cc.Type()))
+		w.Byte(ckStruct)
+		w.Uvarint(e.types.id(cc.Type()))
 		for _, f := range cc.Fields {
 			if err := e.writeConstant(w, f); err != nil {
 				return err
@@ -212,13 +208,13 @@ func (e *encoder) writeConstant(w *writer, c core.Constant) error {
 	case *core.ConstantExpr:
 		switch cc.Op {
 		case core.OpCast:
-			w.u8(ckExprCast)
-			w.uvarint(e.types.id(cc.Type()))
+			w.Byte(ckExprCast)
+			w.Uvarint(e.types.id(cc.Type()))
 			return e.writeConstant(w, cc.Operand(0).(core.Constant))
 		case core.OpGetElementPtr:
-			w.u8(ckExprGEP)
+			w.Byte(ckExprGEP)
 			ops := cc.Operands()
-			w.uvarint(uint64(len(ops) - 1))
+			w.Uvarint(uint64(len(ops) - 1))
 			for _, op := range ops {
 				if err := e.writeConstant(w, op.(core.Constant)); err != nil {
 					return err
@@ -316,18 +312,18 @@ func (e *encoder) poolKey(c core.Constant) string {
 	return "" // aggregates and expressions: identity only
 }
 
-func (e *encoder) writeFunctionBody(w *writer, f *core.Function) error {
+func (e *encoder) writeFunctionBody(w *wire.Writer, f *core.Function) error {
 	l := e.layoutFunction(f)
 
-	w.uvarint(uint64(len(f.Blocks)))
-	w.uvarint(uint64(len(l.pool)))
+	w.Uvarint(uint64(len(f.Blocks)))
+	w.Uvarint(uint64(len(l.pool)))
 	for _, c := range l.pool {
 		if err := e.writeConstant(w, c); err != nil {
 			return err
 		}
 	}
 	for _, b := range f.Blocks {
-		w.uvarint(uint64(len(b.Instrs)))
+		w.Uvarint(uint64(len(b.Instrs)))
 	}
 	for _, b := range f.Blocks {
 		for _, inst := range b.Instrs {
@@ -339,8 +335,8 @@ func (e *encoder) writeFunctionBody(w *writer, f *core.Function) error {
 
 	// Symbol table.
 	if e.strip {
-		w.uvarint(0)
-		w.uvarint(0)
+		w.Uvarint(0)
+		w.Uvarint(0)
 		return nil
 	}
 	var named []core.Value
@@ -355,10 +351,10 @@ func (e *encoder) writeFunctionBody(w *writer, f *core.Function) error {
 		}
 		return true
 	})
-	w.uvarint(uint64(len(named)))
+	w.Uvarint(uint64(len(named)))
 	for _, v := range named {
-		w.uvarint(l.valueIDs[v])
-		w.uvarint(e.strs.id(v.Name()))
+		w.Uvarint(l.valueIDs[v])
+		w.Uvarint(e.strs.id(v.Name()))
 	}
 	var namedBlocks []*core.BasicBlock
 	for _, b := range f.Blocks {
@@ -366,10 +362,10 @@ func (e *encoder) writeFunctionBody(w *writer, f *core.Function) error {
 			namedBlocks = append(namedBlocks, b)
 		}
 	}
-	w.uvarint(uint64(len(namedBlocks)))
+	w.Uvarint(uint64(len(namedBlocks)))
 	for _, b := range namedBlocks {
-		w.uvarint(l.blockIDs[b])
-		w.uvarint(e.strs.id(b.Name()))
+		w.Uvarint(l.blockIDs[b])
+		w.Uvarint(e.strs.id(b.Name()))
 	}
 	return nil
 }
@@ -378,9 +374,9 @@ func (e *encoder) writeFunctionBody(w *writer, f *core.Function) error {
 // opcode, type id, and operand ids fit and all operands are backward
 // references; otherwise the variable-length escape form (high bit set on
 // the first byte).
-func (e *encoder) writeInstruction(w *writer, l *funcLayout, inst core.Instruction) error {
+func (e *encoder) writeInstruction(w *wire.Writer, l *funcLayout, inst core.Instruction) error {
 	if word, ok := e.compactWord(l, inst); ok {
-		w.u32(word)
+		w.U32(word)
 		return nil
 	}
 	return e.writeEscape(w, l, inst)
@@ -473,70 +469,70 @@ func (e *encoder) compactWord(l *funcLayout, inst core.Instruction) (uint32, boo
 }
 
 // typedOperand emits (type id, value id).
-func (e *encoder) typedOperand(w *writer, l *funcLayout, v core.Value) {
-	w.uvarint(e.types.id(v.Type()))
-	w.uvarint(l.valueIDs[v])
+func (e *encoder) typedOperand(w *wire.Writer, l *funcLayout, v core.Value) {
+	w.Uvarint(e.types.id(v.Type()))
+	w.Uvarint(l.valueIDs[v])
 }
 
-func (e *encoder) writeEscape(w *writer, l *funcLayout, inst core.Instruction) error {
-	w.u8(0x80 | byte(inst.Opcode()))
+func (e *encoder) writeEscape(w *wire.Writer, l *funcLayout, inst core.Instruction) error {
+	w.Byte(0x80 | byte(inst.Opcode()))
 	switch i := inst.(type) {
 	case *core.RetInst:
 		if v := i.Value(); v != nil {
-			w.u8(1)
+			w.Byte(1)
 			e.typedOperand(w, l, v)
 		} else {
-			w.u8(0)
+			w.Byte(0)
 		}
 	case *core.BranchInst:
 		if i.IsConditional() {
-			w.u8(1)
+			w.Byte(1)
 			e.typedOperand(w, l, i.Cond())
-			w.uvarint(l.blockIDs[i.TrueDest()])
-			w.uvarint(l.blockIDs[i.FalseDest()])
+			w.Uvarint(l.blockIDs[i.TrueDest()])
+			w.Uvarint(l.blockIDs[i.FalseDest()])
 		} else {
-			w.u8(0)
-			w.uvarint(l.blockIDs[i.TrueDest()])
+			w.Byte(0)
+			w.Uvarint(l.blockIDs[i.TrueDest()])
 		}
 	case *core.SwitchInst:
 		e.typedOperand(w, l, i.Value())
-		w.uvarint(l.blockIDs[i.Default()])
-		w.uvarint(uint64(i.NumCases()))
+		w.Uvarint(l.blockIDs[i.Default()])
+		w.Uvarint(uint64(i.NumCases()))
 		for n := 0; n < i.NumCases(); n++ {
 			val, dest := i.Case(n)
-			w.uvarint(l.valueIDs[val])
-			w.uvarint(l.blockIDs[dest])
+			w.Uvarint(l.valueIDs[val])
+			w.Uvarint(l.blockIDs[dest])
 		}
 	case *core.InvokeInst:
 		e.typedOperand(w, l, i.Callee())
 		args := i.Args()
-		w.uvarint(uint64(len(args)))
+		w.Uvarint(uint64(len(args)))
 		for _, a := range args {
 			e.typedOperand(w, l, a)
 		}
-		w.uvarint(l.blockIDs[i.NormalDest()])
-		w.uvarint(l.blockIDs[i.UnwindDest()])
+		w.Uvarint(l.blockIDs[i.NormalDest()])
+		w.Uvarint(l.blockIDs[i.UnwindDest()])
 	case *core.UnwindInst:
 		// no payload
 	case *core.BinaryInst:
-		w.uvarint(e.types.id(i.LHS().Type()))
-		w.uvarint(l.valueIDs[i.LHS()])
-		w.uvarint(l.valueIDs[i.RHS()])
+		w.Uvarint(e.types.id(i.LHS().Type()))
+		w.Uvarint(l.valueIDs[i.LHS()])
+		w.Uvarint(l.valueIDs[i.RHS()])
 	case *core.MallocInst:
-		w.uvarint(e.types.id(i.AllocType))
+		w.Uvarint(e.types.id(i.AllocType))
 		if n := i.NumElems(); n != nil {
-			w.u8(1)
+			w.Byte(1)
 			e.typedOperand(w, l, n)
 		} else {
-			w.u8(0)
+			w.Byte(0)
 		}
 	case *core.AllocaInst:
-		w.uvarint(e.types.id(i.AllocType))
+		w.Uvarint(e.types.id(i.AllocType))
 		if n := i.NumElems(); n != nil {
-			w.u8(1)
+			w.Byte(1)
 			e.typedOperand(w, l, n)
 		} else {
-			w.u8(0)
+			w.Byte(0)
 		}
 	case *core.FreeInst:
 		e.typedOperand(w, l, i.Ptr())
@@ -548,30 +544,30 @@ func (e *encoder) writeEscape(w *writer, l *funcLayout, inst core.Instruction) e
 	case *core.GetElementPtrInst:
 		e.typedOperand(w, l, i.Base())
 		idx := i.Indices()
-		w.uvarint(uint64(len(idx)))
+		w.Uvarint(uint64(len(idx)))
 		for _, ix := range idx {
 			e.typedOperand(w, l, ix)
 		}
 	case *core.PhiInst:
-		w.uvarint(e.types.id(i.Type()))
-		w.uvarint(uint64(i.NumIncoming()))
+		w.Uvarint(e.types.id(i.Type()))
+		w.Uvarint(uint64(i.NumIncoming()))
 		for n := 0; n < i.NumIncoming(); n++ {
 			v, blk := i.Incoming(n)
-			w.uvarint(l.valueIDs[v])
-			w.uvarint(l.blockIDs[blk])
+			w.Uvarint(l.valueIDs[v])
+			w.Uvarint(l.blockIDs[blk])
 		}
 	case *core.CastInst:
-		w.uvarint(e.types.id(i.Type()))
+		w.Uvarint(e.types.id(i.Type()))
 		e.typedOperand(w, l, i.Val())
 	case *core.CallInst:
 		e.typedOperand(w, l, i.Callee())
 		args := i.Args()
-		w.uvarint(uint64(len(args)))
+		w.Uvarint(uint64(len(args)))
 		for _, a := range args {
 			e.typedOperand(w, l, a)
 		}
 	case *core.VAArgInst:
-		w.uvarint(e.types.id(i.Type()))
+		w.Uvarint(e.types.id(i.Type()))
 		e.typedOperand(w, l, i.List())
 	default:
 		return fmt.Errorf("bytecode: cannot encode instruction %T", inst)

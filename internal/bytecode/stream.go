@@ -3,15 +3,11 @@
 // layout in which most instructions occupy a single 32-bit word, with a
 // variable-length escape encoding for instructions whose operands, types,
 // or value numbers do not fit. Encoding and decoding are lossless: a module
-// round-trips through bytecode to an identical textual form.
+// round-trips through bytecode to an identical textual form. The byte-level
+// codecs (varints, strings, fixed-width words) are package wire's.
 package bytecode
 
-import (
-	"encoding/binary"
-	"errors"
-	"fmt"
-	"math"
-)
+import "repro/internal/wire"
 
 // Magic identifies bytecode files ("llvm" in the original; "LLBC" here).
 var Magic = [4]byte{'L', 'L', 'B', 'C'}
@@ -20,129 +16,7 @@ var Magic = [4]byte{'L', 'L', 'B', 'C'}
 const Version = 1
 
 // ErrTruncated is returned when the input ends mid-record.
-var ErrTruncated = errors.New("truncated input")
-
-// writer accumulates the output byte stream.
-type writer struct{ buf []byte }
-
-func (w *writer) bytes() []byte { return w.buf }
-
-func (w *writer) u8(v byte) { w.buf = append(w.buf, v) }
-
-// u32 writes a big-endian 32-bit word (compact instruction records).
-func (w *writer) u32(v uint32) {
-	var b [4]byte
-	binary.BigEndian.PutUint32(b[:], v)
-	w.buf = append(w.buf, b[:]...)
-}
-
-// uvarint writes an unsigned LEB128 value.
-func (w *writer) uvarint(v uint64) {
-	for v >= 0x80 {
-		w.buf = append(w.buf, byte(v)|0x80)
-		v >>= 7
-	}
-	w.buf = append(w.buf, byte(v))
-}
-
-// svarint writes a signed value with zigzag encoding.
-func (w *writer) svarint(v int64) {
-	w.uvarint(uint64(v)<<1 ^ uint64(v>>63))
-}
-
-func (w *writer) f64(v float64) {
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], math.Float64bits(v))
-	w.buf = append(w.buf, b[:]...)
-}
-
-func (w *writer) str(s string) {
-	w.uvarint(uint64(len(s)))
-	w.buf = append(w.buf, s...)
-}
-
-// reader consumes the input byte stream.
-type reader struct {
-	buf []byte
-	pos int
-}
-
-func (r *reader) remaining() int { return len(r.buf) - r.pos }
-
-func (r *reader) u8() (byte, error) {
-	if r.pos >= len(r.buf) {
-		return 0, ErrTruncated
-	}
-	b := r.buf[r.pos]
-	r.pos++
-	return b, nil
-}
-
-// peek returns the next byte without consuming it.
-func (r *reader) peek() (byte, error) {
-	if r.pos >= len(r.buf) {
-		return 0, ErrTruncated
-	}
-	return r.buf[r.pos], nil
-}
-
-func (r *reader) u32() (uint32, error) {
-	if r.pos+4 > len(r.buf) {
-		return 0, ErrTruncated
-	}
-	v := binary.BigEndian.Uint32(r.buf[r.pos:])
-	r.pos += 4
-	return v, nil
-}
-
-func (r *reader) uvarint() (uint64, error) {
-	var v uint64
-	var shift uint
-	for {
-		b, err := r.u8()
-		if err != nil {
-			return 0, err
-		}
-		if shift >= 64 {
-			return 0, fmt.Errorf("bytecode: varint overflow")
-		}
-		v |= uint64(b&0x7f) << shift
-		if b&0x80 == 0 {
-			return v, nil
-		}
-		shift += 7
-	}
-}
-
-func (r *reader) svarint() (int64, error) {
-	u, err := r.uvarint()
-	if err != nil {
-		return 0, err
-	}
-	return int64(u>>1) ^ -int64(u&1), nil
-}
-
-func (r *reader) f64() (float64, error) {
-	if r.pos+8 > len(r.buf) {
-		return 0, ErrTruncated
-	}
-	v := math.Float64frombits(binary.LittleEndian.Uint64(r.buf[r.pos:]))
-	r.pos += 8
-	return v, nil
-}
-
-func (r *reader) str() (string, error) {
-	n, err := r.uvarint()
-	if err != nil {
-		return "", err
-	}
-	if n > uint64(r.remaining()) {
-		return "", ErrTruncated
-	}
-	s := string(r.buf[r.pos : r.pos+int(n)])
-	r.pos += int(n)
-	return s, nil
-}
+var ErrTruncated = wire.ErrTruncated
 
 // stringTable dedupes strings during encoding; index 0 is reserved for "".
 type stringTable struct {

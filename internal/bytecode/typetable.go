@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/core"
+	"repro/internal/wire"
 )
 
 // Primitive types occupy fixed slots 0..12 in every type table; derived
@@ -80,39 +81,35 @@ func (tt *typeTable) id(t core.Type) uint64 {
 // write emits the derived-type records. Component references use type ids,
 // which may point forward (recursive types); the decoder patches in a
 // second pass.
-func (tt *typeTable) write(w *writer, strs *stringTable) error {
-	w.uvarint(uint64(len(tt.derived)))
+func (tt *typeTable) write(w *wire.Writer, strs *stringTable) error {
+	w.Uvarint(uint64(len(tt.derived)))
 	for _, t := range tt.derived {
 		switch tp := t.(type) {
 		case *core.PointerType:
-			w.u8(tkPointer)
-			w.uvarint(tt.ids[tp.Elem])
+			w.Byte(tkPointer)
+			w.Uvarint(tt.ids[tp.Elem])
 		case *core.ArrayType:
-			w.u8(tkArray)
-			w.uvarint(uint64(tp.Len))
-			w.uvarint(tt.ids[tp.Elem])
+			w.Byte(tkArray)
+			w.Uvarint(uint64(tp.Len))
+			w.Uvarint(tt.ids[tp.Elem])
 		case *core.StructType:
-			w.u8(tkStruct)
-			w.uvarint(strs.id(tp.Name))
-			w.uvarint(uint64(len(tp.Fields)))
+			w.Byte(tkStruct)
+			w.Uvarint(strs.id(tp.Name))
+			w.Uvarint(uint64(len(tp.Fields)))
 			for _, f := range tp.Fields {
-				w.uvarint(tt.ids[f])
+				w.Uvarint(tt.ids[f])
 			}
 		case *core.FunctionType:
-			w.u8(tkFunction)
-			w.uvarint(tt.ids[tp.Ret])
-			w.uvarint(uint64(len(tp.Params)))
+			w.Byte(tkFunction)
+			w.Uvarint(tt.ids[tp.Ret])
+			w.Uvarint(uint64(len(tp.Params)))
 			for _, pr := range tp.Params {
-				w.uvarint(tt.ids[pr])
+				w.Uvarint(tt.ids[pr])
 			}
-			if tp.Variadic {
-				w.u8(1)
-			} else {
-				w.u8(0)
-			}
+			w.Bool(tp.Variadic)
 		case *core.OpaqueType:
-			w.u8(tkOpaque)
-			w.uvarint(strs.id(tp.Name))
+			w.Byte(tkOpaque)
+			w.Uvarint(strs.id(tp.Name))
 		default:
 			return fmt.Errorf("bytecode: cannot encode type %T", t)
 		}
@@ -120,188 +117,108 @@ func (tt *typeTable) write(w *writer, strs *stringTable) error {
 	return nil
 }
 
-// readTypeTable decodes the derived types in two passes: shells first so
-// recursive references resolve, then payloads.
-func readTypeTable(r *reader, strs []string) ([]core.Type, error) {
-	n, err := r.uvarint()
-	if err != nil {
-		return nil, err
-	}
-	if n > uint64(r.remaining()) {
-		return nil, ErrTruncated
-	}
-	types := make([]core.Type, firstDerivedType+int(n))
-	copy(types, primBySlot)
-
+// readTypeTable decodes the derived types into d.types in three passes:
+// the raw records, then a shell per type so recursive references resolve,
+// then the component references.
+func (d *decoder) readTypeTable() {
+	r := d.r
 	type rawType struct {
 		kind   byte
 		name   string
 		length uint64
-		refs   []uint64
 		vararg bool
+		// refs holds the component type ids: the element, the fields, or
+		// the return type followed by the parameters.
+		refs []uint64
 	}
-	raws := make([]rawType, n)
-	for i := range raws {
-		k, err := r.u8()
-		if err != nil {
-			return nil, err
-		}
-		raws[i].kind = k
-		switch k {
-		case tkPointer:
-			e, err := r.uvarint()
-			if err != nil {
-				return nil, err
-			}
-			raws[i].refs = []uint64{e}
-			types[firstDerivedType+i] = &core.PointerType{}
-		case tkArray:
-			l, err := r.uvarint()
-			if err != nil {
-				return nil, err
-			}
-			// Cap declared lengths so int(l) can't go negative and layout
-			// arithmetic downstream can't overflow.
-			if l > 1<<40 {
-				return nil, fmt.Errorf("bytecode: array type length %d out of range", l)
-			}
-			e, err := r.uvarint()
-			if err != nil {
-				return nil, err
-			}
-			raws[i].length = l
-			raws[i].refs = []uint64{e}
-			types[firstDerivedType+i] = &core.ArrayType{Len: int(l)}
-		case tkStruct:
-			nameID, err := r.uvarint()
-			if err != nil {
-				return nil, err
-			}
-			nf, err := r.uvarint()
-			if err != nil {
-				return nil, err
-			}
-			if nf > uint64(r.remaining())+1 {
-				return nil, ErrTruncated
-			}
-			refs := make([]uint64, nf)
-			for j := range refs {
-				if refs[j], err = r.uvarint(); err != nil {
-					return nil, err
-				}
-			}
-			name, err := lookupString(strs, nameID)
-			if err != nil {
-				return nil, err
-			}
-			raws[i].name = name
-			raws[i].refs = refs
-			types[firstDerivedType+i] = &core.StructType{Name: name}
-		case tkFunction:
-			ret, err := r.uvarint()
-			if err != nil {
-				return nil, err
-			}
-			np, err := r.uvarint()
-			if err != nil {
-				return nil, err
-			}
-			if np > uint64(r.remaining())+1 {
-				return nil, ErrTruncated
-			}
-			refs := make([]uint64, 0, np+1)
-			refs = append(refs, ret)
-			for j := uint64(0); j < np; j++ {
-				p, err := r.uvarint()
-				if err != nil {
-					return nil, err
-				}
-				refs = append(refs, p)
-			}
-			va, err := r.u8()
-			if err != nil {
-				return nil, err
-			}
-			raws[i].refs = refs
-			raws[i].vararg = va != 0
-			types[firstDerivedType+i] = &core.FunctionType{Variadic: va != 0}
-		case tkOpaque:
-			nameID, err := r.uvarint()
-			if err != nil {
-				return nil, err
-			}
-			name, err := lookupString(strs, nameID)
-			if err != nil {
-				return nil, err
-			}
-			types[firstDerivedType+i] = &core.OpaqueType{Name: name}
-		default:
-			return nil, fmt.Errorf("bytecode: bad type kind %d", k)
-		}
-	}
-	// Second pass: patch component references.
-	lookup := func(id uint64) (core.Type, error) {
-		if id >= uint64(len(types)) {
-			return nil, fmt.Errorf("bytecode: type id %d out of range", id)
-		}
-		return types[id], nil
-	}
-	for i, raw := range raws {
-		t := types[firstDerivedType+i]
+	// Each record is a kind byte and at least one varint.
+	raws := make([]rawType, r.Count(2))
+	for i := 0; i < len(raws) && r.Err() == nil; i++ {
+		raw := &raws[i]
+		raw.kind = r.Byte()
 		switch raw.kind {
 		case tkPointer:
-			e, err := lookup(raw.refs[0])
-			if err != nil {
-				return nil, err
-			}
-			t.(*core.PointerType).Elem = e
+			raw.refs = []uint64{r.Uvarint()}
 		case tkArray:
-			e, err := lookup(raw.refs[0])
-			if err != nil {
-				return nil, err
+			// Cap declared lengths so int(l) can't go negative and layout
+			// arithmetic downstream can't overflow.
+			if raw.length = r.Uvarint(); raw.length > 1<<40 {
+				r.Failf("array type length %d out of range", raw.length)
 			}
-			t.(*core.ArrayType).Elem = e
+			raw.refs = []uint64{r.Uvarint()}
 		case tkStruct:
-			st := t.(*core.StructType)
-			st.Fields = make([]core.Type, len(raw.refs))
-			for j, ref := range raw.refs {
-				f, err := lookup(ref)
-				if err != nil {
-					return nil, err
-				}
-				st.Fields[j] = f
+			raw.name = d.str(r.Uvarint())
+			raw.refs = make([]uint64, r.Count(1))
+			for j := range raw.refs {
+				raw.refs[j] = r.Uvarint()
 			}
 		case tkFunction:
-			ft := t.(*core.FunctionType)
-			ret, err := lookup(raw.refs[0])
-			if err != nil {
-				return nil, err
+			ret := r.Uvarint()
+			raw.refs = make([]uint64, 1+r.Count(1))
+			raw.refs[0] = ret
+			for j := 1; j < len(raw.refs); j++ {
+				raw.refs[j] = r.Uvarint()
 			}
-			ft.Ret = ret
-			ft.Params = make([]core.Type, len(raw.refs)-1)
-			for j, ref := range raw.refs[1:] {
-				p, err := lookup(ref)
-				if err != nil {
-					return nil, err
-				}
-				ft.Params[j] = p
-			}
+			raw.vararg = r.Byte() != 0
+		case tkOpaque:
+			raw.name = d.str(r.Uvarint())
+		default:
+			r.Failf("bad type kind %d", raw.kind)
 		}
+	}
+	if r.Err() != nil {
+		return
+	}
+
+	types := make([]core.Type, firstDerivedType+len(raws))
+	copy(types, primBySlot)
+	for i, raw := range raws {
+		var t core.Type
+		switch raw.kind {
+		case tkPointer:
+			t = &core.PointerType{}
+		case tkArray:
+			t = &core.ArrayType{Len: int(raw.length)}
+		case tkStruct:
+			t = &core.StructType{Name: raw.name}
+		case tkFunction:
+			t = &core.FunctionType{Variadic: raw.vararg}
+		case tkOpaque:
+			t = &core.OpaqueType{Name: raw.name}
+		}
+		types[firstDerivedType+i] = t
+	}
+	d.types = types
+	resolve := func(ids []uint64) []core.Type {
+		ts := make([]core.Type, len(ids))
+		for j, id := range ids {
+			ts[j] = d.typeByID(id)
+		}
+		return ts
+	}
+	for i, raw := range raws {
+		switch t := types[firstDerivedType+i].(type) {
+		case *core.PointerType:
+			t.Elem = d.typeByID(raw.refs[0])
+		case *core.ArrayType:
+			t.Elem = d.typeByID(raw.refs[0])
+		case *core.StructType:
+			t.Fields = resolve(raw.refs)
+		case *core.FunctionType:
+			all := resolve(raw.refs)
+			t.Ret, t.Params = all[0], all[1:]
+		}
+	}
+	if r.Err() != nil {
+		return
 	}
 	// Reject malformed graphs (self-referential function types, pointer
 	// cycles without a named struct, infinite-size structs): they would
 	// hang printing or layout computation downstream.
-	for i := firstDerivedType; i < len(types); i++ {
-		if err := core.ValidateTypeGraph(types[i]); err != nil {
-			return nil, fmt.Errorf("bytecode: %w", err)
+	for _, t := range types[firstDerivedType:] {
+		if err := core.ValidateTypeGraph(t); err != nil {
+			r.Fail(err)
+			return
 		}
 	}
-	return types, nil
-}
-
-func lookupString(strs []string, id uint64) (string, error) {
-	if id >= uint64(len(strs)) {
-		return "", fmt.Errorf("bytecode: string id %d out of range", id)
-	}
-	return strs[id], nil
 }

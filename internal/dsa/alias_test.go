@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/wire"
 )
 
 // valueNamed finds the instruction named name in f (as a value, for alias
@@ -305,5 +306,27 @@ entry:
 	}
 	if _, err := Decode(enc[:len(enc)/2], m); err == nil {
 		t.Fatal("truncated encoding must fail")
+	}
+}
+
+// TestDecodeRejectsHostileHeader: a class count no input could hold and a
+// count that overflows 64 bits are errors, never a panic or an allocation
+// sized by the blob.
+func TestDecodeRejectsHostileHeader(t *testing.T) {
+	m, _ := analyzeMod(t, "declare void %x()\n")
+	count := func(n uint64) []byte {
+		var w wire.Writer
+		w.Raw([]byte(encodeMagic))
+		w.Uvarint(n)
+		return w.Bytes()
+	}
+	for name, blob := range map[string][]byte{
+		"count 2^50":  count(1 << 50),
+		"count 2^46":  count(1 << 46),
+		"overflowing": append([]byte(encodeMagic), append(bytes.Repeat([]byte{0xff}, 9), 0x7f)...),
+	} {
+		if r, err := Decode(blob, m); r != nil || err == nil {
+			t.Errorf("%s: Decode = %v, %v; want an error", name, r, err)
+		}
 	}
 }

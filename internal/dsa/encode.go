@@ -8,10 +8,10 @@
 package dsa
 
 import (
-	"encoding/binary"
 	"fmt"
 
 	"repro/internal/core"
+	"repro/internal/wire"
 )
 
 // encodeMagic versions the format; bump on any layout change.
@@ -34,51 +34,6 @@ func walkValues(m *core.Module) []core.Value {
 		})
 	}
 	return vals
-}
-
-type encBuf struct{ b []byte }
-
-func (e *encBuf) uvarint(v uint64) { e.b = binary.AppendUvarint(e.b, v) }
-func (e *encBuf) byte(v byte)      { e.b = append(e.b, v) }
-func (e *encBuf) str(s string) {
-	e.uvarint(uint64(len(s)))
-	e.b = append(e.b, s...)
-}
-
-type decBuf struct {
-	b   []byte
-	off int
-}
-
-func (d *decBuf) uvarint() (uint64, error) {
-	v, n := binary.Uvarint(d.b[d.off:])
-	if n <= 0 {
-		return 0, fmt.Errorf("dsa: truncated encoding at offset %d", d.off)
-	}
-	d.off += n
-	return v, nil
-}
-
-func (d *decBuf) byte() (byte, error) {
-	if d.off >= len(d.b) {
-		return 0, fmt.Errorf("dsa: truncated encoding at offset %d", d.off)
-	}
-	v := d.b[d.off]
-	d.off++
-	return v, nil
-}
-
-func (d *decBuf) str() (string, error) {
-	n, err := d.uvarint()
-	if err != nil {
-		return "", err
-	}
-	if d.off+int(n) > len(d.b) {
-		return "", fmt.Errorf("dsa: truncated string at offset %d", d.off)
-	}
-	s := string(d.b[d.off : d.off+int(n)])
-	d.off += int(n)
-	return s, nil
 }
 
 // Node flag bits in the encoding.
@@ -128,9 +83,9 @@ func (r *Result) Encode(m *core.Module) []byte {
 		}
 	}
 
-	e := &encBuf{}
-	e.b = append(e.b, encodeMagic...)
-	e.uvarint(uint64(len(classes)))
+	var e wire.Writer
+	e.Raw([]byte(encodeMagic))
+	e.Uvarint(uint64(len(classes)))
 	for _, n := range classes {
 		var flags byte
 		if n.Collapsed {
@@ -154,26 +109,26 @@ func (r *Result) Encode(m *core.Module) []byte {
 		if r.tainted[n] {
 			flags |= flagTainted
 		}
-		e.byte(flags)
+		e.Byte(flags)
 		if n.pointee != nil {
-			e.uvarint(uint64(ids[n.pointee.find()] + 1))
+			e.Uvarint(uint64(ids[n.pointee.find()] + 1))
 		} else {
-			e.uvarint(0)
+			e.Uvarint(0)
 		}
-		e.uvarint(uint64(len(n.Sites)))
+		e.Uvarint(uint64(len(n.Sites)))
 		for _, s := range n.Sites {
-			e.byte(byte(s.Kind))
-			e.str(s.Fn)
-			e.str(s.Name)
+			e.Byte(byte(s.Kind))
+			e.Str(s.Fn)
+			e.Str(s.Name)
 		}
 	}
 
-	e.uvarint(uint64(len(vals)))
+	e.Uvarint(uint64(len(vals)))
 	for _, v := range vals {
 		if n := r.nodes[v]; n != nil {
-			e.uvarint(uint64(ids[n.find()] + 1))
+			e.Uvarint(uint64(ids[n.find()] + 1))
 		} else {
-			e.uvarint(0)
+			e.Uvarint(0)
 		}
 	}
 
@@ -200,25 +155,25 @@ func (r *Result) Encode(m *core.Module) []byte {
 		if s != nil && s.ReturnsFresh {
 			flags |= effReturnsFresh
 		}
-		e.byte(flags)
+		e.Byte(flags)
 		writeSet := func(set map[*Node]bool) {
 			var idList []int
 			if fe != nil {
 				idList = sortedNodeIDs(set, ids)
 			}
-			e.uvarint(uint64(len(idList)))
+			e.Uvarint(uint64(len(idList)))
 			for _, id := range idList {
-				e.uvarint(uint64(id))
+				e.Uvarint(uint64(id))
 			}
 		}
 		if fe != nil {
 			writeSet(fe.Mod)
 			writeSet(fe.Ref)
 		} else {
-			e.uvarint(0)
-			e.uvarint(0)
+			e.Uvarint(0)
+			e.Uvarint(0)
 		}
-		e.uvarint(uint64(len(f.Args)))
+		e.Uvarint(uint64(len(f.Args)))
 		for i := range f.Args {
 			var bits byte
 			if s != nil && i < len(s.ArgEscapes) {
@@ -234,41 +189,46 @@ func (r *Result) Encode(m *core.Module) []byte {
 			} else {
 				bits = 7
 			}
-			e.byte(bits)
+			e.Byte(bits)
 		}
 	}
 
-	e.uvarint(uint64(r.TypedLoads))
-	e.uvarint(uint64(r.UntypedLoads))
-	e.uvarint(uint64(r.TypedStores))
-	e.uvarint(uint64(r.UntypedStores))
+	e.Uvarint(uint64(r.TypedLoads))
+	e.Uvarint(uint64(r.UntypedLoads))
+	e.Uvarint(uint64(r.TypedStores))
+	e.Uvarint(uint64(r.UntypedStores))
 	for _, f := range m.Funcs {
 		c := r.PerFunction[f.Name()]
 		if c == nil {
 			c = &Counts{}
 		}
-		e.uvarint(uint64(c.TypedAccesses))
-		e.uvarint(uint64(c.UntypedAccesses))
+		e.Uvarint(uint64(c.TypedAccesses))
+		e.Uvarint(uint64(c.UntypedAccesses))
 	}
-	return e.b
+	return e.Bytes()
 }
 
 // Decode reconstructs a result from an encoding produced for exactly this
 // module (same hash). Restored results answer alias, effect, and summary
-// queries but carry no type information.
+// queries but carry no type information. A malformed or foreign encoding
+// is an error carrying the byte offset where decoding stopped.
 func Decode(data []byte, m *core.Module) (*Result, error) {
-	if len(data) < len(encodeMagic) || string(data[:len(encodeMagic)]) != encodeMagic {
-		return nil, fmt.Errorf("dsa: bad summary magic")
+	r := wire.NewReader(data)
+	fail := func() (*Result, error) {
+		return nil, fmt.Errorf("dsa: offset %d: %w", r.Offset(), r.Err())
 	}
-	d := &decBuf{b: data, off: len(encodeMagic)}
-
-	numClasses, err := d.uvarint()
-	if err != nil {
-		return nil, err
-	}
-	classes := make([]*Node, numClasses)
+	r.Expect(encodeMagic)
+	// Each class is a flag byte, a pointee id and a site count.
+	classes := make([]*Node, r.Count(3))
 	for i := range classes {
 		classes[i] = &Node{}
+	}
+	class := func(id uint64) *Node {
+		if r.Err() == nil && id < uint64(len(classes)) {
+			return classes[id]
+		}
+		r.Failf("class id %d out of range", id)
+		return nil
 	}
 	res := &Result{
 		PerFunction: map[string]*Counts{},
@@ -279,10 +239,7 @@ func Decode(data []byte, m *core.Module) (*Result, error) {
 		restored:    true,
 	}
 	for _, n := range classes {
-		flags, err := d.byte()
-		if err != nil {
-			return nil, err
-		}
+		flags := r.Byte()
 		n.Collapsed = flags&flagCollapsed != 0
 		n.Unknown = flags&flagUnknown != 0
 		n.Escaped = flags&flagEscaped != 0
@@ -292,139 +249,86 @@ func Decode(data []byte, m *core.Module) (*Result, error) {
 		if flags&flagTainted != 0 {
 			res.tainted[n] = true
 		}
-		ptID, err := d.uvarint()
-		if err != nil {
-			return nil, err
+		if ptID := r.Uvarint(); ptID > 0 {
+			n.pointee = class(ptID - 1)
 		}
-		if ptID > 0 {
-			if ptID > numClasses {
-				return nil, fmt.Errorf("dsa: pointee id out of range")
-			}
-			n.pointee = classes[ptID-1]
+		// Each site is a kind byte and two strings.
+		for k := r.Count(3); k > 0; k-- {
+			n.Sites = append(n.Sites, Site{Kind: SiteKind(r.Byte()), Fn: r.Str(), Name: r.Str()})
 		}
-		numSites, err := d.uvarint()
-		if err != nil {
-			return nil, err
-		}
-		for k := uint64(0); k < numSites; k++ {
-			kind, err := d.byte()
-			if err != nil {
-				return nil, err
-			}
-			fn, err := d.str()
-			if err != nil {
-				return nil, err
-			}
-			name, err := d.str()
-			if err != nil {
-				return nil, err
-			}
-			n.Sites = append(n.Sites, Site{Kind: SiteKind(kind), Fn: fn, Name: name})
+		if r.Err() != nil {
+			return fail()
 		}
 	}
 
 	vals := walkValues(m)
-	numVals, err := d.uvarint()
-	if err != nil {
-		return nil, err
-	}
-	if int(numVals) != len(vals) {
-		return nil, fmt.Errorf("dsa: encoding is for a different module (%d values, module has %d)", numVals, len(vals))
+	if n := r.Uvarint(); r.Err() == nil && n != uint64(len(vals)) {
+		r.Failf("encoding is for a different module (%d values, module has %d)", n, len(vals))
 	}
 	for _, v := range vals {
-		id, err := d.uvarint()
-		if err != nil {
-			return nil, err
-		}
-		if id > 0 {
-			if id > numClasses {
-				return nil, fmt.Errorf("dsa: class id out of range")
-			}
-			res.nodes[v] = classes[id-1]
+		if id := r.Uvarint(); id > 0 {
+			res.nodes[v] = class(id - 1)
 		}
 	}
+	if r.Err() != nil {
+		return fail()
+	}
 
-	for _, f := range m.Funcs {
-		flags, err := d.byte()
-		if err != nil {
-			return nil, err
+	readSet := func() map[*Node]bool {
+		set := map[*Node]bool{}
+		for k := r.Count(1); k > 0; k-- {
+			if n := class(r.Uvarint()); n != nil {
+				set[n] = true
+			}
 		}
+		return set
+	}
+	for _, f := range m.Funcs {
+		flags := r.Byte()
 		fe := &FuncEffects{
-			Mod:        map[*Node]bool{},
-			Ref:        map[*Node]bool{},
+			Mod:        readSet(),
+			Ref:        readSet(),
 			ModAll:     flags&effModAll != 0,
 			RefAll:     flags&effRefAll != 0,
 			ModEscaped: flags&effModEscaped != 0,
 			RefEscaped: flags&effRefEscaped != 0,
 		}
-		readSet := func(set map[*Node]bool) error {
-			n, err := d.uvarint()
-			if err != nil {
-				return err
-			}
-			for k := uint64(0); k < n; k++ {
-				id, err := d.uvarint()
-				if err != nil {
-					return err
-				}
-				if id >= numClasses {
-					return fmt.Errorf("dsa: effect class id out of range")
-				}
-				set[classes[id]] = true
-			}
-			return nil
+		if n := r.Uvarint(); r.Err() == nil && n != uint64(len(f.Args)) {
+			r.Failf("arg count mismatch for %s", f.Name())
 		}
-		if err := readSet(fe.Mod); err != nil {
-			return nil, err
-		}
-		if err := readSet(fe.Ref); err != nil {
-			return nil, err
-		}
-		res.effects[f.Name()] = fe
-		numArgs, err := d.uvarint()
-		if err != nil {
-			return nil, err
-		}
-		if int(numArgs) != len(f.Args) {
-			return nil, fmt.Errorf("dsa: arg count mismatch for %s", f.Name())
+		if r.Err() != nil {
+			return fail()
 		}
 		s := &FuncSummary{
-			ArgEscapes:   make([]bool, numArgs),
-			ArgMod:       make([]bool, numArgs),
-			ArgRef:       make([]bool, numArgs),
+			ArgEscapes:   make([]bool, len(f.Args)),
+			ArgMod:       make([]bool, len(f.Args)),
+			ArgRef:       make([]bool, len(f.Args)),
 			ReturnsFresh: flags&effReturnsFresh != 0,
 		}
-		for i := uint64(0); i < numArgs; i++ {
-			bits, err := d.byte()
-			if err != nil {
-				return nil, err
-			}
+		for i := range f.Args {
+			bits := r.Byte()
 			s.ArgEscapes[i] = bits&1 != 0
 			s.ArgMod[i] = bits&2 != 0
 			s.ArgRef[i] = bits&4 != 0
 		}
+		if r.Err() != nil {
+			return fail()
+		}
+		res.effects[f.Name()] = fe
 		res.summaries[f.Name()] = s
 	}
 
 	for _, dst := range []*int{&res.TypedLoads, &res.UntypedLoads, &res.TypedStores, &res.UntypedStores} {
-		v, err := d.uvarint()
-		if err != nil {
-			return nil, err
-		}
-		*dst = int(v)
+		*dst = int(r.Uvarint())
 	}
 	for _, f := range m.Funcs {
-		tv, err := d.uvarint()
-		if err != nil {
-			return nil, err
-		}
-		uv, err := d.uvarint()
-		if err != nil {
-			return nil, err
-		}
+		tv, uv := r.Uvarint(), r.Uvarint()
 		if !f.IsDeclaration() {
 			res.PerFunction[f.Name()] = &Counts{TypedAccesses: int(tv), UntypedAccesses: int(uv)}
 		}
+	}
+	if r.Err() != nil {
+		return fail()
 	}
 	return res, nil
 }

@@ -15,13 +15,12 @@
 package summary
 
 import (
-	"encoding/binary"
-	"errors"
 	"fmt"
 	"sort"
 
 	"repro/internal/analysis"
 	"repro/internal/core"
+	"repro/internal/wire"
 )
 
 // FunctionSummary is the per-function abstraction attached to bytecode.
@@ -272,20 +271,17 @@ var Magic = [4]byte{'L', 'L', 'S', 'M'}
 
 // Encode serializes summaries to the compact sidecar format.
 func Encode(sums []FunctionSummary) []byte {
-	var out []byte
-	out = append(out, Magic[:]...)
-	var tmp [binary.MaxVarintLen64]byte
-	vu := func(v uint64) { out = append(out, tmp[:binary.PutUvarint(tmp[:], v)]...) }
-	str := func(s string) { vu(uint64(len(s))); out = append(out, s...) }
+	var w wire.Writer
+	w.Raw(Magic[:])
 	strs := func(ss []string) {
-		vu(uint64(len(ss)))
+		w.Uvarint(uint64(len(ss)))
 		for _, s := range ss {
-			str(s)
+			w.Str(s)
 		}
 	}
-	vu(uint64(len(sums)))
+	w.Uvarint(uint64(len(sums)))
 	for _, s := range sums {
-		str(s.Name)
+		w.Str(s.Name)
 		var flags byte
 		if s.IsDeclaration {
 			flags |= 1
@@ -305,106 +301,55 @@ func Encode(sums []FunctionSummary) []byte {
 		if s.RefAny {
 			flags |= 32
 		}
-		out = append(out, flags)
-		vu(uint64(s.NumInstructions))
+		w.Byte(flags)
+		w.Uvarint(uint64(s.NumInstructions))
 		strs(s.Callees)
 		strs(s.UncaughtCallees)
 		strs(s.ModGlobals)
 		strs(s.RefGlobals)
 	}
-	return out
+	return w.Bytes()
 }
 
-// Decode parses a summary sidecar.
+// Decode parses a summary sidecar. A malformed blob is an error carrying
+// the byte offset where decoding stopped.
 func Decode(data []byte) ([]FunctionSummary, error) {
-	if len(data) < 4 || string(data[:4]) != string(Magic[:]) {
-		return nil, errors.New("summary: bad magic")
-	}
-	pos := 4
-	vu := func() (uint64, error) {
-		v, n := binary.Uvarint(data[pos:])
-		if n <= 0 {
-			return 0, errors.New("summary: truncated varint")
-		}
-		pos += n
-		return v, nil
-	}
-	str := func() (string, error) {
-		n, err := vu()
-		if err != nil {
-			return "", err
-		}
-		if pos+int(n) > len(data) {
-			return "", errors.New("summary: truncated string")
-		}
-		s := string(data[pos : pos+int(n)])
-		pos += int(n)
-		return s, nil
-	}
-	strs := func() ([]string, error) {
-		n, err := vu()
-		if err != nil {
-			return nil, err
-		}
-		if n > uint64(len(data)) {
-			return nil, errors.New("summary: bad list length")
-		}
-		if n == 0 {
-			return nil, nil
-		}
-		out := make([]string, 0, n)
-		for i := uint64(0); i < n; i++ {
-			s, err := str()
-			if err != nil {
-				return nil, err
+	r := wire.NewReader(data)
+	strs := func() []string {
+		// Each string is at least its length byte; an empty list stays nil.
+		var out []string
+		if n := r.Count(1); n > 0 {
+			out = make([]string, n)
+			for i := range out {
+				out[i] = r.Str()
 			}
-			out = append(out, s)
 		}
-		return out, nil
+		return out
 	}
-
-	count, err := vu()
-	if err != nil {
-		return nil, err
-	}
-	if count > uint64(len(data)) {
-		return nil, fmt.Errorf("summary: implausible count %d", count)
-	}
-	sums := make([]FunctionSummary, 0, count)
-	for i := uint64(0); i < count; i++ {
-		var s FunctionSummary
-		if s.Name, err = str(); err != nil {
-			return nil, err
-		}
-		if pos >= len(data) {
-			return nil, errors.New("summary: truncated flags")
-		}
-		flags := data[pos]
-		pos++
+	r.Expect(string(Magic[:]))
+	// Each summary is at least a name, a flag byte, a size and four lists.
+	sums := make([]FunctionSummary, r.Count(7))
+	for i := range sums {
+		s := &sums[i]
+		s.Name = r.Str()
+		flags := r.Byte()
 		s.IsDeclaration = flags&1 != 0
 		s.Internal = flags&2 != 0
 		s.HasUnwind = flags&4 != 0
 		s.CallsIndirect = flags&8 != 0
 		s.ModAny = flags&16 != 0
 		s.RefAny = flags&32 != 0
-		ni, err := vu()
-		if err != nil {
-			return nil, err
+		s.NumInstructions = int(r.Uvarint())
+		s.Callees = strs()
+		s.UncaughtCallees = strs()
+		s.ModGlobals = strs()
+		s.RefGlobals = strs()
+		if r.Err() != nil {
+			break
 		}
-		s.NumInstructions = int(ni)
-		if s.Callees, err = strs(); err != nil {
-			return nil, err
-		}
-		if s.UncaughtCallees, err = strs(); err != nil {
-			return nil, err
-		}
-		if s.ModGlobals, err = strs(); err != nil {
-			return nil, err
-		}
-		if s.RefGlobals, err = strs(); err != nil {
-			return nil, err
-		}
-		sums = append(sums, s)
+	}
+	if r.Err() != nil {
+		return nil, fmt.Errorf("summary: offset %d: %w", r.Offset(), r.Err())
 	}
 	return sums, nil
 }

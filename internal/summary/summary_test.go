@@ -1,6 +1,8 @@
 package summary
 
 import (
+	"bytes"
+	"errors"
 	"reflect"
 	"testing"
 
@@ -9,6 +11,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/frontend/minic"
 	"repro/internal/linker"
+	"repro/internal/wire"
 	"repro/internal/workload"
 )
 
@@ -186,5 +189,14 @@ int main() { return entry_b(4); }
 	mr := analysis.ModRef(linked, cg)
 	if got := mr[linked.Func("main")].ModAny; got != after.ModAny["main"] {
 		t.Fatalf("incremental solve diverges from full rebuild: %v vs %v", after.ModAny["main"], got)
+	}
+}
+
+// TestDecodeRejectsOverflowingVarint: a summary count that overflows 64
+// bits is an error.
+func TestDecodeRejectsOverflowingVarint(t *testing.T) {
+	blob := append(append(Magic[:], bytes.Repeat([]byte{0xff}, 9)...), 0x7f)
+	if sums, err := Decode(blob); sums != nil || !errors.Is(err, wire.ErrOverflow) {
+		t.Fatalf("Decode = %v, %v; want ErrOverflow", sums, err)
 	}
 }
