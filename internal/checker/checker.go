@@ -38,6 +38,12 @@ const (
 	KindDeadStore    = "dead-store"
 )
 
+// Version names the checker's diagnostic output. Stored reports are keyed
+// by (module hash, Version), so it must change whenever a change to the
+// checker or to dsa can change the diagnostics any module produces;
+// TestCheckerVersionPinsDiagnostics fails when they change and it does not.
+const Version = "1"
+
 // Cache keys under which the checker registers its module-level results in
 // the shared analysis.Manager. The preservation bits are deliberately not
 // part of PreserveAll, so any transforming pass invalidates them unless it
