@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"compress/flate"
 	"errors"
+	"strings"
 	"testing"
 
 	"repro/internal/asm"
@@ -303,5 +304,41 @@ func TestDecodeRejectsOverflowingVarint(t *testing.T) {
 	bad[i+9] = 0x7f
 	if m, err := Decode(bad); m != nil || !errors.Is(err, wire.ErrOverflow) {
 		t.Fatalf("Decode = %v, %v; want ErrOverflow", m, err)
+	}
+}
+
+// TestDecodeRejectsDuplicateSymbols: an image whose string table names two
+// module symbols alike is refused as an ordinary decode error at an
+// offset, not through Decode's recover of core's duplicate-symbol panic.
+// Each image is a valid module with its last symbol renamed from %ab to
+// %aa in place (same length, so nothing else moves).
+func TestDecodeRejectsDuplicateSymbols(t *testing.T) {
+	for _, tc := range []struct{ name, src, want string }{
+		{"functions", "declare void %aa()\ndeclare void %ab()\n", "duplicate function symbol %aa"},
+		{"globals", "%aa = global int 0\n%ab = global int 1\n", "duplicate global symbol %aa"},
+		{"global-after-function", "declare void %aa()\n%ab = global int 1\n", "duplicate global symbol %aa"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			data := mustEnc(t, parseSrc(t, tc.src))
+			if _, err := Decode(data); err != nil {
+				t.Fatal(err)
+			}
+			i := bytes.Index(data, []byte("ab"))
+			if i < 0 {
+				t.Fatalf("no %%ab in % x", data)
+			}
+			bad := bytes.Clone(data)
+			bad[i+1] = 'a'
+			m, err := Decode(bad)
+			if m != nil || err == nil {
+				t.Fatalf("Decode = %v, %v; want a duplicate-symbol error", m, err)
+			}
+			if strings.Contains(err.Error(), "invalid input") {
+				t.Fatalf("refused through the recover: %v", err)
+			}
+			if !strings.Contains(err.Error(), tc.want) || !strings.Contains(err.Error(), "offset ") {
+				t.Fatalf("error %q; want a positioned %q", err, tc.want)
+			}
+		})
 	}
 }

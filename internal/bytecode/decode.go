@@ -88,6 +88,9 @@ func (d *decoder) run() (*core.Module, error) {
 		if !ok {
 			return nil, fmt.Errorf("function %q has non-function type %s", h.name, h.t)
 		}
+		if d.symbolTaken(h.name) {
+			return nil, fmt.Errorf("duplicate function symbol %%%s", h.name)
+		}
 		f := core.NewFunction(h.name, sig)
 		if h.flags&flagInternal != 0 {
 			f.Linkage = core.InternalLinkage
@@ -96,6 +99,9 @@ func (d *decoder) run() (*core.Module, error) {
 		d.modValues = append(d.modValues, f)
 	}
 	for _, h := range gHdrs {
+		if d.symbolTaken(h.name) {
+			return nil, fmt.Errorf("duplicate global symbol %%%s", h.name)
+		}
 		g := core.NewGlobal(h.name, h.t, nil)
 		g.IsConst = h.flags&flagConst != 0
 		if h.flags&flagInternal != 0 {
@@ -123,6 +129,12 @@ func (d *decoder) run() (*core.Module, error) {
 		}
 	}
 	return d.m, nil
+}
+
+// symbolTaken reports whether a module symbol already holds name, which
+// core.Module.AddFunc and AddGlobal refuse by panicking.
+func (d *decoder) symbolTaken(name string) bool {
+	return d.m.Func(name) != nil || d.m.Global(name) != nil
 }
 
 // str resolves a string-table id. Like the other table lookups, it fails
