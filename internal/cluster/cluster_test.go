@@ -18,6 +18,7 @@ import (
 	"repro/internal/bytecode"
 	"repro/internal/frontend/minic"
 	"repro/internal/lifelong"
+	"repro/internal/obs"
 	"repro/internal/tooling"
 )
 
@@ -479,5 +480,46 @@ func TestClusterHealthRecovers(t *testing.T) {
 	h.MarkUp("evil")
 	if h.Up("evil") {
 		t.Fatal("unknown peer entered the liveness map")
+	}
+}
+
+// TestClusterCheckByAddress: a repeat /check through the front is served
+// from the owner's stored report with the same reply, and the front's
+// flight record for it (/debug/trace/<id>) carries the owner's X-Cache.
+func TestClusterCheckByAddress(t *testing.T) {
+	lc := launch(t, 3)
+	mod, hash := hotModule(t)
+	owner := lc.Front.Ring().Owner(hash)
+	var replies [2][]byte
+	for i, want := range []string{"miss", "hit"} {
+		r, body := post(t, lc.FrontURL()+"/check", mod)
+		if r.StatusCode != http.StatusOK || r.Header.Get("X-Cache") != want {
+			t.Fatalf("check %d: status %d cache %q, want %s", i, r.StatusCode, r.Header.Get("X-Cache"), want)
+		}
+		if got := r.Header.Get("X-Cluster-Peer"); got != owner {
+			t.Fatalf("check %d routed to %s, ring owner is %s", i, got, owner)
+		}
+		trace := r.Header.Get("X-Trace-Id")
+		resp, err := http.Get(lc.FrontURL() + "/debug/trace/" + trace)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var recs []obs.RequestRecord
+		err = json.NewDecoder(resp.Body).Decode(&recs)
+		resp.Body.Close()
+		if err != nil || len(recs) != 1 || recs[0].Cache != want {
+			t.Fatalf("front record for check %d: %+v (%v), want cache %s", i, recs, err, want)
+		}
+		replies[i] = body
+	}
+	var first, second struct {
+		ModuleHash  string          `json:"module_hash"`
+		Diagnostics json.RawMessage `json:"diagnostics"`
+		Errors      int             `json:"errors"`
+	}
+	if json.Unmarshal(replies[0], &first) != nil || json.Unmarshal(replies[1], &second) != nil ||
+		first.ModuleHash != hash || second.ModuleHash != hash ||
+		!bytes.Equal(first.Diagnostics, second.Diagnostics) || first.Errors != second.Errors {
+		t.Fatalf("stored reply differs from the fresh one:\n%s\n%s", replies[0], replies[1])
 	}
 }

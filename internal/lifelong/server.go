@@ -143,9 +143,12 @@ type Server struct {
 	// them back from there (see handleStats) so the JSON and Prometheus
 	// views are two renderings of one set of counters.
 	cCompile, cRun, cCheck, cRejected *obs.Counter
-	// cKnownCompile and cKnownRun count the requests served by content
-	// address: bodies the store already held, never parsed.
-	cKnownCompile, cKnownRun  *obs.Counter
+	// cKnownCompile, cKnownRun and cKnownCheck count the requests served
+	// by content address: bodies the store already held, never parsed.
+	cKnownCompile, cKnownRun, cKnownCheck *obs.Counter
+	// cReportHit and cReportMiss count /check replies served from a stored
+	// report and replies computed (then stored) for the next request.
+	cReportHit, cReportMiss   *obs.Counter
 	cReoptBuilt, cReoptErrors *obs.Counter
 	// Validation counters share the llvm_validate_* names the pass
 	// manager uses, labeled pass="reoptimize", plus the quarantine total.
@@ -191,6 +194,9 @@ func NewServer(cfg Config) *Server {
 	s.cRejected = s.metrics.Counter("llvm_serve_rejected_total")
 	s.cKnownCompile = s.metrics.Counter("llvm_serve_known_bytes_total", "endpoint", "compile")
 	s.cKnownRun = s.metrics.Counter("llvm_serve_known_bytes_total", "endpoint", "run")
+	s.cKnownCheck = s.metrics.Counter("llvm_serve_known_bytes_total", "endpoint", "check")
+	s.cReportHit = s.metrics.Counter("llvm_check_reports_total", "result", "hit")
+	s.cReportMiss = s.metrics.Counter("llvm_check_reports_total", "result", "miss")
 	s.cReoptBuilt = s.metrics.Counter("llvm_reopt_builds_total")
 	s.cReoptErrors = s.metrics.Counter("llvm_reopt_errors_total")
 	s.cValidateRuns = s.metrics.Counter("llvm_validate_runs_total", "pass", "reoptimize")
@@ -563,17 +569,42 @@ type checkResponse struct {
 }
 
 func (s *Server) handleCheck(w http.ResponseWriter, r *http.Request) {
+	rec := obs.RecordFromContext(r.Context())
+	tRead := time.Now()
 	body, ok := ReadPost(w, r, s.cfg.MaxBody, s.cCheck)
 	if !ok {
 		return
 	}
-	m, hash, _, ok := s.intern(w, body)
-	if !ok {
+	// Content address first, as /compile does. Reports are stored under
+	// canonical hashes only, so bytes that hash to a stored report are that
+	// module's canonical encoding and the report is their reply. Known
+	// bytes that miss skip parse and verify; anything else is interned and
+	// looked up again under its canonical hash.
+	hash := bytecode.HashBytes(body)
+	known := s.store.TouchModule(hash)
+	if known {
+		s.cKnownCheck.Inc()
+	}
+	if s.replyStoredReport(w, rec, hash) {
 		return
 	}
+	var m *core.Module
+	if known {
+		m, _ = s.store.GetModule(hash)
+	}
+	if m == nil {
+		if m, hash, _, ok = s.intern(w, body); !ok {
+			return
+		}
+		if s.replyStoredReport(w, rec, hash) {
+			return
+		}
+	}
+	rec.AddPhase("read-parse", time.Since(tRead))
 	// Lifelong summaries: reuse the persisted points-to result for this
 	// content address when one exists, and seed it into the checker's
 	// analysis cache so the run never recomputes it.
+	tCheck := time.Now()
 	pt, reused := SummariesFor(s.store, hash, m)
 	if reused {
 		s.cAliasReuse.Inc()
@@ -585,16 +616,28 @@ func (s *Server) handleCheck(w http.ResponseWriter, r *http.Request) {
 	ck := checker.New()
 	ck.AM = am
 	rep, err := ck.Check(m)
+	rec.AddPhase("check", time.Since(tCheck))
 	if err != nil {
 		obs.WriteError(w, http.StatusInternalServerError, "check: %v", err)
 		return
 	}
-	obs.WriteJSON(w, http.StatusOK, checkResponse{
+	resp := checkResponse{
 		ModuleHash:      hash,
 		Diagnostics:     rep.Diags,
 		Errors:          diag.CountErrors(rep.Diags),
 		SummariesReused: reused,
-	})
+	}
+	reply := encodeCheckReply(resp)
+	stored := reply
+	if !reused {
+		// The next request recomputes nothing, so its reply says so.
+		resp.SummariesReused = true
+		stored = encodeCheckReply(resp)
+	}
+	// A report that fails to store costs the next request a recompute.
+	s.store.PutReport(hash, encodeReport(hash, stored))
+	s.cReportMiss.Inc()
+	writeCheckReply(w, rec, "miss", reply)
 }
 
 // statsResponse is /stats's JSON shape.
@@ -616,6 +659,7 @@ type statsResponse struct {
 		KnownBytes struct {
 			Compile uint64 `json:"compile"`
 			Run     uint64 `json:"run"`
+			Check   uint64 `json:"check"`
 		} `json:"known_bytes"`
 	} `json:"requests"`
 	Reopt struct {
@@ -679,6 +723,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	resp.Requests.Deduped = uint64(s.cDedup.Value())
 	resp.Requests.KnownBytes.Compile = uint64(s.cKnownCompile.Value())
 	resp.Requests.KnownBytes.Run = uint64(s.cKnownRun.Value())
+	resp.Requests.KnownBytes.Check = uint64(s.cKnownCheck.Value())
 	resp.Reopt.Enabled = !s.cfg.DisableReopt
 	resp.Reopt.ArtifactsBuilt = uint64(s.cReoptBuilt.Value())
 	resp.Reopt.Errors = uint64(s.cReoptErrors.Value())

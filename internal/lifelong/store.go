@@ -18,6 +18,7 @@ import (
 	"sync/atomic"
 
 	"repro/internal/bytecode"
+	"repro/internal/checker"
 	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/profile"
@@ -101,6 +102,10 @@ const (
 	// persisting them is what lets repeat /check calls and idle-time
 	// analysis skip the bottom-up recomputation entirely.
 	summariesDir = "summaries"
+	// reportsDir holds /check replies keyed by (module hash,
+	// checker.Version): a pure cache over the module blob like summaries,
+	// which lets a repeat /check skip decode, analysis and checking.
+	reportsDir = "reports"
 	// quarantineDir holds poisoned-artifact markers: artifacts the
 	// translation-validation oracle confirmed miscompiled. Quarantine
 	// blobs live outside the index — they are never served, never count
@@ -121,7 +126,7 @@ func Open(dir string, maxBytes int64) (*Store, error) {
 	if maxBytes == 0 {
 		maxBytes = DefaultMaxBytes
 	}
-	for _, sub := range []string{modulesDir, artifactsDir, profilesDir, summariesDir, quarantineDir} {
+	for _, sub := range []string{modulesDir, artifactsDir, profilesDir, summariesDir, reportsDir, quarantineDir} {
 		if err := os.MkdirAll(filepath.Join(dir, sub), 0o755); err != nil {
 			return nil, err
 		}
@@ -148,7 +153,7 @@ func (s *Store) loadIndex() error {
 	// Reconcile with the blobs actually on disk: drop entries whose blob
 	// vanished, adopt blobs the index never heard of.
 	seen := map[string]bool{}
-	for _, sub := range []string{modulesDir, artifactsDir, profilesDir, summariesDir} {
+	for _, sub := range []string{modulesDir, artifactsDir, profilesDir, summariesDir, reportsDir} {
 		entries, err := os.ReadDir(filepath.Join(s.dir, sub))
 		if err != nil {
 			return err
@@ -235,8 +240,9 @@ func (s *Store) getBlobLocked(rel string) ([]byte, bool) {
 	return data, true
 }
 
-// evictLocked removes least-recently-used evictable blobs (modules and
-// artifacts; never profiles, never the index) until the cap is met.
+// evictLocked removes least-recently-used evictable blobs (modules,
+// artifacts, summaries and reports; never profiles, never the index) until
+// the cap is met.
 func (s *Store) evictLocked() {
 	if s.maxBytes < 0 {
 		return
@@ -439,6 +445,38 @@ func (s *Store) HasSummaries(modHash string) bool {
 }
 
 // ---------------------------------------------------------------------------
+// Checker reports
+
+// reportVersion folds checker.Version into report file names, so a new
+// checker looks up new blobs and the old ones age out through the LRU.
+var reportVersion = bytecode.HashBytes([]byte(checker.Version))[:16]
+
+func reportPath(modHash string) string {
+	return filepath.Join(reportsDir, modHash+"."+reportVersion+".rep")
+}
+
+// PutReport stores the checker report for the module at modHash under the
+// current checker.Version, replacing any report stored there before.
+func (s *Store) PutReport(modHash string, data []byte) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.putBlobLocked(reportPath(modHash), "", data)
+}
+
+// GetReport returns the report stored for modHash under the current
+// checker.Version, verifying the blob digest; a corrupt blob is removed and
+// reported missing.
+func (s *Store) GetReport(modHash string) ([]byte, bool) {
+	s.mu.Lock()
+	data, ok := s.getBlobLocked(reportPath(modHash))
+	s.mu.Unlock()
+	if s.Tracer != nil {
+		s.Tracer.Instant("report-"+cacheWord(ok), "store", 0, map[string]string{"hash": shortHash(modHash)})
+	}
+	return data, ok
+}
+
+// ---------------------------------------------------------------------------
 // Quarantine
 
 // quarantinePath mirrors artifactPath's key under quarantineDir with the
@@ -592,6 +630,8 @@ type StoreStats struct {
 	Profiles  int `json:"profiles"`
 	// Summaries counts persisted points-to summary blobs.
 	Summaries int `json:"summaries"`
+	// Reports counts stored /check reports (any checker version).
+	Reports int `json:"reports"`
 	// Quarantined counts poisoned artifacts on disk (confirmed
 	// miscompiles the serving path refuses to touch).
 	Quarantined int   `json:"quarantined"`
@@ -641,6 +681,8 @@ func (s *Store) Stats() StoreStats {
 			st.Profiles++
 		case summariesDir:
 			st.Summaries++
+		case reportsDir:
+			st.Reports++
 		}
 	}
 	return st

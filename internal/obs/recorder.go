@@ -151,7 +151,8 @@ type RequestRecord struct {
 	Status   int       `json:"status"`
 	Bytes    int64     `json:"bytes"`
 	Duration float64   `json:"duration_seconds"`
-	// Cache is /compile's disposition: "hit", "remote", "miss".
+	// Cache is /compile's disposition ("hit", "remote", "miss") or
+	// /check's ("hit", "miss").
 	Cache string `json:"cache,omitempty"`
 	// Dedup marks single-flight fan-in: "follower" for a request that
 	// shared another request's pipeline run, with JoinedTrace naming the
@@ -166,7 +167,7 @@ type RequestRecord struct {
 	Phases []PhaseTiming `json:"phases,omitempty"`
 }
 
-// SetCache records /compile's cache disposition.
+// SetCache records /compile's or /check's cache disposition.
 func (r *RequestRecord) SetCache(word string) {
 	if r != nil {
 		r.Cache = word
