@@ -2,7 +2,6 @@ package lifelong
 
 import (
 	"bytes"
-	"encoding/json"
 	"net/http"
 	"strconv"
 
@@ -12,10 +11,11 @@ import (
 )
 
 // reportMagic opens a stored /check report. The header line names the
-// module, the digest of the reply that follows it and the checker version
+// module, the digest of the reply that follows it and the checker.Version
 // that produced it, so a blob planted under another module's key, cut
 // short, altered or kept from another checker is refused instead of
-// served, whatever the store index says.
+// served, whatever the store index says. A report is therefore served only
+// for its (module hash, checker.Version) key.
 const reportMagic = "LLRP1"
 
 func reportHeader(hash, replySum string) string {
@@ -41,16 +41,6 @@ func decodeReport(blob []byte, hash string) ([]byte, bool) {
 		return nil, false
 	}
 	return reply, true
-}
-
-// encodeCheckReply renders resp byte for byte as obs.WriteJSON does, so a
-// stored reply and a fresh one cannot differ in layout.
-func encodeCheckReply(resp checkResponse) []byte {
-	var buf bytes.Buffer
-	enc := json.NewEncoder(&buf)
-	enc.SetIndent("", "\t")
-	enc.Encode(resp)
-	return buf.Bytes()
 }
 
 // writeCheckReply sends a /check reply with its cache disposition.

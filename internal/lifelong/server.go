@@ -627,12 +627,12 @@ func (s *Server) handleCheck(w http.ResponseWriter, r *http.Request) {
 		Errors:          diag.CountErrors(rep.Diags),
 		SummariesReused: reused,
 	}
-	reply := encodeCheckReply(resp)
+	reply := obs.EncodeJSON(resp)
 	stored := reply
 	if !reused {
 		// The next request recomputes nothing, so its reply says so.
 		resp.SummariesReused = true
-		stored = encodeCheckReply(resp)
+		stored = obs.EncodeJSON(resp)
 	}
 	// A report that fails to store costs the next request a recompute.
 	s.store.PutReport(hash, encodeReport(hash, stored))

@@ -18,7 +18,6 @@ import (
 	"sync/atomic"
 
 	"repro/internal/bytecode"
-	"repro/internal/checker"
 	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/profile"
@@ -102,9 +101,10 @@ const (
 	// persisting them is what lets repeat /check calls and idle-time
 	// analysis skip the bottom-up recomputation entirely.
 	summariesDir = "summaries"
-	// reportsDir holds /check replies keyed by (module hash,
-	// checker.Version): a pure cache over the module blob like summaries,
-	// which lets a repeat /check skip decode, analysis and checking.
+	// reportsDir holds /check replies keyed by module hash, each naming
+	// the checker.Version that produced it: a pure cache over the module
+	// blob like summaries, which lets a repeat /check skip decode,
+	// analysis and checking.
 	reportsDir = "reports"
 	// quarantineDir holds poisoned-artifact markers: artifacts the
 	// translation-validation oracle confirmed miscompiled. Quarantine
@@ -447,25 +447,20 @@ func (s *Store) HasSummaries(modHash string) bool {
 // ---------------------------------------------------------------------------
 // Checker reports
 
-// reportVersion folds checker.Version into report file names, so a new
-// checker looks up new blobs and the old ones age out through the LRU.
-var reportVersion = bytecode.HashBytes([]byte(checker.Version))[:16]
+func reportPath(modHash string) string { return filepath.Join(reportsDir, modHash+".rep") }
 
-func reportPath(modHash string) string {
-	return filepath.Join(reportsDir, modHash+"."+reportVersion+".rep")
-}
-
-// PutReport stores the checker report for the module at modHash under the
-// current checker.Version, replacing any report stored there before.
+// PutReport stores the /check report for the module at modHash, replacing
+// any report stored there before (one from an older checker.Version, or
+// one found corrupt). The server frames the blob (reports.go), so the
+// store treats it as bytes.
 func (s *Store) PutReport(modHash string, data []byte) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.putBlobLocked(reportPath(modHash), "", data)
 }
 
-// GetReport returns the report stored for modHash under the current
-// checker.Version, verifying the blob digest; a corrupt blob is removed and
-// reported missing.
+// GetReport returns the report stored for modHash, verifying the blob
+// digest; a corrupt blob is removed and reported missing.
 func (s *Store) GetReport(modHash string) ([]byte, bool) {
 	s.mu.Lock()
 	data, ok := s.getBlobLocked(reportPath(modHash))
@@ -630,7 +625,7 @@ type StoreStats struct {
 	Profiles  int `json:"profiles"`
 	// Summaries counts persisted points-to summary blobs.
 	Summaries int `json:"summaries"`
-	// Reports counts stored /check reports (any checker version).
+	// Reports counts stored /check report blobs.
 	Reports int `json:"reports"`
 	// Quarantined counts poisoned artifacts on disk (confirmed
 	// miscompiles the serving path refuses to touch).

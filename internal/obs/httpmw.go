@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -115,9 +116,17 @@ func (o *HTTPObs) Handler(routes map[string]http.Handler) http.Handler {
 func WriteJSON(w http.ResponseWriter, code int, v interface{}) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
+	w.Write(EncodeJSON(v))
+}
+
+// EncodeJSON renders v exactly as WriteJSON sends it, for a reply stored
+// now and sent later.
+func EncodeJSON(v interface{}) []byte {
+	var buf bytes.Buffer
+	enc := json.NewEncoder(&buf)
 	enc.SetIndent("", "\t")
 	enc.Encode(v)
+	return buf.Bytes()
 }
 
 // WriteError writes the {"error": ...} reply.
