@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/bytecode"
@@ -316,9 +317,46 @@ func TestCheckReportObservability(t *testing.T) {
 		`llvm_check_reports_total{result="hit"} 2`,
 		`llvm_check_reports_total{result="miss"} 1`,
 		`llvm_serve_known_bytes_total{endpoint="check"} 2`,
+		"llvm_store_blobs 3", // the module, its summaries and its report
 	} {
 		if !strings.Contains(out, line+"\n") {
 			t.Errorf("/metrics lacks %q", line)
 		}
+	}
+}
+
+// TestCheckReportConcurrent: concurrent /check requests of one module,
+// some computing and storing its report while others read it, all get the
+// same reply. Run with -race.
+func TestCheckReportConcurrent(t *testing.T) {
+	text := checkerBug(t)
+	canon := canonicalBytes(t, text)
+	_, fresh := newTestServer(t, Config{DisableReopt: true})
+	_, want := postCheck(t, fresh.URL, text)
+	_, ts := newTestServer(t, Config{DisableReopt: true, Workers: 4})
+	replies := make([]checkFields, 8)
+	var wg sync.WaitGroup
+	for i := range replies {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			body := canon
+			if i%2 == 0 {
+				body = text
+			}
+			resp, err := http.Post(ts.URL+"/check", "application/octet-stream", bytes.NewReader(body))
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			defer resp.Body.Close()
+			if err := json.NewDecoder(resp.Body).Decode(&replies[i]); err != nil || resp.StatusCode != http.StatusOK {
+				t.Errorf("check %d: status %d, %v", i, resp.StatusCode, err)
+			}
+		}(i)
+	}
+	wg.Wait()
+	for i, got := range replies {
+		sameReport(t, fmt.Sprintf("concurrent check %d", i), want, got)
 	}
 }

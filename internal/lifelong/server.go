@@ -590,6 +590,8 @@ func (s *Server) handleCheck(w http.ResponseWriter, r *http.Request) {
 	}
 	var m *core.Module
 	if known {
+		// A blob evicted or found corrupt since TouchModule leaves m nil,
+		// and the body is interned as if it were unknown.
 		m, _ = s.store.GetModule(hash)
 	}
 	if m == nil {
@@ -635,7 +637,7 @@ func (s *Server) handleCheck(w http.ResponseWriter, r *http.Request) {
 		stored = obs.EncodeJSON(resp)
 	}
 	// A report that fails to store costs the next request a recompute.
-	s.store.PutReport(hash, encodeReport(hash, stored))
+	_ = s.store.PutReport(hash, encodeReport(hash, stored))
 	s.cReportMiss.Inc()
 	writeCheckReply(w, rec, "miss", reply)
 }

@@ -70,7 +70,7 @@ func (s *Store) RegisterMetrics(reg *obs.Registry) {
 	reg.GaugeFunc("llvm_store_bytes", func() float64 { return float64(s.Stats().Bytes) })
 	reg.GaugeFunc("llvm_store_blobs", func() float64 {
 		st := s.Stats()
-		return float64(st.Modules + st.Artifacts + st.Profiles)
+		return float64(st.Modules + st.Artifacts + st.Profiles + st.Summaries + st.Reports)
 	})
 }
 
