@@ -155,8 +155,9 @@ type Server struct {
 	cValidateRuns, cValidateMiscompiles, cValidateInconclusive *obs.Counter
 	cQuarantined                                               *obs.Counter
 	// Alias-summary persistence counters: reuse counts /check requests
-	// served from a stored summary blob, computed counts fresh analyses
-	// (which are then persisted for the next request).
+	// that ran no points-to analysis (served from a stored summary blob or
+	// a stored report), computed counts fresh analyses (which are then
+	// persisted for the next request).
 	cAliasReuse, cAliasComputed *obs.Counter
 	// flight deduplicates concurrent identical /compile requests; cDedup
 	// counts the followers that shared another request's pipeline run.

@@ -116,17 +116,21 @@ func (o *HTTPObs) Handler(routes map[string]http.Handler) http.Handler {
 func WriteJSON(w http.ResponseWriter, code int, v interface{}) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
-	w.Write(EncodeJSON(v))
+	jsonEncoder(w).Encode(v)
 }
 
 // EncodeJSON renders v exactly as WriteJSON sends it, for a reply stored
 // now and sent later.
 func EncodeJSON(v interface{}) []byte {
 	var buf bytes.Buffer
-	enc := json.NewEncoder(&buf)
-	enc.SetIndent("", "\t")
-	enc.Encode(v)
+	jsonEncoder(&buf).Encode(v)
 	return buf.Bytes()
+}
+
+func jsonEncoder(w io.Writer) *json.Encoder {
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", "\t")
+	return enc
 }
 
 // WriteError writes the {"error": ...} reply.
