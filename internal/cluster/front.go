@@ -9,7 +9,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/bytecode"
 	"repro/internal/lifelong"
 	"repro/internal/obs"
 	"repro/internal/tooling"
@@ -48,8 +47,9 @@ type FrontConfig struct {
 // module's canonical bytecode, routed to the peer owning that hash range,
 // and retried down the ring's successor order on failure — so one front
 // address gives clients the whole cluster, and a dead peer costs a retry,
-// not an error. Its only state is the set of digests it has seen to be
-// canonical, which spares known bytes the parse (see address).
+// not an error. Its only state is the set of digests of verified modules'
+// canonical bytes it has seen, which spares known bytes the parse (see
+// lifelong.Resolve). A body that is no valid module is refused here.
 type Front struct {
 	cfg     FrontConfig
 	ring    *Ring
@@ -145,56 +145,21 @@ func (f *Front) Handler() http.Handler {
 	})
 }
 
-// address returns the content address the peers key body's module by and
-// the bytes to forward to them: the canonical bytecode. The digest comes
-// first. Bytes this front has already seen to be canonical are their own
-// canonical form, so they are routed by that digest and forwarded as they
-// came, with no parse (known reports this). Any other body (assembly
-// text, non-canonical bytecode, or canonical bytes not seen yet) is parsed
-// and re-encoded here, once, and its canonical digest is remembered.
-func (f *Front) address(body []byte) (hash string, canonical []byte, known bool, err error) {
-	hash = bytecode.HashBytes(body)
-	if f.known.has(hash) {
-		return hash, body, true, nil
-	}
-	m, err := tooling.LoadModuleBytes("request", body)
-	if err != nil {
-		return "", nil, false, fmt.Errorf("parsing module: %w", err)
-	}
-	if canonical, err = bytecode.Encode(m); err != nil {
-		return "", nil, false, fmt.Errorf("encoding module: %w", err)
-	}
-	if !bytes.Equal(canonical, body) {
-		hash = bytecode.HashBytes(canonical)
-	}
-	f.known.add(hash)
-	return hash, canonical, false, nil
-}
-
-// route builds the handler for one proxied endpoint: address the module,
-// pick the owner, forward with retry-next-peer.
+// route builds the handler for one proxied endpoint: resolve the module
+// to its content address (lifelong.Admit, with the known set as known),
+// pick the owner, forward the canonical bytes with retry-next-peer.
 func (f *Front) route(endpoint string) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		tRead := time.Now()
-		body, ok := lifelong.ReadPost(w, r, f.cfg.MaxBody, f.cRequests[endpoint])
+		a, ok := lifelong.Admit(w, r, f.cfg.MaxBody, f.cRequests[endpoint], f.cKnown[endpoint], f.known.has, f.known.learn)
 		if !ok {
 			return
 		}
-		hash, body, known, err := f.address(body)
-		if err != nil {
-			obs.WriteError(w, http.StatusUnprocessableEntity, "%v", err)
-			return
-		}
-		if known {
-			f.cKnown[endpoint].Inc()
-		}
-		obs.RecordFromContext(r.Context()).AddPhase("read-parse", time.Since(tRead))
 
 		// Owner first, then ring successors. Pass 0 tries peers believed
 		// alive; pass 1 fails open through the rest — a fully-down health
 		// view must not turn into a refused request if a peer is actually
 		// reachable.
-		order := f.ring.Ordered(hash)
+		order := f.ring.Ordered(a.Hash)
 		tried := map[string]bool{}
 		attempts := 0
 		for pass := 0; pass < 2; pass++ {
@@ -207,7 +172,7 @@ func (f *Front) route(endpoint string) http.HandlerFunc {
 					f.cRetries.Inc()
 				}
 				attempts++
-				if f.forward(w, r, peer, endpoint, body) {
+				if f.forward(w, r, peer, endpoint, a.Canonical) {
 					return
 				}
 			}
@@ -293,11 +258,11 @@ func (f *Front) forward(w http.ResponseWriter, r *http.Request, peer, endpoint s
 // holds well under a megabyte.
 const knownCap = 4096
 
-// knownSet holds the digests of bodies the front has seen to be canonical
-// bytecode. Whether bytes are canonical depends on the bytes alone (decode
-// then encode is deterministic), so an entry never goes stale and nothing
-// invalidates it. At the cap the set starts over, which costs each module
-// one more parse. The zero value is an empty set.
+// knownSet holds the digests of bodies the front has seen to be the
+// canonical bytecode of a verified module. Both depend on the bytes alone
+// (decode then encode is deterministic), so an entry never goes stale and
+// nothing invalidates it. At the cap the set starts over, which costs each
+// module one more parse. The zero value is an empty set.
 type knownSet struct {
 	mu  sync.Mutex
 	set map[string]struct{}
@@ -317,6 +282,13 @@ func (k *knownSet) add(hash string) {
 		k.set = make(map[string]struct{})
 	}
 	k.set[hash] = struct{}{}
+}
+
+// learn adds the digest of a module lifelong.Resolve has just parsed and
+// verified.
+func (k *knownSet) learn(hash string, _ []byte) error {
+	k.add(hash)
+	return nil
 }
 
 // FrontUsage is a one-line reminder for llvm-serve's flag error paths.

@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"repro/internal/bytecode"
+	"repro/internal/lifelong"
 	"repro/internal/obs"
 	"repro/internal/tooling"
 )
@@ -159,9 +160,9 @@ func TestFrontPassesReplyThrough(t *testing.T) {
 }
 
 // TestFrontAddressKnownAllocs pins what the front pays to address known
-// bytes: one digest, no parse and no encode. The parsing path allocates
-// thousands of objects per module; the known path allocates only the hex
-// digest.
+// bytes: lifelong.Resolve against its known set takes one digest, with no
+// parse, verify or encode. The parsing path allocates thousands of objects
+// per module; the known path allocates only the hex digest.
 func TestFrontAddressKnownAllocs(t *testing.T) {
 	text, hash := hotModule(t)
 	canon := canonicalOf(t, text)
@@ -171,14 +172,15 @@ func TestFrontAddressKnownAllocs(t *testing.T) {
 	}
 	defer f.Close()
 
-	got, fwd, known, err := f.address(text)
-	if err != nil || got != hash || known || !bytes.Equal(fwd, canon) {
-		t.Fatalf("text: hash %.12s known %v err %v; want %.12s, unknown, canonical bytes", got, known, err, hash)
+	a, err := lifelong.Resolve(text, f.known.has)
+	if err != nil || a.Hash != hash || a.Known || !bytes.Equal(a.Canonical, canon) {
+		t.Fatalf("text: hash %.12s known %v err %v; want %.12s, unknown, canonical bytes", a.Hash, a.Known, err, hash)
 	}
-	parseAllocs := testing.AllocsPerRun(5, func() { f.address(text) })
+	f.known.learn(a.Hash, a.Canonical) // as lifelong.Admit does
+	parseAllocs := testing.AllocsPerRun(5, func() { lifelong.Resolve(text, f.known.has) })
 	knownAllocs := testing.AllocsPerRun(100, func() {
-		if got, _, known, _ := f.address(canon); got != hash || !known {
-			t.Fatalf("canonical bytes: hash %.12s known %v", got, known)
+		if a, _ := lifelong.Resolve(canon, f.known.has); a.Hash != hash || !a.Known {
+			t.Fatalf("canonical bytes: hash %.12s known %v", a.Hash, a.Known)
 		}
 	})
 	if knownAllocs > 2 || parseAllocs < 100*knownAllocs {
@@ -204,6 +206,38 @@ func TestFrontRejectsUnparsableBody(t *testing.T) {
 	for _, p := range lc.Front.Ring().Peers() {
 		if n := m.Counter("llvm_front_peer_requests_total", "peer", p, "result", "ok").Value(); n != 0 {
 			t.Fatalf("peer %s was sent %v unparsable bodies", p, n)
+		}
+	}
+}
+
+// TestFrontRejectsInvalidModule: a module that parses but does not verify
+// is refused at the front with the node's 422 text, as text and as its
+// bytecode, never reaches a peer, and never joins the known set, so a
+// repost is parsed and refused again.
+func TestFrontRejectsInvalidModule(t *testing.T) {
+	lc := launch(t, 2)
+	text := []byte("void %main() {\nentry:\n\tret int 0\n}\n")
+	inv, err := tooling.LoadModuleBytes("invalid", text)
+	if err != nil {
+		t.Fatal(err)
+	}
+	invalidBytes, err := bytecode.Encode(inv)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, body := range [][]byte{text, invalidBytes} {
+		resp, reply := post(t, lc.FrontURL()+"/compile?raw=1", body)
+		if resp.StatusCode != http.StatusUnprocessableEntity || !bytes.Contains(reply, []byte("module invalid:")) {
+			t.Fatalf("post %d: status %d (%s), want 422 module invalid", i, resp.StatusCode, reply)
+		}
+	}
+	m := lc.Front.Metrics()
+	if n := m.Counter("llvm_front_known_bytes_total", "endpoint", "compile").Value(); n != 0 {
+		t.Fatalf("invalid module counted as known %v times", n)
+	}
+	for _, p := range lc.Front.Ring().Peers() {
+		if n := m.Counter("llvm_front_peer_requests_total", "peer", p, "result", "ok").Value(); n != 0 {
+			t.Fatalf("peer %s was sent %v invalid modules", p, n)
 		}
 	}
 }

@@ -36,15 +36,18 @@ func newProgCache(cap int) *progCache {
 	return &progCache{cap: cap, entries: map[string]*progEntry{}}
 }
 
-// fetch returns the resident module and translation cache for hash,
-// adopting m (the freshly parsed request module) on first sight. hit
-// reports whether the entry already existed.
-func (c *progCache) fetch(hash string, m *core.Module) (*core.Module, *interp.Program, bool) {
+// fetch returns the resident module and translation cache for hash. On a
+// miss it adopts m, the freshly parsed request module, or returns nils
+// when m is nil.
+func (c *progCache) fetch(hash string, m *core.Module) (*core.Module, *interp.Program) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if e, ok := c.entries[hash]; ok {
 		c.touch(hash)
-		return e.mod, e.prog, true
+		return e.mod, e.prog
+	}
+	if m == nil {
+		return nil, nil
 	}
 	e := &progEntry{mod: m, prog: interp.NewProgram(m)}
 	c.entries[hash] = e
@@ -54,20 +57,7 @@ func (c *progCache) fetch(hash string, m *core.Module) (*core.Module, *interp.Pr
 		c.order = c.order[1:]
 		delete(c.entries, evict)
 	}
-	return e.mod, e.prog, false
-}
-
-// lookup returns the resident module and translation cache for hash, if
-// any; unlike fetch it never adopts a module.
-func (c *progCache) lookup(hash string) (*core.Module, *interp.Program, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	e, ok := c.entries[hash]
-	if !ok {
-		return nil, nil, false
-	}
-	c.touch(hash)
-	return e.mod, e.prog, true
+	return e.mod, e.prog
 }
 
 func (c *progCache) touch(hash string) {

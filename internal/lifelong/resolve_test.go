@@ -1,0 +1,106 @@
+package lifelong
+
+import (
+	"bytes"
+	"fmt"
+	"strings"
+	"testing"
+
+	"repro/internal/bytecode"
+	"repro/internal/tooling"
+)
+
+// TestResolve: known bodies come back as their own canonical form with no
+// module, any other body is parsed, verified and encoded, and every result
+// is addressed by the digest of its canonical bytes. A module that parses
+// but does not verify and bytes that are no module are refused with the
+// texts the 422 replies carry.
+func TestResolve(t *testing.T) {
+	text := hotModuleText(t)
+	invalidText := []byte("void %main() {\nentry:\n\tret int 0\n}\n")
+	inv, err := tooling.LoadModuleBytes("invalid", invalidText)
+	if err != nil {
+		t.Fatal(err)
+	}
+	invalidBytes, err := bytecode.Encode(inv)
+	if err != nil {
+		t.Fatal(err)
+	}
+	junk := append(append([]byte{}, bytecode.Magic[:]...), bytes.Repeat([]byte{0xff}, 64)...)
+	canon := canonicalBytes(t, text)
+	for _, tc := range []struct {
+		name      string
+		body      []byte
+		canonical []byte // the resolved canonical bytes when not known
+		errPrefix string // the refusal when not known
+	}{
+		{"text", text, canon, ""},
+		{"canonical", canon, canon, ""},
+		{"invalid", invalidText, nil, "module invalid: "},
+		{"invalid bytecode", invalidBytes, nil, "module invalid: "},
+		{"junk", junk, nil, "parsing module: "},
+	} {
+		for _, known := range []bool{true, false} {
+			name := fmt.Sprintf("%s/known=%v", tc.name, known)
+			var asked []string
+			a, err := Resolve(tc.body, func(digest string) bool {
+				asked = append(asked, digest)
+				return known
+			})
+			if len(asked) != 1 || asked[0] != bytecode.HashBytes(tc.body) {
+				t.Fatalf("%s: known asked about %d digests, want the body's own", name, len(asked))
+			}
+			wantErr, wantCanon := tc.errPrefix, tc.canonical
+			if known {
+				wantErr, wantCanon = "", tc.body
+			}
+			if wantErr != "" {
+				if err == nil || !strings.HasPrefix(err.Error(), wantErr) {
+					t.Fatalf("%s: error %v, want prefix %q", name, err, wantErr)
+				}
+				continue
+			}
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			if a.Known != known || (a.Module == nil) != known {
+				t.Fatalf("%s: Known %v, module %v; want Known %v and a module exactly when unknown",
+					name, a.Known, a.Module != nil, known)
+			}
+			if a.Hash != bytecode.HashBytes(a.Canonical) || !bytes.Equal(a.Canonical, wantCanon) {
+				t.Fatalf("%s: hash %.12s of %d canonical bytes; want the digest of the %d canonical bytes",
+					name, a.Hash, len(a.Canonical), len(wantCanon))
+			}
+		}
+	}
+}
+
+// TestRunRecordsReadParse: a /run record carries the read-parse phase
+// before execute, whether the body was parsed or known.
+func TestRunRecordsReadParse(t *testing.T) {
+	s, ts := newTestServer(t, Config{DisableReopt: true})
+	text := hotModuleText(t)
+	for _, body := range [][]byte{text, canonicalBytes(t, text)} {
+		post(t, ts.URL+"/run?profile=0", body)
+	}
+	if n := knownBytes(s, "run"); n != 1 {
+		t.Fatalf("known-bytes /run requests = %v, want 1", n)
+	}
+	runs := 0
+	for _, rec := range s.Recorder().Snapshot() {
+		if rec.Path != "/run" {
+			continue
+		}
+		runs++
+		var phases []string
+		for _, p := range rec.Phases {
+			phases = append(phases, p.Name)
+		}
+		if fmt.Sprint(phases) != "[read-parse execute]" {
+			t.Fatalf("/run recorded phases %v, want [read-parse execute]", phases)
+		}
+	}
+	if runs != 2 {
+		t.Fatalf("%d /run records, want 2", runs)
+	}
+}

@@ -338,25 +338,12 @@ func (s *Server) withWorker(h func(http.ResponseWriter, *http.Request)) http.Han
 	}
 }
 
-// intern parses body (bytecode or assembly), verifies the module and
-// stores it at its content address, replying 422 when body is not a valid
-// module. Verifying before PutModule is what keeps every module blob in
-// the store the canonical encoding of a verified module.
-func (s *Server) intern(w http.ResponseWriter, body []byte) (m *core.Module, hash string, canonical []byte, ok bool) {
-	m, err := tooling.LoadModuleBytes("request", body)
-	if err != nil {
-		obs.WriteError(w, http.StatusUnprocessableEntity, "parsing module: %v", err)
-		return nil, "", nil, false
-	}
-	if err := core.Verify(m); err != nil {
-		obs.WriteError(w, http.StatusUnprocessableEntity, "module invalid: %v", err)
-		return nil, "", nil, false
-	}
-	if hash, canonical, err = s.store.PutModule(m); err != nil {
-		obs.WriteError(w, http.StatusInternalServerError, "storing module: %v", err)
-		return nil, "", nil, false
-	}
-	return m, hash, canonical, true
+// admit opens /compile, /run and /check: Admit with the caller's meaning
+// of known, interning each module Resolve had to parse. Resolve verifies
+// before the store sees the module, which keeps every module blob in the
+// store the canonical encoding of a verified module.
+func (s *Server) admit(w http.ResponseWriter, r *http.Request, count, knownCount *obs.Counter, known func(string) bool) (Admitted, bool) {
+	return Admit(w, r, s.cfg.MaxBody, count, knownCount, known, s.store.putModule)
 }
 
 // compileResponse is /compile's JSON shape (raw=1 returns the bytecode
@@ -374,21 +361,13 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 	// honor Accept-Encoding before any body bytes are written.
 	w, finish := Compress(w, r)
 	defer finish()
-	tRead := time.Now()
-	body, ok := ReadPost(w, r, s.cfg.MaxBody, s.cCompile)
+	// Known bytes are those the store holds: the canonical encoding of a
+	// module verified when it was interned.
+	a, ok := s.admit(w, r, s.cCompile, s.cKnownCompile, s.store.TouchModule)
 	if !ok {
 		return
 	}
-	// Content address first: bytes the store already holds are the
-	// canonical encoding of a module verified when it was interned, so they
-	// skip parse, verify and encode. Anything else is interned here, once.
-	hash, canonical := bytecode.HashBytes(body), body
-	if s.store.TouchModule(hash) {
-		s.cKnownCompile.Inc()
-	} else if _, hash, canonical, ok = s.intern(w, body); !ok {
-		return
-	}
-	rec.AddPhase("read-parse", time.Since(tRead))
+	hash := a.Hash
 	spec := r.URL.Query().Get("pipeline")
 	if spec == "" {
 		spec = s.cfg.DefaultPipeline
@@ -404,7 +383,7 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 	key := fmt.Sprintf("%s\x1f%s\x1f%d", hash, spec, epoch)
 	tCompile := time.Now()
 	res, leaderTrace, shared, err := s.flight.Do(key, sc.Trace, func() (*CompileResult, error) {
-		return compileCanonical(s.store, hash, canonical, spec, CompileOpts{
+		return compileCanonical(s.store, hash, a.Canonical, spec, CompileOpts{
 			Ctx:     r.Context(),
 			Parent:  sc,
 			Tracer:  s.cfg.Tracer,
@@ -463,29 +442,26 @@ type runResponse struct {
 }
 
 func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
-	body, ok := ReadPost(w, r, s.cfg.MaxBody, s.cRun)
+	// Run the resident module object so the shared translation cache
+	// applies. Known bytes are those of a resident module whose blob the
+	// store still holds. Any other module is interned first: the profile
+	// is keyed by its hash, and the idle reoptimizer rebuilds from the
+	// stored bytes.
+	var mod *core.Module
+	var prog *interp.Program
+	a, ok := s.admit(w, r, s.cRun, s.cKnownRun, func(hash string) bool {
+		mod, prog = s.progs.fetch(hash, nil)
+		return mod != nil && s.store.TouchModule(hash)
+	})
 	if !ok {
 		return
 	}
-	profiled := r.URL.Query().Get("profile") != "0"
-
-	// Run the resident module object so the shared translation cache
-	// applies. Bytes that hash to a resident module whose blob the store
-	// still holds are that module's canonical encoding: no parse needed.
-	hash := bytecode.HashBytes(body)
-	mod, prog, resident := s.progs.lookup(hash)
-	if resident && s.store.TouchModule(hash) {
-		s.cKnownRun.Inc()
-	} else {
-		// Intern the module first: the profile is keyed by its hash, and
-		// the idle reoptimizer needs the canonical bytes to rebuild from.
-		var m *core.Module
-		if m, hash, _, ok = s.intern(w, body); !ok {
-			return
-		}
+	hash := a.Hash
+	if !a.Known {
 		// The freshly parsed copy is only used on first sight.
-		mod, prog, _ = s.progs.fetch(hash, m)
+		mod, prog = s.progs.fetch(hash, a.Module)
 	}
+	profiled := r.URL.Query().Get("profile") != "0"
 	var out bytes.Buffer
 	mc, err := interp.NewMachine(mod, &out)
 	if err != nil {
@@ -571,43 +547,27 @@ type checkResponse struct {
 
 func (s *Server) handleCheck(w http.ResponseWriter, r *http.Request) {
 	rec := obs.RecordFromContext(r.Context())
-	tRead := time.Now()
-	body, ok := ReadPost(w, r, s.cfg.MaxBody, s.cCheck)
-	if !ok {
+	// Known bytes are those the store holds, as for /compile. Reports are
+	// stored under canonical hashes, so every body is looked up under the
+	// hash it resolves to, and a hit is the reply.
+	a, ok := s.admit(w, r, s.cCheck, s.cKnownCheck, s.store.TouchModule)
+	if !ok || s.replyStoredReport(w, rec, a.Hash) {
 		return
 	}
-	// Content address first, as /compile does. Reports are stored under
-	// canonical hashes only, so bytes that hash to a stored report are that
-	// module's canonical encoding and the report is their reply. Known
-	// bytes that miss skip parse and verify; anything else is interned and
-	// looked up again under its canonical hash.
-	hash := bytecode.HashBytes(body)
-	known := s.store.TouchModule(hash)
-	if known {
-		s.cKnownCheck.Inc()
-	}
-	if s.replyStoredReport(w, rec, hash) {
-		return
-	}
-	var m *core.Module
-	if known {
-		// A blob evicted or found corrupt since TouchModule leaves m nil,
-		// and the body is interned as if it were unknown.
-		m, _ = s.store.GetModule(hash)
-	}
-	if m == nil {
-		if m, hash, _, ok = s.intern(w, body); !ok {
-			return
-		}
-		if s.replyStoredReport(w, rec, hash) {
+	tCheck := time.Now()
+	hash, m := a.Hash, a.Module
+	if a.Known {
+		// Known bytes are the canonical encoding of a verified module, so
+		// decoding the body itself needs no verify.
+		var err error
+		if m, err = bytecode.Decode(a.Canonical); err != nil {
+			obs.WriteError(w, http.StatusInternalServerError, "decoding module: %v", err)
 			return
 		}
 	}
-	rec.AddPhase("read-parse", time.Since(tRead))
 	// Lifelong summaries: reuse the persisted points-to result for this
 	// content address when one exists, and seed it into the checker's
 	// analysis cache so the run never recomputes it.
-	tCheck := time.Now()
 	pt, reused := SummariesFor(s.store, hash, m)
 	if reused {
 		s.cAliasReuse.Inc()

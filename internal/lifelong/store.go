@@ -284,23 +284,29 @@ func modulePath(hash string) string { return filepath.Join(modulesDir, hash+".bc
 // skipped and the entry's recency bumped in memory, like a read's; it
 // reaches index.json with the next write's flush).
 //
-// The daemon calls PutModule only after core.Verify accepts m, so every
-// module blob in a daemon's store is the canonical encoding of a verified
-// module; TouchModule's callers rely on that.
+// The daemon stores a module only after core.Verify accepts it (Resolve),
+// so every module blob in a daemon's store is the canonical encoding of a
+// verified module; TouchModule's callers rely on that.
 func (s *Store) PutModule(m *core.Module) (hash string, canonical []byte, err error) {
 	canonical, err = bytecode.Encode(m)
 	if err != nil {
 		return "", nil, err
 	}
 	hash = bytecode.HashBytes(canonical)
+	return hash, canonical, s.putModule(hash, canonical)
+}
+
+// putModule stores canonical, the canonical bytecode whose digest is hash,
+// as PutModule does, for callers that already hold both.
+func (s *Store) putModule(hash string, canonical []byte) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	rel := modulePath(hash)
 	if _, ok := s.idx.Entries[rel]; ok {
 		s.touchLocked(rel)
-		return hash, canonical, nil
+		return nil
 	}
-	return hash, canonical, s.putBlobLocked(rel, "", canonical)
+	return s.putBlobLocked(rel, "", canonical)
 }
 
 // TouchModule reports whether the index holds a module blob under hash
