@@ -7,15 +7,25 @@ package codegen
 // flat, linearized form the dispatch loop can run with nothing but array
 // indexing:
 //
-//   - the whole function is one []EInstr; branch targets are instruction
-//     indices (pcs), resolved at lowering time;
-//   - φ-functions are folded into explicit parallel-copy sequences on the
-//     incoming edges (small trampolines the branches route through), so
-//     block entry does no φ evaluation at all;
+//   - the whole function is one []EInstr; every CFG edge is an EEdge: the
+//     successor's pc plus the edge's φ copies, sequentialized at lowering
+//     time, so a branch runs its edge's copies inside its own dispatch and
+//     block entry does no φ evaluation at all (φs read as arguments passed
+//     along the branch);
+//   - a conditional branch whose condition is an integer compare just
+//     before it — optionally through MiniC's `cast bool to int; setne 0`
+//     idiom — is a fused group: the compare (the group's head) gets a
+//     fused opcode that runs every constituent's arm and the branch in one
+//     dispatch. The constituents stay in Code after the head, so pcs,
+//     SrcOf and BlockOf are those of the unfused code, and the executor
+//     can still run them one by one when a step-limit or cancellation
+//     boundary falls inside the group;
 //   - every SSA value lives in a dense word register file assigned by the
 //     allocator in regalloc.go, reusing the native allocator's
 //     block-locality discipline (cross-block values get dedicated
-//     registers, block-local values share a scratch pool);
+//     registers, block-local values share a scratch pool); a φ-incoming
+//     value that dies into its φ shares the φ's register, so a loop
+//     latch's edge usually copies nothing;
 //   - opcodes are specialized by width and signedness at lowering time
 //     (EAdd64 vs masked EAddM, shifted signed compares, sized loads), so
 //     the executor does no per-instruction type dispatch.
@@ -32,17 +42,15 @@ import (
 	"repro/internal/core"
 )
 
-// EOp enumerates tier-2 executable opcodes. The first three are synthetic
-// (no IR counterpart): ECount/EPhiMov/EJmp implement profiling and φ edges
-// and must not count as executed instructions, so the executor's step
-// accounting is gated on op > EJmp. Every other op corresponds to exactly
-// one IR instruction.
+// EOp enumerates tier-2 executable opcodes. ECount is synthetic (the
+// profiling variant's block-entry counter, no IR counterpart) and must not
+// count as an executed instruction, so the executor's step accounting is
+// gated on op != ECount. Every other op corresponds to exactly one IR
+// instruction; a fused head steps for its whole group.
 type EOp uint8
 
 const (
-	ECount  EOp = iota // block-entry profile counter; Imm = block index
-	EPhiMov            // Dst <- reg A (φ edge copy)
-	EJmp               // pc <- Imm (edge trampoline exit)
+	ECount EOp = iota // block-entry profile counter; Imm = block index
 
 	// Integer arithmetic. The 64-bit forms skip masking; the M forms mask
 	// the result with Imm (truncToWidth semantics).
@@ -118,14 +126,40 @@ const (
 
 	ERet // return reg A
 	ERetVoid
-	EBr     // pc <- Imm
-	ECondBr // pc <- A != 0 ? Imm : Aux
-	ESwitch // Switches[Aux] on reg A; Imm = default pc
+	EBr     // take edge {Imm, Dst}
+	ECondBr // take edge {Imm, Dst} if A != 0, else {Aux, B}
+	ESwitch // Switches[Aux] on reg A; default edge {Imm, Dst}
 	EUnwind
+
+	// Fused heads, one per compare kind in ECmpEq's order: the compare
+	// itself (Dst, A, B, Imm as the plain op), then the Aux instructions
+	// after it in Code, in the same dispatch: the ECondBr reading it
+	// (Aux = 1), or an ECastTrunc of it, an ECmpNe of the cast and the
+	// ECondBr reading that (Aux = 3).
+	ECmpEqBr
+	ECmpNeBr
+	ECmpULtBr
+	ECmpUGtBr
+	ECmpULeBr
+	ECmpUGeBr
+	ECmpSLtBr
+	ECmpSGtBr
+	ECmpSLeBr
+	ECmpSGeBr
 )
 
-// EInstr is one flat tier-2 instruction. All operand fields are register
-// indices into the activation frame; Imm/Aux carry immediates, masks, pcs,
+// Fused is the number of instructions after in that its dispatch also
+// runs: a fused head's group, 0 for every other instruction.
+func (in *EInstr) Fused() int {
+	if in.Op >= ECmpEqBr {
+		return int(in.Aux)
+	}
+	return 0
+}
+
+// EInstr is one flat tier-2 instruction. Dst, A and B are register
+// indices into the activation frame (except that a branch keeps its edges'
+// copy-list indices in Dst and B); Imm/Aux carry immediates, masks, pcs,
 // and side-table indices as each opcode requires.
 type EInstr struct {
 	Imm int64
@@ -150,15 +184,29 @@ type ECallSite struct {
 	Callee int32          // register holding the callee address (indirect only)
 	Args   []int32        // argument registers
 	Invoke bool
-	Normal int32 // resume pc (invoke only)
-	Unwind int32 // unwind-edge pc (invoke only)
+	Normal EEdge // invoke only
+	Unwind EEdge // invoke only
 }
 
-// ESwitchTable is a sorted jump table: Vals ascending, Pcs parallel.
+// ESwitchTable is a sorted jump table: Vals ascending, Edges parallel.
 // Duplicate case values keep the first occurrence (interpreter order).
 type ESwitchTable struct {
-	Vals []uint64
-	Pcs  []int32
+	Vals  []uint64
+	Edges []EEdge
+}
+
+// EEdge is one CFG edge as the executor takes it: run the copy list
+// CopyLists[Copies] in order (the successor's φs as a parallel copy,
+// already sequentialized through TempReg; Copies is -1 when there is
+// nothing to copy), then continue at PC, the successor's first
+// instruction. EBr and ECondBr hold their edges' two fields inline.
+type EEdge struct {
+	PC, Copies int32
+}
+
+// ECopy is one φ copy: Dst <- Src.
+type ECopy struct {
+	Dst, Src int32
 }
 
 // ECastPair is the (from, to) type pair of a general cast.
@@ -180,16 +228,17 @@ type EFunction struct {
 	Variadic  bool
 	NumBlocks int
 
-	Consts   []core.Constant
-	Calls    []ECallSite
-	Geps     [][]EGepTerm
-	Switches []ESwitchTable
-	Casts    []ECastPair
-	Types    []core.Type // float operation types (EFBin/EFCmp)
+	Consts    []core.Constant
+	CopyLists [][]ECopy // φ copy lists, one per edge that copies
+	Calls     []ECallSite
+	Geps      [][]EGepTerm
+	Switches  []ESwitchTable
+	Casts     []ECastPair
+	Types     []core.Type // float operation types (EFBin/EFCmp)
 
 	// Per-pc source positions for trap reports: the IR instruction a pc
-	// lowers (nil for synthetic ops) and its block index. Consulted only
-	// on the error path.
+	// lowers (nil for ECount) and its block index. Consulted only on the
+	// error path and by the dispatch census.
 	SrcOf   []core.Instruction
 	BlockOf []int32
 }
@@ -243,24 +292,6 @@ func GEPPath(baseType core.Type, indices []core.Value, term func(idx core.Value,
 	return constOff, nil
 }
 
-// patch kinds: where an unresolved CFG edge target gets written once edge
-// trampolines are placed.
-type epatchKind uint8
-
-const (
-	pImm        epatchKind = iota // Code[idx].Imm
-	pAux                          // Code[idx].Aux
-	pCallNormal                   // Calls[idx].Normal
-	pCallUnwind                   // Calls[idx].Unwind
-	pSwCase                       // Switches[idx].Pcs[n]
-)
-
-type epatch struct {
-	kind     epatchKind
-	idx, n   int32
-	from, to int32 // CFG edge (block indices)
-}
-
 type execLowerer struct {
 	f  *core.Function
 	ef *EFunction
@@ -270,10 +301,6 @@ type execLowerer struct {
 	blockStart []int32
 	constReg   map[core.Constant]int32
 	typeIdx    map[core.Type]int32
-	patches    []epatch
-	// edgePC maps (pred<<32|succ) to a trampoline pc for edges carrying φ
-	// copies; absent edges branch straight to the block start.
-	edgePC map[uint64]int32
 }
 
 // LowerExec translates f to its flat tier-2 form. It fails (cleanly, no
@@ -305,17 +332,26 @@ func LowerExec(f *core.Function, counts bool) (*EFunction, error) {
 		blockIdx: map[*core.BasicBlock]int32{},
 		constReg: map[core.Constant]int32{},
 		typeIdx:  map[core.Type]int32{},
-		edgePC:   map[uint64]int32{},
 	}
-	for i, b := range f.Blocks {
-		lo.blockIdx[b] = int32(i)
-	}
+	// Every non-φ instruction lowers to exactly one EInstr, so each block's
+	// entry pc is known before any branch to it is lowered.
 	lo.blockStart = make([]int32, len(f.Blocks))
+	pc := int32(0)
 	for bi, b := range f.Blocks {
 		if len(b.Instrs) == 0 || !b.Instrs[len(b.Instrs)-1].IsTerminator() {
 			return nil, fmt.Errorf("codegen: block %%%s in %%%s lacks a terminator", b.Name(), f.Name())
 		}
-		lo.blockStart[bi] = int32(len(lo.ef.Code))
+		lo.blockIdx[b] = int32(bi)
+		lo.blockStart[bi] = pc
+		pc += int32(len(b.Instrs) - b.FirstNonPhi())
+		if counts {
+			pc++
+		}
+	}
+	for bi, b := range f.Blocks {
+		if int32(len(lo.ef.Code)) != lo.blockStart[bi] {
+			return nil, fmt.Errorf("codegen: block %%%s in %%%s did not lower one instruction per instruction", b.Name(), f.Name())
+		}
 		if counts {
 			lo.emit(EInstr{Op: ECount, Imm: int64(bi)}, nil, int32(bi))
 		}
@@ -324,11 +360,8 @@ func LowerExec(f *core.Function, counts bool) (*EFunction, error) {
 				return nil, err
 			}
 		}
+		lo.fuseBranch(lo.blockStart[bi])
 	}
-	if err := lo.emitEdges(); err != nil {
-		return nil, err
-	}
-	lo.applyPatches()
 	lo.ef.NumRegs = lo.ef.ConstBase + len(lo.ef.Consts)
 	return lo.ef, nil
 }
@@ -403,20 +436,23 @@ func (lo *execLowerer) lowerInst(inst core.Instruction, bi int32) error {
 		return nil
 
 	case *core.BranchInst:
+		t, err := lo.edge(bi, i.TrueDest())
+		if err != nil {
+			return err
+		}
 		if !i.IsConditional() {
-			lo.patches = append(lo.patches, epatch{kind: pImm, idx: int32(len(lo.ef.Code)), from: bi, to: lo.blockIdx[i.TrueDest()]})
-			emit(EInstr{Op: EBr})
+			emit(EInstr{Op: EBr, Imm: int64(t.PC), Dst: t.Copies})
 			return nil
 		}
 		a, err := lo.reg(i.Cond())
 		if err != nil {
 			return err
 		}
-		pc := int32(len(lo.ef.Code))
-		lo.patches = append(lo.patches,
-			epatch{kind: pImm, idx: pc, from: bi, to: lo.blockIdx[i.TrueDest()]},
-			epatch{kind: pAux, idx: pc, from: bi, to: lo.blockIdx[i.FalseDest()]})
-		emit(EInstr{Op: ECondBr, A: a})
+		f, err := lo.edge(bi, i.FalseDest())
+		if err != nil {
+			return err
+		}
+		emit(EInstr{Op: ECondBr, A: a, Imm: int64(t.PC), Dst: t.Copies, Aux: f.PC, B: f.Copies})
 		return nil
 
 	case *core.SwitchInst:
@@ -428,7 +464,7 @@ func (lo *execLowerer) lowerInst(inst core.Instruction, bi int32) error {
 		// interpreter scans cases in order), then sort for binary search.
 		type swCase struct {
 			val  uint64
-			dest int32
+			edge EEdge
 		}
 		var cases []swCase
 		seen := map[uint64]bool{}
@@ -438,19 +474,24 @@ func (lo *execLowerer) lowerInst(inst core.Instruction, bi int32) error {
 				continue
 			}
 			seen[cv.Val] = true
-			cases = append(cases, swCase{cv.Val, lo.blockIdx[dest]})
+			e, err := lo.edge(bi, dest)
+			if err != nil {
+				return err
+			}
+			cases = append(cases, swCase{cv.Val, e})
 		}
 		sort.Slice(cases, func(x, y int) bool { return cases[x].val < cases[y].val })
-		tab := ESwitchTable{Vals: make([]uint64, len(cases)), Pcs: make([]int32, len(cases))}
-		ti := int32(len(lo.ef.Switches))
-		pc := int32(len(lo.ef.Code))
+		tab := ESwitchTable{Vals: make([]uint64, len(cases)), Edges: make([]EEdge, len(cases))}
 		for n, c := range cases {
-			tab.Vals[n] = c.val
-			lo.patches = append(lo.patches, epatch{kind: pSwCase, idx: ti, n: int32(n), from: bi, to: c.dest})
+			tab.Vals[n], tab.Edges[n] = c.val, c.edge
 		}
+		def, err := lo.edge(bi, i.Default())
+		if err != nil {
+			return err
+		}
+		ti := int32(len(lo.ef.Switches))
 		lo.ef.Switches = append(lo.ef.Switches, tab)
-		lo.patches = append(lo.patches, epatch{kind: pImm, idx: pc, from: bi, to: lo.blockIdx[i.Default()]})
-		emit(EInstr{Op: ESwitch, A: a, Aux: ti})
+		emit(EInstr{Op: ESwitch, A: a, Imm: int64(def.PC), Dst: def.Copies, Aux: ti})
 		return nil
 
 	case *core.UnwindInst:
@@ -575,10 +616,10 @@ func (lo *execLowerer) lowerInst(inst core.Instruction, bi int32) error {
 		return nil
 
 	case *core.CallInst:
-		return lo.lowerCall(i, dst, i.Callee(), i.Args(), nil, nil, bi, emit)
+		return lo.lowerCall(dst, i.Callee(), i.Args(), nil, nil, bi, emit)
 
 	case *core.InvokeInst:
-		return lo.lowerCall(i, dst, i.Callee(), i.Args(), i.NormalDest(), i.UnwindDest(), bi, emit)
+		return lo.lowerCall(dst, i.Callee(), i.Args(), i.NormalDest(), i.UnwindDest(), bi, emit)
 
 	case *core.VAArgInst:
 		emit(EInstr{Op: EVAArg, Dst: dst})
@@ -777,7 +818,7 @@ func (lo *execLowerer) lowerCast(from, to core.Type, dst, a int32, emit func(EIn
 	}
 }
 
-func (lo *execLowerer) lowerCall(inst core.Instruction, dst int32, callee core.Value,
+func (lo *execLowerer) lowerCall(dst int32, callee core.Value,
 	args []core.Value, normal, unwind *core.BasicBlock, bi int32, emit func(EInstr)) error {
 
 	cs := ECallSite{Callee: -1}
@@ -797,63 +838,90 @@ func (lo *execLowerer) lowerCall(inst core.Instruction, dst int32, callee core.V
 		}
 		cs.Callee = r
 	}
-	ci := int32(len(lo.ef.Calls))
 	if normal != nil {
+		var err error
 		cs.Invoke = true
-		lo.patches = append(lo.patches,
-			epatch{kind: pCallNormal, idx: ci, from: bi, to: lo.blockIdx[normal]},
-			epatch{kind: pCallUnwind, idx: ci, from: bi, to: lo.blockIdx[unwind]})
+		if cs.Normal, err = lo.edge(bi, normal); err != nil {
+			return err
+		}
+		if cs.Unwind, err = lo.edge(bi, unwind); err != nil {
+			return err
+		}
 	}
+	ci := int32(len(lo.ef.Calls))
 	lo.ef.Calls = append(lo.ef.Calls, cs)
 	emit(EInstr{Op: ECall, Dst: dst, Aux: ci})
 	return nil
 }
 
-// emitEdges places the φ parallel-copy trampolines. Each CFG edge into a
-// block with φs gets a copy sequence (sequentialized with the temp
-// register, so simultaneous-assignment semantics are preserved) followed
-// by a jump to the block start; branches along that edge are patched to
-// enter through the trampoline.
-func (lo *execLowerer) emitEdges() error {
-	for bi, b := range lo.f.Blocks {
-		phis := b.Phis()
-		if len(phis) == 0 {
-			continue
+// edge lowers the CFG edge from block bi to succ: succ's entry pc, and
+// succ's φs read for that predecessor as one parallel copy, sequentialized
+// with the temp register (so simultaneous-assignment semantics are
+// preserved) and appended to CopyLists unless every copy is a no-op.
+func (lo *execLowerer) edge(bi int32, succ *core.BasicBlock) (EEdge, error) {
+	pred := lo.f.Blocks[bi]
+	e := EEdge{PC: lo.blockStart[lo.blockIdx[succ]], Copies: -1}
+	var dsts, srcs []int32
+	for _, phi := range succ.Phis() {
+		v := phi.IncomingFor(pred)
+		if v == nil {
+			return e, fmt.Errorf("codegen: phi %%%s has no entry for predecessor %%%s", phi.Name(), pred.Name())
 		}
-		for _, pred := range b.Preds() {
-			var dsts, srcs []int32
-			for _, phi := range phis {
-				v := phi.IncomingFor(pred)
-				if v == nil {
-					return fmt.Errorf("codegen: phi %%%s has no entry for predecessor %%%s", phi.Name(), pred.Name())
-				}
-				d, err := lo.reg(phi)
-				if err != nil {
-					return err
-				}
-				s, err := lo.reg(v)
-				if err != nil {
-					return err
-				}
-				dsts = append(dsts, d)
-				srcs = append(srcs, s)
-			}
-			pc := int32(len(lo.ef.Code))
-			n := 0
-			seqCopies(dsts, srcs, lo.ef.TempReg, func(d, s int32) {
-				lo.emit(EInstr{Op: EPhiMov, Dst: d, A: s}, nil, int32(bi))
-				n++
-			})
-			if n == 0 {
-				continue // every copy was a no-op: branch straight in
-			}
-			lo.emit(EInstr{Op: EJmp, Imm: int64(lo.blockStart[bi])}, nil, int32(bi))
-			pi := lo.blockIdx[pred]
-			lo.edgePC[uint64(pi)<<32|uint64(uint32(bi))] = pc
+		d, err := lo.reg(phi)
+		if err != nil {
+			return e, err
+		}
+		s, err := lo.reg(v)
+		if err != nil {
+			return e, err
+		}
+		dsts = append(dsts, d)
+		srcs = append(srcs, s)
+	}
+	var copies []ECopy
+	seqCopies(dsts, srcs, lo.ef.TempReg, func(d, s int32) {
+		copies = append(copies, ECopy{Dst: d, Src: s})
+	})
+	if len(copies) > 0 {
+		e.Copies = int32(len(lo.ef.CopyLists))
+		lo.ef.CopyLists = append(lo.ef.CopyLists, copies)
+	}
+	return e, nil
+}
+
+// fuseBranch makes a fused group of the block just lowered (from pc
+// start) when its conditional branch reads an integer compare right
+// before it, directly or through the `cast bool to int; setne` idiom:
+// the compare becomes the group's head. Each constituent must read the
+// one before it, which lets the executor pass that value along without
+// reading it back. Nothing else changes, so the constituents still run
+// one by one wherever the head does not fuse.
+func (lo *execLowerer) fuseBranch(start int32) {
+	code := lo.ef.Code
+	t := int32(len(code)) - 1
+	br := code[t]
+	if br.Op != ECondBr {
+		return
+	}
+	fuse := func(head *EInstr, rest int32) {
+		head.Op += ECmpEqBr - ECmpEq
+		head.Aux = rest
+	}
+	if t-3 >= start {
+		head, cast, ne := &code[t-3], code[t-2], code[t-1]
+		if isIntCmp(head.Op) && cast.Op == ECastTrunc && cast.A == head.Dst &&
+			ne.Op == ECmpNe && ne.A == cast.Dst && ne.Dst == br.A {
+			fuse(head, 3)
+			return
 		}
 	}
-	return nil
+	if t-1 >= start && isIntCmp(code[t-1].Op) && code[t-1].Dst == br.A {
+		fuse(&code[t-1], 1)
+	}
 }
+
+// isIntCmp reports an unfused integer compare op.
+func isIntCmp(op EOp) bool { return op >= ECmpEq && op <= ECmpSGe }
 
 // seqCopies sequentializes a parallel copy: emit dst<-src moves in an
 // order where no source is clobbered before it is read, breaking cycles
@@ -892,32 +960,6 @@ func seqCopies(dsts, srcs []int32, temp int32, emit func(d, s int32)) {
 					pending[j].s = temp
 				}
 			}
-		}
-	}
-}
-
-// applyPatches resolves every recorded CFG target to a pc, routing edges
-// with φ copies through their trampolines.
-func (lo *execLowerer) applyPatches() {
-	target := func(from, to int32) int32 {
-		if pc, ok := lo.edgePC[uint64(from)<<32|uint64(uint32(to))]; ok {
-			return pc
-		}
-		return lo.blockStart[to]
-	}
-	for _, p := range lo.patches {
-		pc := target(p.from, p.to)
-		switch p.kind {
-		case pImm:
-			lo.ef.Code[p.idx].Imm = int64(pc)
-		case pAux:
-			lo.ef.Code[p.idx].Aux = pc
-		case pCallNormal:
-			lo.ef.Calls[p.idx].Normal = pc
-		case pCallUnwind:
-			lo.ef.Calls[p.idx].Unwind = pc
-		case pSwCase:
-			lo.ef.Switches[p.idx].Pcs[p.n] = pc
 		}
 	}
 }

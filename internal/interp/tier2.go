@@ -3,10 +3,12 @@ package interp
 // The optimizing execution tier: runs the flat, register-allocated form
 // produced by codegen.LowerExec in one tight pc-indexed dispatch loop.
 // Compared to the baseline tier there is no per-block dispatch, no
-// per-operand const-vs-slot test, no φ evaluation at block entry (edges
-// carry pre-sequentialized copies), and no per-activation allocation
-// (frames are recycled per function). Opcodes are width-specialized at
-// lowering time, so the loop does no type dispatch at all.
+// per-operand const-vs-slot test, no φ evaluation at block entry (a branch
+// runs its edge's pre-sequentialized copies in its own dispatch), and no
+// per-activation allocation (frames are recycled per function). Opcodes
+// are width-specialized at lowering time, so the loop does no type
+// dispatch at all, and a compare with the branch that reads it is one
+// dispatch (a fused group).
 //
 // Every arm mirrors the interpreter's semantics exactly — raw operate
 // then mask for arithmetic (core.EvalIntBinary), truncate-then-compare
@@ -52,11 +54,15 @@ func (mc *Machine) execTier2(fs *funcState, args []uint64) (rv uint64, res execR
 	vaCur := 0
 
 	code := ef.Code
+	copies := ef.CopyLists
 	counts := fs.counts
 	steps := mc.Steps
 	maxSteps := mc.MaxSteps
 	ctx := mc.ctx
 	pc := 0
+	// limit is the last step count the loop can reach without a look: the
+	// budget, or with a context the step before its next poll.
+	limit := mc.stepLimit(steps)
 
 	defer func() {
 		mc.Steps = steps
@@ -71,30 +77,30 @@ func (mc *Machine) execTier2(fs *funcState, args []uint64) (rv uint64, res execR
 
 	for {
 		in := &code[pc]
-		// Synthetic ops (ECount/EPhiMov/EJmp) do not count as executed
-		// instructions; everything else steps exactly like the interpreter.
-		if in.Op > codegen.EJmp {
+		// ECount is not an executed instruction; everything else steps
+		// exactly like the interpreter (a fused head for its whole group
+		// below, once it knows no boundary falls inside the group).
+		if in.Op != codegen.ECount {
 			steps++
-			if steps > maxSteps {
-				return 0, resReturn, ErrMaxSteps
-			}
-			if ctx != nil && steps&cancelCheckMask == 0 {
+			if steps > limit {
+				if steps > maxSteps {
+					return 0, resReturn, ErrMaxSteps
+				}
 				if cerr := ctx.Err(); cerr != nil {
 					return 0, resReturn, fmt.Errorf("%w: %v", ErrCancelled, cerr)
 				}
+				limit = mc.stepLimit(steps)
 			}
 		}
 
+		var c uint64 // a compare's result, for a fused head's group
 		switch in.Op {
 		case codegen.ECount:
 			if counts != nil {
 				counts[in.Imm]++
 			}
-		case codegen.EPhiMov, codegen.EMov:
+		case codegen.EMov:
 			regs[in.Dst] = regs[in.A]
-		case codegen.EJmp:
-			pc = int(in.Imm)
-			continue
 
 		case codegen.EAdd64:
 			regs[in.Dst] = regs[in.A] + regs[in.B]
@@ -168,30 +174,71 @@ func (mc *Machine) execTier2(fs *funcState, args []uint64) (rv uint64, res execR
 			sb := int64(b<<ext) >> ext
 			regs[in.Dst] = uint64(sa%sb) & uint64(in.Imm)
 
-		case codegen.ECmpEq:
-			regs[in.Dst] = boolBits(regs[in.A]&uint64(in.Imm) == regs[in.B]&uint64(in.Imm))
-		case codegen.ECmpNe:
-			regs[in.Dst] = boolBits(regs[in.A]&uint64(in.Imm) != regs[in.B]&uint64(in.Imm))
-		case codegen.ECmpULt:
-			regs[in.Dst] = boolBits(regs[in.A]&uint64(in.Imm) < regs[in.B]&uint64(in.Imm))
-		case codegen.ECmpUGt:
-			regs[in.Dst] = boolBits(regs[in.A]&uint64(in.Imm) > regs[in.B]&uint64(in.Imm))
-		case codegen.ECmpULe:
-			regs[in.Dst] = boolBits(regs[in.A]&uint64(in.Imm) <= regs[in.B]&uint64(in.Imm))
-		case codegen.ECmpUGe:
-			regs[in.Dst] = boolBits(regs[in.A]&uint64(in.Imm) >= regs[in.B]&uint64(in.Imm))
-		case codegen.ECmpSLt:
+		// Each compare arm also runs a fused head's compare, then its group.
+		case codegen.ECmpEq, codegen.ECmpEqBr:
+			c = boolBits(regs[in.A]&uint64(in.Imm) == regs[in.B]&uint64(in.Imm))
+			regs[in.Dst] = c
+			if in.Op != codegen.ECmpEq {
+				goto group
+			}
+		case codegen.ECmpNe, codegen.ECmpNeBr:
+			c = boolBits(regs[in.A]&uint64(in.Imm) != regs[in.B]&uint64(in.Imm))
+			regs[in.Dst] = c
+			if in.Op != codegen.ECmpNe {
+				goto group
+			}
+		case codegen.ECmpULt, codegen.ECmpULtBr:
+			c = boolBits(regs[in.A]&uint64(in.Imm) < regs[in.B]&uint64(in.Imm))
+			regs[in.Dst] = c
+			if in.Op != codegen.ECmpULt {
+				goto group
+			}
+		case codegen.ECmpUGt, codegen.ECmpUGtBr:
+			c = boolBits(regs[in.A]&uint64(in.Imm) > regs[in.B]&uint64(in.Imm))
+			regs[in.Dst] = c
+			if in.Op != codegen.ECmpUGt {
+				goto group
+			}
+		case codegen.ECmpULe, codegen.ECmpULeBr:
+			c = boolBits(regs[in.A]&uint64(in.Imm) <= regs[in.B]&uint64(in.Imm))
+			regs[in.Dst] = c
+			if in.Op != codegen.ECmpULe {
+				goto group
+			}
+		case codegen.ECmpUGe, codegen.ECmpUGeBr:
+			c = boolBits(regs[in.A]&uint64(in.Imm) >= regs[in.B]&uint64(in.Imm))
+			regs[in.Dst] = c
+			if in.Op != codegen.ECmpUGe {
+				goto group
+			}
+		case codegen.ECmpSLt, codegen.ECmpSLtBr:
 			sh := uint(in.Imm)
-			regs[in.Dst] = boolBits(int64(regs[in.A]<<sh)>>sh < int64(regs[in.B]<<sh)>>sh)
-		case codegen.ECmpSGt:
+			c = boolBits(int64(regs[in.A]<<sh)>>sh < int64(regs[in.B]<<sh)>>sh)
+			regs[in.Dst] = c
+			if in.Op != codegen.ECmpSLt {
+				goto group
+			}
+		case codegen.ECmpSGt, codegen.ECmpSGtBr:
 			sh := uint(in.Imm)
-			regs[in.Dst] = boolBits(int64(regs[in.A]<<sh)>>sh > int64(regs[in.B]<<sh)>>sh)
-		case codegen.ECmpSLe:
+			c = boolBits(int64(regs[in.A]<<sh)>>sh > int64(regs[in.B]<<sh)>>sh)
+			regs[in.Dst] = c
+			if in.Op != codegen.ECmpSGt {
+				goto group
+			}
+		case codegen.ECmpSLe, codegen.ECmpSLeBr:
 			sh := uint(in.Imm)
-			regs[in.Dst] = boolBits(int64(regs[in.A]<<sh)>>sh <= int64(regs[in.B]<<sh)>>sh)
-		case codegen.ECmpSGe:
+			c = boolBits(int64(regs[in.A]<<sh)>>sh <= int64(regs[in.B]<<sh)>>sh)
+			regs[in.Dst] = c
+			if in.Op != codegen.ECmpSLe {
+				goto group
+			}
+		case codegen.ECmpSGe, codegen.ECmpSGeBr:
 			sh := uint(in.Imm)
-			regs[in.Dst] = boolBits(int64(regs[in.A]<<sh)>>sh >= int64(regs[in.B]<<sh)>>sh)
+			c = boolBits(int64(regs[in.A]<<sh)>>sh >= int64(regs[in.B]<<sh)>>sh)
+			regs[in.Dst] = c
+			if in.Op != codegen.ECmpSGe {
+				goto group
+			}
 
 		case codegen.EFBin:
 			t := ef.Types[in.Aux]
@@ -341,6 +388,7 @@ func (mc *Machine) execTier2(fs *funcState, args []uint64) (rv uint64, res execR
 			mc.Steps = steps
 			v, cres, cerr := mc.call(target, mc.argBuf[mark:])
 			steps = mc.Steps
+			limit = mc.stepLimit(steps)
 			mc.argBuf = mc.argBuf[:mark]
 			if cerr != nil {
 				return 0, resReturn, cerr
@@ -349,14 +397,14 @@ func (mc *Machine) execTier2(fs *funcState, args []uint64) (rv uint64, res execR
 				if !site.Invoke {
 					return 0, resUnwind, nil
 				}
-				pc = int(site.Unwind)
+				pc = takeEdge(regs, copies, site.Unwind.PC, site.Unwind.Copies)
 				continue
 			}
 			if in.Dst >= 0 {
 				regs[in.Dst] = v
 			}
 			if site.Invoke {
-				pc = int(site.Normal)
+				pc = takeEdge(regs, copies, site.Normal.PC, site.Normal.Copies)
 				continue
 			}
 
@@ -365,19 +413,19 @@ func (mc *Machine) execTier2(fs *funcState, args []uint64) (rv uint64, res execR
 		case codegen.ERetVoid:
 			return 0, resReturn, nil
 		case codegen.EBr:
-			pc = int(in.Imm)
+			pc = takeEdge(regs, copies, int32(in.Imm), in.Dst)
 			continue
 		case codegen.ECondBr:
 			if regs[in.A] != 0 {
-				pc = int(in.Imm)
+				pc = takeEdge(regs, copies, int32(in.Imm), in.Dst)
 			} else {
-				pc = int(in.Aux)
+				pc = takeEdge(regs, copies, in.Aux, in.B)
 			}
 			continue
 		case codegen.ESwitch:
 			tab := &ef.Switches[in.Aux]
 			v := regs[in.A]
-			pc = int(in.Imm)
+			e := codegen.EEdge{PC: int32(in.Imm), Copies: in.Dst}
 			vals := tab.Vals
 			lo, hi := 0, len(vals)
 			for lo < hi {
@@ -389,8 +437,9 @@ func (mc *Machine) execTier2(fs *funcState, args []uint64) (rv uint64, res execR
 				}
 			}
 			if lo < len(vals) && vals[lo] == v {
-				pc = int(tab.Pcs[lo])
+				e = tab.Edges[lo]
 			}
+			pc = takeEdge(regs, copies, e.PC, e.Copies)
 			continue
 		case codegen.EUnwind:
 			// Stamp the position for a possible ErrUncaughtUnwind at the
@@ -403,5 +452,53 @@ func (mc *Machine) execTier2(fs *funcState, args []uint64) (rv uint64, res execR
 			return 0, resReturn, fmt.Errorf("interp: bad tier-2 opcode %d", in.Op)
 		}
 		pc++
+		continue
+
+	group:
+		// A fused head has run its compare; its group's other
+		// constituents and the branch run here, in the same dispatch.
+		// The lowering fuses only a cast that reads the compare, a setne
+		// that reads the cast and a branch that reads the last of them,
+		// so each arm takes that operand from c, the value it just wrote.
+		// When the group's steps would cross the step budget or a
+		// cancellation poll, its constituents dispatch one by one
+		// instead, so the trap lands where tier 0 puts it.
+		if rest := int64(in.Aux); steps+rest <= limit {
+			steps += rest
+			if rest == 3 {
+				cast, ne := &code[pc+1], &code[pc+2]
+				c &= uint64(cast.Imm)
+				regs[cast.Dst] = c
+				c = boolBits(c&uint64(ne.Imm) != regs[ne.B]&uint64(ne.Imm))
+				regs[ne.Dst] = c
+			}
+			if br := &code[pc+int(rest)]; c != 0 {
+				pc = takeEdge(regs, copies, int32(br.Imm), br.Dst)
+			} else {
+				pc = takeEdge(regs, copies, br.Aux, br.B)
+			}
+			continue
+		}
+		pc++
 	}
+}
+
+// stepLimit is the last step count after steps that needs no check: the
+// budget, or the step before the next cancellation poll if that is sooner.
+func (mc *Machine) stepLimit(steps int64) int64 {
+	if mc.ctx != nil {
+		return min(mc.MaxSteps, steps|cancelCheckMask)
+	}
+	return mc.MaxSteps
+}
+
+// takeEdge runs a CFG edge's φ copies (copy list c, -1 for none) and
+// returns its target pc.
+func takeEdge(regs []uint64, copies [][]codegen.ECopy, pc, c int32) int {
+	if c >= 0 {
+		for _, cp := range copies[c] {
+			regs[cp.Dst] = regs[cp.Src]
+		}
+	}
+	return int(pc)
 }

@@ -8,6 +8,7 @@ package interp_test
 // the interpreter's reference semantics.
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"os"
@@ -567,4 +568,159 @@ func TestCrossTierStepLimitTraps(t *testing.T) {
 			}
 		}
 	}
+}
+
+// edgeSrc exercises every shape tier 2 fuses or carries on an edge: MiniC's
+// condition idiom (setlt; cast bool to int; setne 0; br) in a loop header;
+// a conditional branch (%body's) whose two successors both take their φs
+// as a swap; that branch's compare also read by a φ copy on one of its
+// edges; a switch whose case and default edges carry copies; an invoke
+// whose normal and unwind edges carry copies; and a latch (%shift's) where
+// a φ is still read after its next value is defined, or by another copy
+// on the same edge, so that φ and its next value must not share a
+// register.
+const edgeSrc = `
+internal int %shift(int %n) {
+entry:
+	br label %loop
+loop:
+	%k = phi int [ 0, %entry ], [ %k1, %latch ]
+	%p = phi int [ 1, %entry ], [ %v, %latch ]
+	%q = phi int [ 0, %entry ], [ %p, %latch ]
+	%u = phi int [ 2, %entry ], [ %u5, %latch ]
+	%s = phi int [ 0, %entry ], [ %s1, %latch ]
+	%more = setlt int %k, %n
+	br bool %more, label %latch, label %done
+latch:
+	%k1 = add int %k, 1
+	%v = mul int %p, 3
+	%u5 = mul int %u, 5
+	%s1 = add int %s, %u
+	br label %loop
+done:
+	%r = sub int %p, %q
+	%r1 = add int %r, %s
+	ret int %r1
+}
+
+internal int %check(int %x) {
+entry:
+	%big = setgt int %x, 40
+	br bool %big, label %boom, label %ok
+boom:
+	unwind
+ok:
+	%r = add int %x, 3
+	ret int %r
+}
+
+int %main() {
+entry:
+	br label %head
+head:
+	%i = phi int [ 0, %entry ], [ %i1, %body ]
+	%a = phi int [ 1, %entry ], [ %b, %body ]
+	%b = phi int [ 2, %entry ], [ %a, %body ]
+	%f = phi bool [ false, %entry ], [ %again, %body ]
+	%acc = phi int [ 0, %entry ], [ %acc1, %body ]
+	%lt = setlt int %i, 48
+	%lti = cast bool %lt to int
+	%go = setne int %lti, 0
+	br bool %go, label %pre, label %exit
+pre:
+	%i1 = add int %i, 1
+	%m = rem int %i1, 3
+	switch int %m, label %dflt [
+		int 0, label %case0
+		int 2, label %case2 ]
+case0:
+	%u0 = phi int [ %a, %pre ]
+	%v0 = phi int [ %b, %pre ]
+	br label %call
+case2:
+	%u2 = phi int [ %b, %pre ]
+	%v2 = phi int [ %a, %pre ]
+	br label %call
+dflt:
+	%ud = phi int [ %i1, %pre ]
+	%vd = phi int [ %acc, %pre ]
+	br label %call
+call:
+	%u = phi int [ %u0, %case0 ], [ %u2, %case2 ], [ %ud, %dflt ]
+	%v = phi int [ %v0, %case0 ], [ %v2, %case2 ], [ %vd, %dflt ]
+	%s = rem int %u, 50
+	%r = invoke int %check(int %s) to label %spin unwind to label %caught
+caught:
+	%w = phi int [ %s, %call ]
+	%neg = sub int 0, %w
+	br label %spin
+spin:
+	%c = phi int [ %r, %call ], [ %neg, %caught ], [ %d, %body ]
+	%d = phi int [ %v, %call ], [ %w, %caught ], [ %c, %body ]
+	%j = phi int [ 0, %call ], [ 0, %caught ], [ %j1, %body ]
+	%j1 = add int %j, 1
+	br label %body
+body:
+	%cd = sub int %c, %d
+	%acc1 = add int %acc, %cd
+	%again = setlt int %j1, 3
+	br bool %again, label %spin, label %head
+exit:
+	%fi = cast bool %f to int
+	%ab = add int %a, %b
+	%t = add int %acc, %ab
+	%sh = call int %shift(int 5)
+	%t1 = add int %t, %sh
+	%res = add int %t1, %fi
+	ret int %res
+}
+`
+
+// TestCrossTierEdgeBoundaries sweeps every step budget from 1 to edgeSrc's
+// full run, so the overrun lands on every instruction of every fused group
+// and right after every edge's copies, and runs once more under a context
+// cancelled before the run (the first poll, at step 1024, lands mid-loop).
+// Every tier must stop where tier 0 does: same value, steps and message,
+// position included.
+func TestCrossTierEdgeBoundaries(t *testing.T) {
+	m, err := asm.ParseModule("edges", edgeSrc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := core.Verify(m); err != nil {
+		t.Fatal(err)
+	}
+	run := func(p interp.TierPolicy, budget int64, ctx context.Context) tierOutcome {
+		mc, err := interp.NewMachine(m, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mc.SetTier(p)
+		mc.MaxSteps = budget
+		mc.HotCalls = 2 // %check reaches tier 2 early under TierAuto
+		v, runErr := mc.RunMainContext(ctx)
+		out := tierOutcome{val: uint64(v), steps: mc.Steps}
+		if runErr != nil {
+			out.err = runErr.Error()
+		}
+		return out
+	}
+	full := run(interp.TierInterp, 1<<40, context.Background())
+	if full.err != "" || full.steps <= 1024 {
+		t.Fatalf("reference run: %+v; want a clean run past the first cancellation poll", full)
+	}
+	check := func(what string, budget int64, ctx context.Context) {
+		ref := run(interp.TierInterp, budget, ctx)
+		for _, p := range allTiers[1:] {
+			if got := run(p, budget, ctx); got != ref {
+				t.Fatalf("%s: tier %s diverged:\n  tier 0: %+v\n  tier %s: %+v", what, p, ref, p, got)
+			}
+		}
+	}
+	for budget := int64(1); budget <= full.steps; budget++ {
+		check(fmt.Sprintf("budget %d", budget), budget, context.Background())
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	check("cancelled context", 1<<40, ctx)
 }

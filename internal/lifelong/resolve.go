@@ -64,7 +64,8 @@ func Resolve(body []byte, known func(digest string) bool) (Admitted, error) {
 // to parse, so the caller can remember it (the daemon stores it, the front
 // adds it to its known set); an error from it is a 500. The read-parse
 // phase covers all of that, and knownCount counts the bodies known vouched
-// for. ok=false means the reply has been written.
+// for. A refusal's cause goes on the request's flight-recorder record, as
+// ReadPost's do. ok=false means the reply has been written.
 func Admit(w http.ResponseWriter, r *http.Request, max int64, count, knownCount *obs.Counter,
 	known func(digest string) bool, learn func(hash string, canonical []byte) error) (a Admitted, ok bool) {
 	tRead := time.Now()
@@ -72,17 +73,21 @@ func Admit(w http.ResponseWriter, r *http.Request, max int64, count, knownCount 
 	if !ok {
 		return a, false
 	}
+	rec := obs.RecordFromContext(r.Context())
 	a, err := Resolve(body, known)
 	if err != nil {
+		rec.SetError(err.Error())
 		obs.WriteError(w, http.StatusUnprocessableEntity, "%v", err)
 		return a, false
 	}
 	if a.Known {
 		knownCount.Inc()
 	} else if err := learn(a.Hash, a.Canonical); err != nil {
-		obs.WriteError(w, http.StatusInternalServerError, "storing module: %v", err)
+		err = fmt.Errorf("storing module: %w", err)
+		rec.SetError(err.Error())
+		obs.WriteError(w, http.StatusInternalServerError, "%v", err)
 		return a, false
 	}
-	obs.RecordFromContext(r.Context()).AddPhase("read-parse", time.Since(tRead))
+	rec.AddPhase("read-parse", time.Since(tRead))
 	return a, true
 }

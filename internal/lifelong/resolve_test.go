@@ -2,11 +2,16 @@ package lifelong
 
 import (
 	"bytes"
+	"encoding/json"
+	"errors"
 	"fmt"
+	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
 
 	"repro/internal/bytecode"
+	"repro/internal/obs"
 	"repro/internal/tooling"
 )
 
@@ -71,6 +76,46 @@ func TestResolve(t *testing.T) {
 				t.Fatalf("%s: hash %.12s of %d canonical bytes; want the digest of the %d canonical bytes",
 					name, a.Hash, len(a.Canonical), len(wantCanon))
 			}
+		}
+	}
+}
+
+// TestAdmitRecordsRefusal: a body Admit refuses (422 for no valid module,
+// 500 when learn fails) leaves its cause on the request's record, the way
+// ReadPost's refusals do, so /debug/requests, /debug/trace/<id> and the
+// access log show why.
+func TestAdmitRecordsRefusal(t *testing.T) {
+	junk := append(append([]byte{}, bytecode.Magic[:]...), bytes.Repeat([]byte{0xff}, 64)...)
+	never := func(string) bool { return false }
+	learnOK := func(string, []byte) error { return nil }
+	learnFull := func(string, []byte) error { return errors.New("disk full") }
+	for _, tc := range []struct {
+		name      string
+		body      []byte
+		learn     func(string, []byte) error
+		status    int
+		errPrefix string
+	}{
+		{"invalid", []byte("void %main() {\nentry:\n\tret int 0\n}\n"), learnOK, http.StatusUnprocessableEntity, "module invalid: "},
+		{"junk", junk, learnOK, http.StatusUnprocessableEntity, "parsing module: "},
+		{"store fails", hotModuleText(t), learnFull, http.StatusInternalServerError, "storing module: disk full"},
+	} {
+		rec := &obs.RequestRecord{}
+		r := httptest.NewRequest(http.MethodPost, "/run", bytes.NewReader(tc.body))
+		r = r.WithContext(obs.ContextWithRecord(r.Context(), rec))
+		w := httptest.NewRecorder()
+		if _, ok := Admit(w, r, 1<<20, nil, nil, never, tc.learn); ok {
+			t.Fatalf("%s: admitted", tc.name)
+		}
+		if w.Code != tc.status {
+			t.Fatalf("%s: status %d, want %d", tc.name, w.Code, tc.status)
+		}
+		if !strings.HasPrefix(rec.Error, tc.errPrefix) {
+			t.Fatalf("%s: recorded error %q, want prefix %q", tc.name, rec.Error, tc.errPrefix)
+		}
+		var reply struct{ Error string }
+		if err := json.Unmarshal(w.Body.Bytes(), &reply); err != nil || reply.Error != rec.Error {
+			t.Fatalf("%s: reply %q (%v) does not carry the recorded cause %q", tc.name, w.Body.String(), err, rec.Error)
 		}
 	}
 }
