@@ -23,9 +23,7 @@ package codegen
 //   - every SSA value lives in a dense word register file assigned by the
 //     allocator in regalloc.go, reusing the native allocator's
 //     block-locality discipline (cross-block values get dedicated
-//     registers, block-local values share a scratch pool); a φ-incoming
-//     value that dies into its φ shares the φ's register, so a loop
-//     latch's edge usually copies nothing;
+//     registers, block-local values share a scratch pool);
 //   - opcodes are specialized by width and signedness at lowering time
 //     (EAdd64 vs masked EAddM, shifted signed compares, sized loads), so
 //     the executor does no per-instruction type dispatch.

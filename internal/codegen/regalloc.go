@@ -307,8 +307,7 @@ func (a *allocator) step(in MInstr) {
 // and every φ-incoming, which is read on an edge after the source block's
 // scratch pool has been recycled) gets a dedicated register. The layout
 // is [args | dedicated | scratch] with the scratch high-water mark shared
-// across blocks. A φ-incoming value that dies into its φ shares the φ's
-// register (see coalescible), so that edge carries no copy for it.
+// across blocks.
 
 type execFrame struct {
 	reg     map[core.Value]int32
@@ -333,7 +332,6 @@ func assignExecRegs(f *core.Function) *execFrame {
 	defPos := map[core.Value]int{}
 	local := map[core.Value]bool{}
 	lastUse := map[core.Value]int{}
-	uses := map[core.Value]int{}
 	for bi, b := range f.Blocks {
 		for ii, inst := range b.Instrs {
 			if inst.Type() == core.VoidType {
@@ -350,7 +348,6 @@ func assignExecRegs(f *core.Function) *execFrame {
 			if phi, ok := inst.(*core.PhiInst); ok {
 				for n := 0; n < phi.NumIncoming(); n++ {
 					v, _ := phi.Incoming(n)
-					uses[v]++
 					if _, def := defBlock[v]; def {
 						local[v] = false
 					}
@@ -361,7 +358,6 @@ func assignExecRegs(f *core.Function) *execFrame {
 				if _, isBlock := op.(*core.BasicBlock); isBlock {
 					continue
 				}
-				uses[op]++
 				if _, def := defBlock[op]; !def {
 					continue // arguments and constants
 				}
@@ -375,31 +371,16 @@ func assignExecRegs(f *core.Function) *execFrame {
 	}
 
 	// Dedicated registers for cross-block values, in layout order.
-	shares := map[core.Value]*core.PhiInst{}
-	for bi, b := range f.Blocks {
-		for _, phi := range b.Phis() {
-			for n := 0; n < phi.NumIncoming(); n++ {
-				v, pred := phi.Incoming(n)
-				if pb, ok := defBlock[v]; ok && pb != bi && uses[v] == 1 && f.Blocks[pb] == pred &&
-					coalescible(phi, pred, defPos[v]) {
-					shares[v] = phi
-				}
-			}
-		}
-	}
 	for _, b := range f.Blocks {
 		for _, inst := range b.Instrs {
 			if inst.Type() == core.VoidType {
 				continue
 			}
-			if !local[inst] && shares[inst] == nil {
+			if !local[inst] {
 				fr.reg[inst] = next
 				next++
 			}
 		}
-	}
-	for v, phi := range shares {
-		fr.reg[v] = fr.reg[phi]
 	}
 
 	// Scratch pool: per block, recycle a local's register at its last use
@@ -439,33 +420,6 @@ func assignExecRegs(f *core.Function) *execFrame {
 	}
 	fr.numVals = high
 	return fr
-}
-
-// coalescible reports that phi's incoming value from pred, defined at
-// position pos of pred and used nowhere else, may share phi's register:
-// pred ends in an unconditional branch to phi's block, and phi is read
-// neither in pred after that definition (whose own instruction reads its
-// operands before writing) nor by the copies on that edge. The φ's old
-// value is then dead wherever the incoming value is live, so the edge
-// copy is a no-op.
-func coalescible(phi *core.PhiInst, pred *core.BasicBlock, pos int) bool {
-	br, ok := pred.Terminator().(*core.BranchInst)
-	if !ok || br.IsConditional() || br.TrueDest() != phi.Parent() {
-		return false
-	}
-	for _, inst := range pred.Instrs[pos+1:] {
-		for _, op := range inst.Operands() {
-			if op == core.Value(phi) {
-				return false
-			}
-		}
-	}
-	for _, other := range phi.Parent().Phis() {
-		if other.IncomingFor(pred) == core.Value(phi) {
-			return false
-		}
-	}
-	return true
 }
 
 func usesSrc1(op MOp) bool {

@@ -575,11 +575,43 @@ func TestCrossTierStepLimitTraps(t *testing.T) {
 // a conditional branch (%body's) whose two successors both take their φs
 // as a swap; that branch's compare also read by a φ copy on one of its
 // edges; a switch whose case and default edges carry copies; an invoke
-// whose normal and unwind edges carry copies; and a latch (%shift's) where
-// a φ is still read after its next value is defined, or by another copy
-// on the same edge, so that φ and its next value must not share a
-// register.
+// whose normal and unwind edges carry copies. It also holds the shapes a
+// register assignment that lets a φ share its next value's register must
+// refuse: a latch (%shift's) where a φ is still read after its next value
+// is defined, or by another copy on the same edge; and a loop (%chain's)
+// whose φs take their next values through a join block's φs, with the
+// loop φ %s still read in the arm after its next value %t is defined
+// (MiniC's `if (c) s = s + n;` in a for loop after SimplifyCFG), where
+// sharing through the chain of φs would clobber %s or the argument %n.
 const edgeSrc = `
+internal int %chain(int %n) {
+entry:
+	br label %loop
+loop:
+	%i = phi int [ 0, %entry ], [ %i1, %join ]
+	%s = phi int [ 1, %entry ], [ %sj, %join ]
+	%w = phi int [ 0, %entry ], [ %wj, %join ]
+	%more = setlt int %i, %n
+	br bool %more, label %body, label %done
+body:
+	%i1 = add int %i, 1
+	%odd = and int %i, 1
+	%isodd = setne int %odd, 0
+	br bool %isodd, label %arm, label %join
+arm:
+	%t = add int %s, %n
+	%s3 = mul int %s, 3
+	%w1 = add int %w, %s3
+	br label %join
+join:
+	%sj = phi int [ %t, %arm ], [ %s, %body ]
+	%wj = phi int [ %w1, %arm ], [ %w, %body ]
+	br label %loop
+done:
+	%r = add int %s, %w
+	ret int %r
+}
+
 internal int %shift(int %n) {
 entry:
 	br label %loop
@@ -670,7 +702,9 @@ exit:
 	%ab = add int %a, %b
 	%t = add int %acc, %ab
 	%sh = call int %shift(int 5)
-	%t1 = add int %t, %sh
+	%ch = call int %chain(int 6)
+	%sc = add int %sh, %ch
+	%t1 = add int %t, %sc
 	%res = add int %t1, %fi
 	ret int %res
 }
