@@ -35,6 +35,7 @@ package codegen
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/core"
@@ -853,28 +854,25 @@ func (lo *execLowerer) lowerCall(dst int32, callee core.Value,
 }
 
 // edge lowers the CFG edge from block bi to succ: succ's entry pc, and
-// succ's φs read for that predecessor as one parallel copy, sequentialized
-// with the temp register (so simultaneous-assignment semantics are
-// preserved) and appended to CopyLists unless every copy is a no-op.
+// the edge's φ copies in registers, sequentialized through the temp
+// register and appended to CopyLists unless every copy is a no-op.
 func (lo *execLowerer) edge(bi int32, succ *core.BasicBlock) (EEdge, error) {
-	pred := lo.f.Blocks[bi]
 	e := EEdge{PC: lo.blockStart[lo.blockIdx[succ]], Copies: -1}
 	var dsts, srcs []int32
-	for _, phi := range succ.Phis() {
-		v := phi.IncomingFor(pred)
-		if v == nil {
-			return e, fmt.Errorf("codegen: phi %%%s has no entry for predecessor %%%s", phi.Name(), pred.Name())
-		}
+	err := edgeCopies(lo.f.Blocks[bi], succ, func(phi *core.PhiInst, v core.Value) error {
 		d, err := lo.reg(phi)
 		if err != nil {
-			return e, err
+			return err
 		}
 		s, err := lo.reg(v)
 		if err != nil {
-			return e, err
+			return err
 		}
-		dsts = append(dsts, d)
-		srcs = append(srcs, s)
+		dsts, srcs = append(dsts, d), append(srcs, s)
+		return nil
+	})
+	if err != nil {
+		return e, err
 	}
 	var copies []ECopy
 	seqCopies(dsts, srcs, lo.ef.TempReg, func(d, s int32) {
@@ -921,41 +919,57 @@ func (lo *execLowerer) fuseBranch(start int32) {
 // isIntCmp reports an unfused integer compare op.
 func isIntCmp(op EOp) bool { return op >= ECmpEq && op <= ECmpSGe }
 
-// seqCopies sequentializes a parallel copy: emit dst<-src moves in an
-// order where no source is clobbered before it is read, breaking cycles
-// (swaps) through the temp register.
-func seqCopies(dsts, srcs []int32, temp int32, emit func(d, s int32)) {
-	type cp struct{ d, s int32 }
-	var pending []cp
-	for i := range dsts {
-		if dsts[i] != srcs[i] {
-			pending = append(pending, cp{dsts[i], srcs[i]})
+// The edge plan both lowerings share. A φ is an argument passed along a
+// branch: the edge from pred to succ assigns every φ at the head of succ
+// the value it reads for pred, all at once. edgeCopies names that parallel
+// copy in value space; each lowering maps it to its own names (tier-2
+// registers, native vregs) and orders it with seqCopies.
+
+// edgeCopies calls visit for each φ at the head of succ with the value it
+// reads on the edge from pred, in φ order. It fails when a φ has no entry
+// for pred, or when visit fails.
+func edgeCopies(pred, succ *core.BasicBlock, visit func(phi *core.PhiInst, v core.Value) error) error {
+	for _, inst := range succ.Instrs {
+		phi, ok := inst.(*core.PhiInst)
+		if !ok {
+			break
+		}
+		v := phi.IncomingFor(pred)
+		if v == nil {
+			return fmt.Errorf("codegen: phi %%%s has no entry for predecessor %%%s", phi.Name(), pred.Name())
+		}
+		if err := visit(phi, v); err != nil {
+			return err
 		}
 	}
-	for len(pending) > 0 {
+	return nil
+}
+
+// seqCopies sequentializes the parallel copy dsts[i] <- srcs[i]: it emits
+// the moves in an order where no source is overwritten before it is read,
+// skipping no-ops and breaking each cycle (a swap) by parking one source
+// in temp first. The dsts must be distinct. It reorders and overwrites
+// dsts and srcs.
+func seqCopies[T ~int32](dsts, srcs []T, temp T, emit func(d, s T)) {
+	for len(dsts) > 0 {
 		progress := false
-		for i := 0; i < len(pending); i++ {
-			blocked := false
-			for j := range pending {
-				if j != i && pending[j].s == pending[i].d {
-					blocked = true
-					break
+		for i := 0; i < len(dsts); i++ {
+			if d, s := dsts[i], srcs[i]; d == s || !slices.Contains(srcs, d) {
+				if d != s {
+					emit(d, s)
 				}
-			}
-			if !blocked {
-				emit(pending[i].d, pending[i].s)
-				pending = append(pending[:i], pending[i+1:]...)
+				dsts, srcs = slices.Delete(dsts, i, i+1), slices.Delete(srcs, i, i+1)
 				i--
 				progress = true
 			}
 		}
 		if !progress {
 			// Pure cycle: park one source in temp, redirect its readers.
-			s := pending[0].s
+			s := srcs[0]
 			emit(temp, s)
-			for j := range pending {
-				if pending[j].s == s {
-					pending[j].s = temp
+			for j := range srcs {
+				if srcs[j] == s {
+					srcs[j] = temp
 				}
 			}
 		}

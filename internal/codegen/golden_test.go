@@ -1,14 +1,15 @@
 package codegen_test
 
 import (
-	"bufio"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
+	"flag"
 	"fmt"
 	"hash"
 	"os"
 	"sort"
+	"strings"
 	"testing"
 
 	"repro/internal/codegen"
@@ -17,12 +18,15 @@ import (
 	"repro/internal/workload"
 )
 
-// goldenImagesSHA pins every native image the golden corpus produces:
-// Code, Data, FuncSizes (sorted by name) and Size() for both targets, in
-// corpus order. Changing how code is generated without changing what is
-// generated must leave it alone; testdata/images.golden lists one digest
-// per function so a mismatch can be located.
-const goldenImagesSHA = "54b2206152030b57bfb64185267fe4c5b5acb928ad3bdc2ebdaa1aa95cf710f8"
+// imagesGolden pins every native image the golden corpus produces. Its
+// header line is the sha256 of Code, Data, FuncSizes (sorted by name) and
+// Size() for both targets, in corpus order; the lines after it list one
+// digest per function so that a mismatch can be located. Changing how
+// code is generated without changing what is generated must leave it
+// alone. Re-record it with go test -run TestCompileModuleGolden -update.
+const imagesGolden = "testdata/images.golden"
+
+var update = flag.Bool("update", false, "rewrite "+imagesGolden)
 
 // goldenModule is one named input of the golden corpus.
 type goldenModule struct {
@@ -126,11 +130,23 @@ func TestCompileModuleGolden(t *testing.T) {
 			got = append(got, imageDigest(h, gm.name, codegen.CompileModule(gm.m, tgt))...)
 		}
 	}
-	sum := hex.EncodeToString(h.Sum(nil))
-	if sum == goldenImagesSHA {
+	header := "sha256 " + hex.EncodeToString(h.Sum(nil))
+	if *update {
+		out := header + "\n" + strings.Join(got, "\n") + "\n"
+		if err := os.WriteFile(imagesGolden, []byte(out), 0o644); err != nil {
+			t.Fatal(err)
+		}
 		return
 	}
-	want := readGoldenListing(t)
+	data, err := os.ReadFile(imagesGolden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := strings.Split(strings.TrimSuffix(string(data), "\n"), "\n")
+	if want[0] == header {
+		return
+	}
+	want = want[1:]
 	for i := 0; i < len(got) || i < len(want); i++ {
 		g, w := "<none>", "<none>"
 		if i < len(got) {
@@ -140,28 +156,11 @@ func TestCompileModuleGolden(t *testing.T) {
 			w = want[i]
 		}
 		if g != w {
-			t.Fatalf("images differ from the pinned corpus (sha256 %s, want %s)\nfirst difference at listing line %d:\n got  %s\n want %s",
-				sum, goldenImagesSHA, i+1, g, w)
+			t.Fatalf("images differ from %s (%s)\nfirst difference at listing line %d:\n got  %s\n want %s",
+				imagesGolden, header, i+1, g, w)
 		}
 	}
-	t.Fatalf("images differ from the pinned corpus (sha256 %s, want %s) although every listed digest matches", sum, goldenImagesSHA)
-}
-
-func readGoldenListing(t *testing.T) []string {
-	f, err := os.Open("testdata/images.golden")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	var lines []string
-	sc := bufio.NewScanner(f)
-	for sc.Scan() {
-		lines = append(lines, sc.Text())
-	}
-	if err := sc.Err(); err != nil {
-		t.Fatal(err)
-	}
-	return lines
+	t.Fatalf("images differ from %s (%s) although every listed digest matches", imagesGolden, header)
 }
 
 // imageSink keeps BenchmarkCompileModule's results observable.

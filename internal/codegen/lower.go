@@ -13,22 +13,21 @@ import (
 // module costs a few allocations in total rather than several per
 // instruction.
 type lowerer struct {
-	mf       MFunction
-	pool     []*MBlock // blocks handed out as mf.Blocks
-	blockIdx map[*core.BasicBlock]int32
-	vregs    map[core.Value]VReg
-	code     []MInstr // the function's instructions, block after block
-	ends     []int    // end of each block's run in code
-	edges    []phiEdge
-	edgeEnd  []int32 // edges grouped by predecessor: block i owns edges[edgeEnd[i-1]:edgeEnd[i]]
-	frameOff int
+	mf         MFunction
+	pool       []*MBlock // blocks handed out as mf.Blocks
+	blockIdx   map[*core.BasicBlock]int32
+	vregs      map[core.Value]VReg
+	code       []MInstr // the function's instructions, block after block
+	ends       []int    // end of each block's run in code
+	splits     []splitEdge
+	dsts, srcs []VReg // one edge's φ copies, before sequentializing
+	frameOff   int
 }
 
-// phiEdge is incoming value N of a phi, copied at the end of the
-// predecessor it arrives from.
-type phiEdge struct {
-	phi *core.PhiInst
-	n   int
+// splitEdge is an edge from a block with several successors that carries
+// φ copies: it gets a block of its own, after the function's blocks.
+type splitEdge struct {
+	pred, succ *core.BasicBlock
 }
 
 // LowerFunction produces the machine IR for f (virtual registers, no
@@ -55,42 +54,39 @@ func (lo *lowerer) lower(f *core.Function) *MFunction {
 		clear(lo.vregs)
 		clear(lo.blockIdx)
 	}
-	if need := len(f.Blocks) - len(lo.pool); need > 0 {
-		slab := make([]MBlock, max(need, len(lo.pool)))
-		for i := range slab {
-			lo.pool = append(lo.pool, &slab[i])
-		}
-	}
-	lo.mf = MFunction{Name: f.Name(), Blocks: lo.pool[:len(f.Blocks)]}
-	lo.ends, lo.frameOff = lo.ends[:0], 0
+	lo.mf = MFunction{Name: f.Name()}
+	lo.ends, lo.splits, lo.frameOff = lo.ends[:0], lo.splits[:0], 0
 	for i, b := range f.Blocks {
 		lo.blockIdx[b] = int32(i)
 	}
-	lo.groupPhiEdges(f)
 
 	// Arguments arrive in registers/stack; materialize as vregs.
 	for i, a := range f.Args {
 		r := lo.vregFor(a)
 		lo.emit(MInstr{Op: MArgIn, Dst: r, Imm: int64(i)})
 	}
-	// Each block is its body, then the copies into its successors' phis,
-	// then its terminator.
-	for i, b := range f.Blocks {
-		for _, inst := range b.Instrs {
-			if inst.IsTerminator() {
-				continue
-			}
+	// Each block is its body, then its terminator, which places the φ
+	// copies of each outgoing edge on that edge.
+	for _, b := range f.Blocks {
+		for _, inst := range b.Instrs[:len(b.Instrs)-1] {
 			lo.lowerInst(inst)
 		}
-		for _, e := range lo.edges[lo.edgeStart(i):lo.edgeEnd[i]] {
-			dst := lo.vregFor(e.phi)
-			v, _ := e.phi.Incoming(e.n)
-			src := lo.useValue(v)
-			lo.emit(MInstr{Op: MMov, Dst: dst, Src1: src, Float: core.IsFloatingPoint(e.phi.Type())})
-		}
-		lo.lowerTerminator(b.Terminator())
+		lo.lowerTerminator(b)
 		lo.ends = append(lo.ends, len(lo.code))
 	}
+	// Each split edge runs its copies, then jumps to its successor.
+	for _, e := range lo.splits {
+		lo.copies(e.pred, e.succ)
+		lo.emit(MInstr{Op: MJmp, Target: lo.blockIdx[e.succ]})
+		lo.ends = append(lo.ends, len(lo.code))
+	}
+	if need := len(lo.ends) - len(lo.pool); need > 0 {
+		slab := make([]MBlock, max(need, len(lo.pool)))
+		for i := range slab {
+			lo.pool = append(lo.pool, &slab[i])
+		}
+	}
+	lo.mf.Blocks = lo.pool[:len(lo.ends)]
 	setRuns(lo.mf.Blocks, lo.code, lo.ends)
 	lo.mf.FrameSize = lo.frameOff
 	return &lo.mf
@@ -106,52 +102,47 @@ func setRuns(blocks []*MBlock, code []MInstr, ends []int) {
 	}
 }
 
-// groupPhiEdges buckets every phi's incoming values by predecessor block,
-// keeping each bucket in (phi block, phi, incoming) order.
-func (lo *lowerer) groupPhiEdges(f *core.Function) {
-	lo.edgeEnd = resize(lo.edgeEnd, len(f.Blocks), 0)
-	total := 0
-	lo.forEachIncoming(f, func(e phiEdge, pred int32) {
-		lo.edgeEnd[pred]++
-		total++
+// edgeTarget is the block a branch from pred, a block with several
+// successors, takes to succ: succ itself when the edge copies nothing,
+// else a new split block, so that the copies run on that edge alone.
+func (lo *lowerer) edgeTarget(pred, succ *core.BasicBlock) int32 {
+	copies := false
+	err := edgeCopies(pred, succ, func(phi *core.PhiInst, v core.Value) error {
+		copies = copies || v != core.Value(phi)
+		return nil
 	})
-	// edgeEnd[i] becomes the start of bucket i, then advances to its end
-	// as the bucket fills.
-	next := int32(0)
-	for i, c := range lo.edgeEnd {
-		lo.edgeEnd[i] = next
-		next += c
+	if err == nil && !copies {
+		return lo.blockIdx[succ]
 	}
-	lo.edges = grow(lo.edges, total)
-	lo.forEachIncoming(f, func(e phiEdge, pred int32) {
-		lo.edges[lo.edgeEnd[pred]] = e
-		lo.edgeEnd[pred]++
-	})
+	// Split blocks are numbered after the function's own blocks.
+	lo.splits = append(lo.splits, splitEdge{pred, succ})
+	return int32(len(lo.blockIdx) + len(lo.splits) - 1)
 }
 
-// forEachIncoming calls fn for every incoming value of every phi in f, in
-// block, phi, incoming order, with the predecessor's block index.
-func (lo *lowerer) forEachIncoming(f *core.Function, fn func(e phiEdge, pred int32)) {
-	for _, b := range f.Blocks {
-		for _, inst := range b.Instrs {
-			phi, ok := inst.(*core.PhiInst)
-			if !ok {
-				break
+// copies emits the φ copies of the edge from pred to succ as moves, in an
+// order where every φ gets the value from before the edge. Integer and
+// float φs never read each other, so each class is a parallel copy of its
+// own. The temp that breaks a swap is the next vreg: the first move that
+// names it takes it.
+func (lo *lowerer) copies(pred, succ *core.BasicBlock) {
+	for _, float := range [...]bool{false, true} {
+		lo.dsts, lo.srcs = lo.dsts[:0], lo.srcs[:0]
+		err := edgeCopies(pred, succ, func(phi *core.PhiInst, v core.Value) error {
+			if core.IsFloatingPoint(phi.Type()) == float {
+				lo.dsts = append(lo.dsts, lo.vregFor(phi))
+				lo.srcs = append(lo.srcs, lo.useValue(v))
 			}
-			for n := 0; n < phi.NumIncoming(); n++ {
-				_, pred := phi.Incoming(n)
-				fn(phiEdge{phi, n}, lo.blockIdx[pred])
-			}
+			return nil
+		})
+		if err != nil {
+			panic(err)
 		}
+		temp := VReg(lo.mf.NumVRegs)
+		seqCopies(lo.dsts, lo.srcs, temp, func(d, s VReg) {
+			lo.mf.NumVRegs = max(lo.mf.NumVRegs, int(max(d, s))+1)
+			lo.emit(MInstr{Op: MMov, Dst: d, Src1: s, Float: float})
+		})
 	}
-}
-
-// edgeStart is where block i's bucket of phi edges begins.
-func (lo *lowerer) edgeStart(i int) int32 {
-	if i == 0 {
-		return 0
-	}
-	return lo.edgeEnd[i-1]
 }
 
 // MArgIn is declared here to keep the MOp list in mir.go focused; it moves
@@ -314,7 +305,7 @@ func condFor(op core.Opcode, signed bool) Cond {
 func (lo *lowerer) lowerInst(inst core.Instruction) {
 	switch i := inst.(type) {
 	case *core.PhiInst:
-		// Handled by the phi-copy phase; ensure the vreg exists.
+		// Written on its incoming edges; ensure the vreg exists.
 		lo.vregFor(i)
 
 	case *core.BinaryInst:
@@ -427,8 +418,11 @@ func (lo *lowerer) lowerCall(result core.Instruction, callee core.Value, args []
 	lo.emit(MInstr{Op: MCallInd, Dst: dst, Src1: c, Imm: int64(len(args))})
 }
 
-func (lo *lowerer) lowerTerminator(inst core.Instruction) {
-	switch i := inst.(type) {
+// lowerTerminator lowers b's terminator. An unconditional branch runs the
+// edge's φ copies just before its jump; every other edge takes them to a
+// split block (edgeTarget).
+func (lo *lowerer) lowerTerminator(b *core.BasicBlock) {
+	switch i := b.Terminator().(type) {
 	case *core.RetInst:
 		if i.Value() == nil {
 			lo.emit(MInstr{Op: MRet, Src1: NoReg})
@@ -438,12 +432,13 @@ func (lo *lowerer) lowerTerminator(inst core.Instruction) {
 		}
 	case *core.BranchInst:
 		if !i.IsConditional() {
+			lo.copies(b, i.TrueDest())
 			lo.emit(MInstr{Op: MJmp, Target: lo.blockIdx[i.TrueDest()]})
 			return
 		}
 		c := lo.useValue(i.Cond())
 		lo.emit(MInstr{Op: MBr, Src1: c,
-			Target: lo.blockIdx[i.TrueDest()], Target2: lo.blockIdx[i.FalseDest()]})
+			Target: lo.edgeTarget(b, i.TrueDest()), Target2: lo.edgeTarget(b, i.FalseDest())})
 	case *core.SwitchInst:
 		// Compare-and-branch chain.
 		v := lo.useValue(i.Value())
@@ -454,18 +449,18 @@ func (lo *lowerer) lowerTerminator(inst core.Instruction) {
 			fl := lo.newVReg()
 			lo.emit(MInstr{Op: MCmp, Dst: fl, Src1: v, Src2: cr, Cond: CEq})
 			// Branch-taken to the case, fall through to the next test.
-			lo.emit(MInstr{Op: MBr, Src1: fl, Target: lo.blockIdx[dest], Target2: -1})
+			lo.emit(MInstr{Op: MBr, Src1: fl, Target: lo.edgeTarget(b, dest), Target2: -1})
 		}
-		lo.emit(MInstr{Op: MJmp, Target: lo.blockIdx[i.Default()]})
+		lo.emit(MInstr{Op: MJmp, Target: lo.edgeTarget(b, i.Default())})
 	case *core.InvokeInst:
-		lo.emit(MInstr{Op: MEHPush, Target: lo.blockIdx[i.UnwindDest()]})
+		lo.emit(MInstr{Op: MEHPush, Target: lo.edgeTarget(b, i.UnwindDest())})
 		lo.lowerCall(i, i.Callee(), i.Args())
 		lo.emit(MInstr{Op: MEHPop})
-		lo.emit(MInstr{Op: MJmp, Target: lo.blockIdx[i.NormalDest()]})
+		lo.emit(MInstr{Op: MJmp, Target: lo.edgeTarget(b, i.NormalDest())})
 	case *core.UnwindInst:
 		lo.emit(MInstr{Op: MUnwind})
 	default:
-		panic(fmt.Sprintf("codegen: bad terminator %v", inst))
+		panic(fmt.Sprintf("codegen: bad terminator %v", i))
 	}
 }
 

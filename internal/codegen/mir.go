@@ -6,6 +6,14 @@
 // multi-instruction sequences. Lowering, phi elimination, and local
 // register allocation are shared; only the binary encoders differ, so size
 // comparisons reflect the instruction-set mechanics the paper measures.
+//
+// Phi elimination is the edge plan the tier-2 execution lowering uses too
+// (edgeCopies, seqCopies): each CFG edge's phis are one parallel copy,
+// sequentialized with a temp vreg that breaks swaps and placed on the
+// edge. A block ending in an unconditional branch runs the copies before
+// its jump; an edge out of a block with several successors that copies
+// anything branches to a split block, appended after the function's
+// blocks, that runs them and jumps on.
 package codegen
 
 import "fmt"

@@ -81,12 +81,15 @@ func (a *allocator) run(mf *MFunction, numRegs int) {
 	// Use counts and block-locality: a dirty register holding a purely
 	// block-local value (all uses in its defining block) with no remaining
 	// uses never needs to be spilled. Values visible to other blocks must
-	// always reach their slot (they may be re-read around the loop).
+	// always reach their slot (they may be re-read around the loop), and
+	// so must a φ's vreg, which each incoming edge defines in its own
+	// block: the next def is not where it is read.
 	for bi, b := range mf.Blocks {
 		for _, in := range b.Instrs {
 			if definesDst(in.Op) && in.Dst != NoReg {
+				d := a.defBlock[in.Dst]
+				a.local[in.Dst] = d == -1 || d == int32(bi) && a.local[in.Dst]
 				a.defBlock[in.Dst] = int32(bi)
-				a.local[in.Dst] = true
 			}
 		}
 	}
@@ -112,7 +115,7 @@ func (a *allocator) run(mf *MFunction, numRegs int) {
 		a.ends = append(a.ends, len(a.out))
 	}
 	setRuns(mf.Blocks, a.out, a.ends)
-	mf.FrameSize = a.frameOff
+	mf.FrameSize += a.frameOff
 }
 
 // note counts a use of v in block bi.
