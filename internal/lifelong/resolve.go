@@ -2,6 +2,7 @@ package lifelong
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"net/http"
 	"time"
@@ -34,9 +35,13 @@ type Admitted struct {
 // accept digests of the canonical encoding of a verified module. Any other
 // body (assembly text, non-canonical bytecode, canonical bytes not known
 // yet) is parsed, verified, encoded and hashed here, once; the digest
-// already taken is kept when the encoding is the body itself. The error
-// text starts "parsing module:" or "module invalid:".
+// already taken is kept when the encoding is the body itself. An empty
+// body is refused before it is hashed: it would parse as an empty module.
+// The error text starts "parsing module:" or "module invalid:".
 func Resolve(body []byte, known func(digest string) bool) (Admitted, error) {
+	if len(body) == 0 {
+		return Admitted{}, errors.New("parsing module: empty body")
+	}
 	hash := bytecode.HashBytes(body)
 	if known(hash) {
 		return Admitted{Hash: hash, Canonical: body, Known: true}, nil

@@ -80,6 +80,40 @@ func TestResolve(t *testing.T) {
 	}
 }
 
+// TestRunRefusesModuleWithoutMain: Resolve refuses an empty body before it
+// asks known about it, so /run answers 422 and the store keeps the blobs
+// it had. A module that defines no main (none at all, or only declared)
+// is a 422 from /run, not a 200 carrying the interpreter's trap.
+func TestRunRefusesModuleWithoutMain(t *testing.T) {
+	if _, err := Resolve(nil, func(string) bool {
+		t.Fatal("known was asked about an empty body")
+		return false
+	}); err == nil || !strings.HasPrefix(err.Error(), "parsing module: ") {
+		t.Fatalf("Resolve of an empty body: %v, want a parsing refusal", err)
+	}
+	s, ts := newTestServer(t, Config{DisableReopt: true})
+	blobs := func() int {
+		st := s.store.Stats()
+		return st.Modules + st.Artifacts + st.Profiles + st.Summaries + st.Reports
+	}
+	before := blobs()
+	if resp, data := post(t, ts.URL+"/run", nil); resp.StatusCode != http.StatusUnprocessableEntity {
+		t.Fatalf("/run of an empty body: status %d (%s), want 422", resp.StatusCode, data)
+	}
+	if n := blobs(); n != before {
+		t.Fatalf("/run of an empty body: store holds %d blobs, had %d", n, before)
+	}
+	for _, src := range []string{
+		"int %helper() {\nentry:\n\tret int 1\n}\n",
+		"declare int %main()\n",
+	} {
+		resp, data := post(t, ts.URL+"/run", []byte(src))
+		if resp.StatusCode != http.StatusUnprocessableEntity || !strings.Contains(string(data), "no main") {
+			t.Fatalf("/run of %q: status %d (%s), want a 422 naming the missing main", src, resp.StatusCode, data)
+		}
+	}
+}
+
 // TestAdmitRecordsRefusal: a body Admit refuses (422 for no valid module,
 // 500 when learn fails) leaves its cause on the request's record, the way
 // ReadPost's refusals do, so /debug/requests, /debug/trace/<id> and the

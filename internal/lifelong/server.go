@@ -461,6 +461,13 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		// The freshly parsed copy is only used on first sight.
 		mod, prog = s.progs.fetch(hash, a.Module)
 	}
+	rec := obs.RecordFromContext(r.Context())
+	if main := mod.Func("main"); main == nil || main.IsDeclaration() {
+		const msg = "module defines no main function to run"
+		rec.SetError(msg)
+		obs.WriteError(w, http.StatusUnprocessableEntity, msg)
+		return
+	}
 	profiled := r.URL.Query().Get("profile") != "0"
 	var out bytes.Buffer
 	mc, err := interp.NewMachine(mod, &out)
@@ -487,7 +494,6 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		mc.SeedProfile(pf.Counts.Funcs)
 	}
 
-	rec := obs.RecordFromContext(r.Context())
 	resp := runResponse{ModuleHash: hash}
 	tRun := time.Now()
 	code, runErr := mc.RunMainContext(r.Context())
