@@ -419,8 +419,8 @@ func (lo *lowerer) lowerCall(result core.Instruction, callee core.Value, args []
 }
 
 // lowerTerminator lowers b's terminator. An unconditional branch runs the
-// edge's φ copies just before its jump; every other edge takes them to a
-// split block (edgeTarget).
+// edge's φ copies just before its jump; any other edge that copies
+// anything goes through a split block (edgeTarget).
 func (lo *lowerer) lowerTerminator(b *core.BasicBlock) {
 	switch i := b.Terminator().(type) {
 	case *core.RetInst:

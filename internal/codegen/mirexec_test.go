@@ -31,7 +31,7 @@ func runMIR(mf *codegen.MFunction, args []uint64, maxSteps int) (uint64, error) 
 	// cell is the frame bytes of a size-byte access at addr.
 	cell := func(addr uint64, size int32) ([]byte, error) {
 		off := addr - (mirFrameTop - uint64(len(frame)))
-		if addr >= mirFrameTop || off >= uint64(len(frame)) || size > 8 || uint64(size) > uint64(len(frame))-off {
+		if off >= uint64(len(frame)) || uint64(size) > uint64(len(frame))-off {
 			return nil, fmt.Errorf("%d-byte access at frame top %+d outside the %d-byte frame", size, int64(addr-mirFrameTop), len(frame))
 		}
 		return frame[off : off+uint64(size)], nil

@@ -88,7 +88,7 @@ func (a *allocator) run(mf *MFunction, numRegs int) {
 		for _, in := range b.Instrs {
 			if definesDst(in.Op) && in.Dst != NoReg {
 				d := a.defBlock[in.Dst]
-				a.local[in.Dst] = d == -1 || d == int32(bi) && a.local[in.Dst]
+				a.local[in.Dst] = d == -1 || (d == int32(bi) && a.local[in.Dst])
 				a.defBlock[in.Dst] = int32(bi)
 			}
 		}
