@@ -17,7 +17,12 @@
 // memory-safety checker before and after the pipeline and diffs the two
 // reports: findings the pipeline fixed and findings it introduced are
 // printed, and a pipeline that introduces a new error-severity finding is
-// treated as a miscompile (nonzero exit).
+// treated as a miscompile (nonzero exit). -time prints, per pass, its
+// change count, wall time and analysis cache activity: hits, misses, and
+// "invalidated", the cached results dropped during the pass because the
+// IR they describe changed or left the module. A function's dominator
+// tree and loop nest count when a lookup finds its CFG edited; module
+// analyses count at the pass boundary after any edit.
 //
 // Observability (DESIGN.md §10): -trace-out FILE records one span per pass
 // and per function worker in Chrome trace-event JSON (load it in Perfetto

@@ -7,98 +7,53 @@ import (
 	"repro/internal/core"
 )
 
-// Preserved is a bitmask naming the analyses a pass keeps valid on IR it
-// changed. It is the contract side of LLVM's AnalysisUsage: a pass declares
-// what survives its edits, and the Manager drops only the rest. Analyses of
-// functions a pass did not change are always kept.
-type Preserved uint32
-
-// One bit per cached analysis.
-const (
-	PreserveDomTree Preserved = 1 << iota
-	PreserveDomFrontier
-	PreserveLoopInfo
-	PreserveCallGraph
-	PreserveModRef
-)
-
-// Composite masks. A pass that only rewrites instructions inside blocks
-// (never edits edges, calls, or the function list) preserves everything; a
-// pass that restructures control flow preserves nothing per-function but may
-// still keep the module-level call graph.
-//
-// Extension analyses registered with NewModuleKey take bits above the
-// built-in ones and are deliberately NOT part of PreserveAll: a pass that
-// claims "preserves all" still invalidates extension analyses it has never
-// heard of, which is the conservative direction.
-const (
-	PreserveNone           Preserved = 0
-	PreserveCFG                      = PreserveDomTree | PreserveDomFrontier | PreserveLoopInfo
-	PreserveModuleAnalyses           = PreserveCallGraph | PreserveModRef
-	PreserveAll                      = PreserveCFG | PreserveModuleAnalyses
-)
-
-// numBuiltinPreserved is the count of built-in Preserved bits above.
-const numBuiltinPreserved = 5
-
 // ModuleKey identifies an extension module-level analysis cached by the
 // Manager on behalf of a package outside internal/analysis (the static
-// checker's interprocedural summaries, DSA results, ...). Each key owns one
-// Preserved bit, so a pass that keeps the analysis valid can declare it in
-// Preserves() by OR-ing in key.Mask(); every other pass invalidates it.
-type ModuleKey struct {
-	name string
-	mask Preserved
-}
+// checker's interprocedural summaries, DSA results, ...). Like the
+// built-in module analyses, its cached result holds while the module's
+// version is unchanged.
+type ModuleKey struct{ name string }
 
-var (
-	extBitMu   sync.Mutex
-	nextExtBit = numBuiltinPreserved
-)
-
-// NewModuleKey registers a new extension analysis and allocates its
-// Preserved bit. Keys are created once per analysis at package init; the 32
-// bits of Preserved bound the total number of analyses.
-func NewModuleKey(name string) *ModuleKey {
-	extBitMu.Lock()
-	defer extBitMu.Unlock()
-	if nextExtBit >= 32 {
-		panic("analysis.NewModuleKey: out of Preserved bits")
-	}
-	k := &ModuleKey{name: name, mask: 1 << uint(nextExtBit)}
-	nextExtBit++
-	return k
-}
+// NewModuleKey registers a new extension analysis. Keys are created once
+// per analysis at package init.
+func NewModuleKey(name string) *ModuleKey { return &ModuleKey{name: name} }
 
 // Name returns the analysis name the key was registered with.
 func (k *ModuleKey) Name() string { return k.name }
-
-// Mask returns the key's Preserved bit for use in Preserves() claims.
-func (k *ModuleKey) Mask() Preserved { return k.mask }
 
 // Stats is a snapshot of the manager's cache counters.
 type Stats struct {
 	Hits          uint64 // analysis requests served from cache
 	Misses        uint64 // requests that computed the analysis
-	Invalidations uint64 // cached analyses dropped by invalidation
+	Invalidations uint64 // cached analyses dropped: their IR changed or left the module
 }
 
-// funcEntry caches the per-function analyses. Its mutex serializes compute
-// for one function while letting different functions compute concurrently;
-// the parallel pass scheduler gives each function to exactly one worker, so
-// the per-entry lock is uncontended in practice.
+// funcEntry caches the per-function analyses, all computed at CFG stamp
+// cfg. Its mutex serializes compute for one function while letting
+// different functions compute concurrently; the parallel pass scheduler
+// gives each function to exactly one worker, so the per-entry lock is
+// uncontended in practice.
 type funcEntry struct {
-	mu sync.Mutex
-	dt *DomTree
-	df DomFrontier
-	li *LoopInfo
+	mu  sync.Mutex
+	cfg uint64
+	dt  *DomTree
+	df  DomFrontier
+	li  *LoopInfo
 }
 
 // Manager caches analyses across passes: DomTree/DomFrontier/LoopInfo per
-// function, CallGraph/ModRef per module. Passes fetch analyses through it
-// instead of constructing them; the pass manager invalidates a function's
-// entries only when a pass reports changes on that function and does not
-// declare the analysis preserved.
+// function, CallGraph/ModRef and extension analyses per module. Passes
+// fetch analyses through it instead of constructing them. A cached result
+// is served only while the IR it describes is unchanged, which core
+// records as it is edited:
+//   - A function's analyses hold while its CFG stamp is unchanged; every
+//     lookup checks it. Only the goroutine editing a function reads its
+//     stamp, so the check is safe inside a parallel function pass.
+//   - Module analyses hold while the module's version is unchanged. Prune
+//     checks it, at pass boundaries: the version sums every function's
+//     body stamp, so it must not be read while workers edit functions.
+//     A pass that edits the module and then asks again is served the
+//     result from before its edits.
 //
 // All methods are safe for concurrent use, and all are safe on a nil
 // *Manager: a nil manager computes every analysis fresh and caches nothing,
@@ -108,6 +63,9 @@ type Manager struct {
 	mu    sync.Mutex
 	funcs map[*core.Function]*funcEntry
 
+	// mod and version are the module and its version at the last Prune.
+	mod      *core.Module
+	version  uint64
 	cgModule *core.Module
 	cg       *CallGraph
 	mrModule *core.Module
@@ -175,16 +133,33 @@ func (am *Manager) ModuleExt(key *ModuleKey, m *core.Module, compute func(*core.
 	return e.val
 }
 
-// entry returns (creating if needed) the cache slot for f.
+// entry returns f's cache slot, creating it if needed, locked and
+// emptied of analyses computed at an older CFG stamp.
 func (am *Manager) entry(f *core.Function) *funcEntry {
 	am.mu.Lock()
 	e := am.funcs[f]
 	if e == nil {
-		e = &funcEntry{}
+		e = &funcEntry{cfg: f.CFGStamp()}
 		am.funcs[f] = e
 	}
 	am.mu.Unlock()
+	e.mu.Lock()
+	if s := f.CFGStamp(); e.cfg != s {
+		am.invalidations.Add(held(e.dt != nil, e.df != nil, e.li != nil))
+		e.cfg, e.dt, e.df, e.li = s, nil, nil, nil
+	}
 	return e
+}
+
+// held counts the set flags: the cached results a drop discards.
+func held(flags ...bool) uint64 {
+	n := uint64(0)
+	for _, f := range flags {
+		if f {
+			n++
+		}
+	}
+	return n
 }
 
 // DomTree returns f's dominator tree, computing and caching it on a miss.
@@ -193,7 +168,6 @@ func (am *Manager) DomTree(f *core.Function) *DomTree {
 		return NewDomTree(f)
 	}
 	e := am.entry(f)
-	e.mu.Lock()
 	defer e.mu.Unlock()
 	return am.domTreeLocked(e, f)
 }
@@ -216,7 +190,6 @@ func (am *Manager) DomFrontier(f *core.Function) DomFrontier {
 		return NewDomFrontier(NewDomTree(f))
 	}
 	e := am.entry(f)
-	e.mu.Lock()
 	defer e.mu.Unlock()
 	if e.df != nil {
 		am.hits.Add(1)
@@ -234,7 +207,6 @@ func (am *Manager) LoopInfo(f *core.Function) *LoopInfo {
 		return NewLoopInfo(f, NewDomTree(f))
 	}
 	e := am.entry(f)
-	e.mu.Lock()
 	defer e.mu.Unlock()
 	if e.li != nil {
 		am.hits.Add(1)
@@ -288,97 +260,19 @@ func (am *Manager) ModRef(m *core.Module) map[*core.Function]*ModRefInfo {
 	return mr
 }
 
-// InvalidateFunction drops f's cached analyses that preserved does not
-// cover. DomFrontier and LoopInfo are derived from DomTree, so dropping the
-// tree drops them too regardless of their own bits.
-func (am *Manager) InvalidateFunction(f *core.Function, preserved Preserved) {
-	if am == nil {
-		return
-	}
-	am.mu.Lock()
-	e := am.funcs[f]
-	am.mu.Unlock()
-	if e == nil {
-		return
-	}
-	e.mu.Lock()
-	am.invalidateEntryLocked(e, preserved)
-	e.mu.Unlock()
-}
-
-func (am *Manager) invalidateEntryLocked(e *funcEntry, preserved Preserved) {
-	keepDT := preserved&PreserveDomTree != 0
-	if !keepDT && e.dt != nil {
-		e.dt = nil
-		am.invalidations.Add(1)
-	}
-	if (!keepDT || preserved&PreserveDomFrontier == 0) && e.df != nil {
-		e.df = nil
-		am.invalidations.Add(1)
-	}
-	if (!keepDT || preserved&PreserveLoopInfo == 0) && e.li != nil {
-		e.li = nil
-		am.invalidations.Add(1)
-	}
-}
-
-// InvalidateModule applies preserved to the module-level analyses and to
-// every cached function entry. ModRef is derived from the call graph, so
-// dropping the graph drops it too.
-func (am *Manager) InvalidateModule(preserved Preserved) {
-	if am == nil {
-		return
-	}
-	am.mu.Lock()
-	keepCG := preserved&PreserveCallGraph != 0
-	if !keepCG && am.cg != nil {
-		am.cg = nil
-		am.cgModule = nil
-		am.invalidations.Add(1)
-	}
-	if (!keepCG || preserved&PreserveModRef == 0) && am.modref != nil {
-		am.modref = nil
-		am.mrModule = nil
-		am.invalidations.Add(1)
-	}
-	entries := make([]*funcEntry, 0, len(am.funcs))
-	if preserved&PreserveCFG != PreserveCFG {
-		for _, e := range am.funcs {
-			entries = append(entries, e)
-		}
-	}
-	var exts []*extEntry
-	for key, e := range am.ext {
-		if preserved&key.mask == 0 {
-			exts = append(exts, e)
-		}
-	}
-	am.mu.Unlock()
-	for _, e := range entries {
-		e.mu.Lock()
-		am.invalidateEntryLocked(e, preserved)
-		e.mu.Unlock()
-	}
-	for _, e := range exts {
-		e.mu.Lock()
-		if e.val != nil {
-			e.val = nil
-			e.mod = nil
-			am.invalidations.Add(1)
-		}
-		e.mu.Unlock()
-	}
-}
-
-// Prune drops cache entries for functions that no longer belong to m:
-// functions deleted by IPO, or originals replaced when the pass manager
-// commits a scratch clone (whose functions, now adopted into m, keep their
-// entries). Module-level analyses computed for a module other than m are
-// dropped too.
+// Prune drops the cached analyses that no longer describe m: those of
+// functions no longer in m (deleted by IPO, or originals replaced when the
+// pass manager commits a scratch clone), module analyses of another
+// module, and every module analysis of m once m's version has moved since
+// the previous Prune of m. The first Prune of m records its version, so
+// results cached for m before it (a seed a caller installed) are taken to
+// describe m as it is then. The pass manager calls Prune before and after
+// each pass, when no worker is editing m.
 func (am *Manager) Prune(m *core.Module) {
 	if am == nil {
 		return
 	}
+	v := m.Version()
 	am.mu.Lock()
 	for f := range am.funcs {
 		if f.Parent() != m {
@@ -386,12 +280,14 @@ func (am *Manager) Prune(m *core.Module) {
 			am.invalidations.Add(1)
 		}
 	}
-	if am.cg != nil && am.cgModule != m {
+	moved := am.mod == m && am.version != v
+	am.mod, am.version = m, v
+	if am.cg != nil && (moved || am.cgModule != m) {
 		am.cg = nil
 		am.cgModule = nil
 		am.invalidations.Add(1)
 	}
-	if am.modref != nil && am.mrModule != m {
+	if am.modref != nil && (moved || am.mrModule != m) {
 		am.modref = nil
 		am.mrModule = nil
 		am.invalidations.Add(1)
@@ -403,7 +299,7 @@ func (am *Manager) Prune(m *core.Module) {
 	am.mu.Unlock()
 	for _, e := range exts {
 		e.mu.Lock()
-		if e.val != nil && e.mod != m {
+		if e.val != nil && (moved || e.mod != m) {
 			e.val = nil
 			e.mod = nil
 			am.invalidations.Add(1)

@@ -58,37 +58,47 @@ func TestManagerHitMiss(t *testing.T) {
 	}
 }
 
+// TestManagerInvalidation checks that a function's cached analyses
+// live exactly as long as its CFG stamp: an edit inside a block keeps
+// them, and an edit of an edge drops the tree and both analyses derived
+// from it on the next lookup.
 func TestManagerInvalidation(t *testing.T) {
 	m := parse(t, managerSrc)
 	f := m.Func("caller")
 	am := NewManager()
-	am.DomTree(f)
+	dt := am.DomTree(f)
 	am.DomFrontier(f)
 	am.LoopInfo(f)
 
-	// Preserving everything must keep the whole entry.
-	am.InvalidateFunction(f, PreserveAll)
-	if s := am.Stats(); s.Invalidations != 0 {
-		t.Fatalf("PreserveAll invalidated %d analyses", s.Invalidations)
+	loop := f.Blocks[1]
+	loop.InsertAt(loop.FirstNonPhi(), core.NewBinary(core.OpAdd, f.Args[0], f.Args[0]))
+	if am.DomTree(f) != dt {
+		t.Fatal("an edit inside a block dropped the dominator tree")
 	}
-	am.DomTree(f)
-	if s := am.Stats(); s.Hits != 3 {
-		t.Fatalf("DomTree after PreserveAll: stats %+v, want hit", s)
+	if s := am.Stats(); s.Invalidations != 0 || s.Hits != 3 {
+		t.Fatalf("after a body edit: stats %+v, want 3 hits and no invalidations", s)
 	}
 
-	// Dropping the dominator tree drops the analyses derived from it even
-	// though their own bits are set.
-	am.InvalidateFunction(f, PreserveDomFrontier|PreserveLoopInfo)
-	if s := am.Stats(); s.Invalidations != 3 {
-		t.Fatalf("dropping DomTree: %d invalidations, want 3 (tree + 2 derived)", s.Invalidations)
-	}
+	// Retarget the loop's back edge to the exit: the CFG changed.
+	br := loop.Terminator().(*core.BranchInst)
+	loop.RemovePredecessor(loop)
+	br.SetOperand(1, f.Blocks[2])
 	before := am.Stats()
 	am.DomFrontier(f)
-	if s := am.Stats(); s.Misses != before.Misses+2 {
-		t.Errorf("DomFrontier after invalidation should recompute tree+frontier: %+v", s)
+	s := am.Stats()
+	if s.Invalidations != before.Invalidations+3 {
+		t.Fatalf("after an edge edit: %d invalidations, want +3 (tree + 2 derived)", s.Invalidations-before.Invalidations)
+	}
+	if s.Misses != before.Misses+2 {
+		t.Errorf("DomFrontier after an edge edit should recompute tree+frontier: %+v", s)
+	}
+	if am.DomTree(f) == dt {
+		t.Error("stale dominator tree served after an edge edit")
 	}
 }
 
+// TestManagerModuleAnalyses checks that module analyses survive a Prune
+// while the module's version holds, and all drop once any body changed.
 func TestManagerModuleAnalyses(t *testing.T) {
 	m := parse(t, managerSrc)
 	am := NewManager()
@@ -106,21 +116,25 @@ func TestManagerModuleAnalyses(t *testing.T) {
 		t.Errorf("module analyses: stats %+v, want 3 hits / 2 misses", s)
 	}
 
-	// Preserving the call graph but not mod/ref drops only mod/ref.
-	am.InvalidateModule(PreserveCallGraph)
-	before := am.Stats()
-	if before.Invalidations != 1 {
-		t.Fatalf("invalidations = %d, want 1 (modref only)", before.Invalidations)
+	// Prune with the version unchanged keeps both.
+	am.Prune(m)
+	am.Prune(m)
+	if s := am.Stats(); s.Invalidations != 0 {
+		t.Fatalf("unchanged module: %d invalidations", s.Invalidations)
 	}
 	if am.CallGraph(m) != cg1 {
 		t.Error("call graph should have survived")
 	}
 
-	// Dropping the call graph drops mod/ref with it.
-	am.ModRef(m)
-	am.InvalidateModule(PreserveModRef)
-	if s := am.Stats(); s.Invalidations != before.Invalidations+2 {
-		t.Errorf("invalidations = %d, want +2 (graph + derived modref)", s.Invalidations)
+	// An edit anywhere moves the version: the next Prune drops both.
+	f := m.Func("callee")
+	f.Entry().InsertAt(0, core.NewBinary(core.OpAdd, f.Args[0], f.Args[0]))
+	am.Prune(m)
+	if s := am.Stats(); s.Invalidations != 2 {
+		t.Errorf("invalidations = %d, want 2 (graph + modref)", s.Invalidations)
+	}
+	if am.CallGraph(m) == cg1 {
+		t.Error("stale call graph served after an edit")
 	}
 }
 
@@ -140,7 +154,7 @@ func TestManagerPrune(t *testing.T) {
 
 	// A function removed from the module loses its entry.
 	core.ReplaceAllUses(f, core.NewNull(f.Type().(*core.PointerType)))
-	f.Blocks = nil
+	f.DropBody()
 	m.RemoveFunc(f)
 	am.Prune(m)
 	before := am.Stats()
@@ -163,14 +177,12 @@ func TestNilManagerComputesFresh(t *testing.T) {
 	if s := am.Stats(); s != (Stats{}) {
 		t.Errorf("nil manager counted stats: %+v", s)
 	}
-	am.InvalidateFunction(f, PreserveNone)
-	am.InvalidateModule(PreserveNone)
 	am.Prune(m)
 }
 
 // TestManagerConcurrent exercises the cache from many goroutines under
 // -race: concurrent fetches of the same and different functions, mixed with
-// invalidation, must be safe.
+// Prune, must be safe.
 func TestManagerConcurrent(t *testing.T) {
 	m := parse(t, managerSrc)
 	fns := []*core.Function{m.Func("callee"), m.Func("caller")}
@@ -189,7 +201,7 @@ func TestManagerConcurrent(t *testing.T) {
 				}
 				am.CallGraph(m)
 				if i%10 == 9 {
-					am.InvalidateFunction(f, PreserveNone)
+					am.Prune(m)
 				}
 			}
 		}()

@@ -241,6 +241,14 @@ func names(bs []*core.BasicBlock) string {
 // LoopInfo answer for f with the reference model.
 func checkFunction(t *testing.T, where string, f *core.Function) {
 	t.Helper()
+	dt := analysis.NewDomTree(f)
+	checkAgainstModel(t, where, f, dt, analysis.NewDomFrontier(dt), analysis.NewLoopInfo(f, dt))
+}
+
+// checkAgainstModel holds f's dominator tree, dominance frontier and loop
+// nest, however they were obtained, to the naive model.
+func checkAgainstModel(t *testing.T, where string, f *core.Function, dt *analysis.DomTree, df analysis.DomFrontier, li *analysis.LoopInfo) {
+	t.Helper()
 	r := newRefCFG(f)
 	blocks := func(s []int) []*core.BasicBlock {
 		out := []*core.BasicBlock{}
@@ -262,7 +270,6 @@ func checkFunction(t *testing.T, where string, f *core.Function) {
 		}
 	}
 
-	dt := analysis.NewDomTree(f)
 	same("RPO", dt.RPO(), r.rpo)
 	same("ReversePostorder", analysis.ReversePostorder(f), r.rpo)
 	reach := analysis.ReachableBlocks(f)
@@ -298,7 +305,6 @@ func checkFunction(t *testing.T, where string, f *core.Function) {
 		}
 	}
 
-	df := analysis.NewDomFrontier(dt)
 	keys := 0
 	for i, b := range r.blocks {
 		want := r.frontier(i)
@@ -311,7 +317,6 @@ func checkFunction(t *testing.T, where string, f *core.Function) {
 		t.Errorf("%s: DomFrontier has %d keys, want %d", where, len(df), keys)
 	}
 
-	li := analysis.NewLoopInfo(f, dt)
 	top, byHeader := r.loops()
 	if len(li.ByHeader) != len(byHeader) {
 		t.Errorf("%s: %d loops, want %d", where, len(li.ByHeader), len(byHeader))

@@ -45,9 +45,9 @@ const (
 const Version = "1"
 
 // Cache keys under which the checker registers its module-level results in
-// the shared analysis.Manager. The preservation bits are deliberately not
-// part of PreserveAll, so any transforming pass invalidates them unless it
-// names them explicitly.
+// the shared analysis.Manager. Like every module analysis, a result holds
+// while the module's version is unchanged: any pass that edits the module
+// drops it.
 var (
 	// SummaryKey caches the bottom-up function-summary map. The points-to
 	// result the checker refines free-target classification with is cached
@@ -89,8 +89,8 @@ func (r *Report) Errors() []diag.Diagnostic { return diag.Filter(r.Diags, diag.E
 // Checker runs the analysis. The zero value is usable; AM and Parallelism
 // are optional tuning knobs.
 type Checker struct {
-	// AM, when set, caches summaries/points-to/dominator trees across runs
-	// with the pass manager's invalidation discipline.
+	// AM, when set, caches summaries/points-to/dominator trees across runs;
+	// a cached result is reused while the IR it describes is unchanged.
 	AM *analysis.Manager
 	// Parallelism caps the per-function diagnostic workers (0 = GOMAXPROCS).
 	// Output is deterministic at any setting: results are assembled in
@@ -1021,10 +1021,4 @@ func (p *Pass) Name() string { return "check" }
 func (p *Pass) RunOnModule(m *core.Module) int {
 	p.Last, p.Err = p.C.Check(m)
 	return 0
-}
-
-// Preserves declares the checker read-only: every cached analysis survives,
-// including the checker's own module extensions.
-func (p *Pass) Preserves() analysis.Preserved {
-	return analysis.PreserveAll | SummaryKey.Mask() | dsa.Key.Mask()
 }

@@ -8,7 +8,6 @@ import (
 	"repro/internal/asm"
 	"repro/internal/core"
 	"repro/internal/diag"
-	"repro/internal/dsa"
 )
 
 func mustParse(t *testing.T, src string) *core.Module {
@@ -483,8 +482,8 @@ func TestParallelDeterminism(t *testing.T) {
 }
 
 // With a shared manager, the second run serves summaries and points-to from
-// the extension cache, and invalidation drops them unless the preserving
-// pass names the checker's keys.
+// the extension cache; they survive a Prune while the module is unchanged
+// and drop once an edit moves its version.
 func TestManagerCaching(t *testing.T) {
 	m := mustParse(t, mixedModule)
 	am := analysis.NewManager()
@@ -494,6 +493,7 @@ func TestManagerCaching(t *testing.T) {
 	if _, err := c.Check(m); err != nil {
 		t.Fatal(err)
 	}
+	am.Prune(m)
 	rep, err := c.Check(m)
 	if err != nil {
 		t.Fatal(err)
@@ -502,30 +502,33 @@ func TestManagerCaching(t *testing.T) {
 		t.Fatal("second run should hit the extension cache")
 	}
 
-	// PreserveAll does NOT cover extension analyses.
-	before := am.Stats().Invalidations
-	am.InvalidateModule(analysis.PreserveAll)
-	if am.Stats().Invalidations == before {
-		t.Fatal("PreserveAll must invalidate extension entries")
+	// Any edit drops them at the next Prune.
+	var f *core.Function
+	for _, fn := range m.Funcs {
+		if !fn.IsDeclaration() {
+			f = fn
+			break
+		}
 	}
-
-	// Naming the keys keeps them.
+	before := am.Stats()
+	f.Entry().InsertAt(0, core.NewAlloca(core.IntType, nil))
+	am.Prune(m)
+	if am.Stats().Invalidations == before.Invalidations {
+		t.Fatal("an edit must drop the extension entries")
+	}
 	if _, err := c.Check(m); err != nil {
 		t.Fatal(err)
 	}
-	h0 := am.Stats().Hits
-	am.InvalidateModule(analysis.PreserveAll | SummaryKey.Mask() | dsa.Key.Mask())
-	if _, err := c.Check(m); err != nil {
-		t.Fatal(err)
-	}
-	if am.Stats().Hits == h0 {
-		t.Fatal("preserving the checker keys should keep its caches warm")
+	if am.Stats().Misses == before.Misses {
+		t.Fatal("the run after an edit should recompute")
 	}
 }
 
-// The pass adapter is read-only and preserves everything.
+// The pass adapter is read-only: it reports no changes and moves no stamp,
+// so every analysis cached for the module survives it.
 func TestPassAdapter(t *testing.T) {
 	m := mustParse(t, mixedModule)
+	v := m.Version()
 	p := NewPass(nil)
 	if n := p.RunOnModule(m); n != 0 {
 		t.Fatalf("checker pass must not report changes, got %d", n)
@@ -536,9 +539,8 @@ func TestPassAdapter(t *testing.T) {
 	if p.Last == nil || p.Last.Stats.Diagnostics == 0 {
 		t.Fatal("pass should record its report")
 	}
-	want := analysis.PreserveAll | SummaryKey.Mask() | dsa.Key.Mask()
-	if p.Preserves() != want {
-		t.Fatalf("Preserves() = %b, want %b", p.Preserves(), want)
+	if m.Version() != v {
+		t.Fatalf("checker pass moved the module version %d -> %d", v, m.Version())
 	}
 }
 

@@ -39,6 +39,7 @@ func (b *BasicBlock) Append(inst Instruction) {
 		b.parent.numberInst(inst)
 	}
 	b.Instrs = append(b.Instrs, inst)
+	b.touchParent(inst.IsTerminator())
 }
 
 // InsertAt inserts inst before position i.
@@ -50,6 +51,7 @@ func (b *BasicBlock) InsertAt(i int, inst Instruction) {
 	b.Instrs = append(b.Instrs, nil)
 	copy(b.Instrs[i+1:], b.Instrs[i:])
 	b.Instrs[i] = inst
+	b.touchParent(inst.IsTerminator())
 }
 
 // InsertBefore inserts inst immediately before mark (which must be in b).
@@ -83,6 +85,7 @@ func (b *BasicBlock) Remove(inst Instruction) {
 	copy(b.Instrs[i:], b.Instrs[i+1:])
 	b.Instrs = b.Instrs[:len(b.Instrs)-1]
 	inst.setParent(nil)
+	b.touchParent(inst.IsTerminator())
 }
 
 // Erase unlinks inst and drops its operand uses; the instruction must have
@@ -253,4 +256,8 @@ func (b *BasicBlock) MoveTailTo(i int, dest *BasicBlock) {
 	dest.Instrs = append(dest.Instrs, tail...)
 	clear(tail)
 	b.Instrs = b.Instrs[:i]
+	b.touchParent(true)
+	if dest.parent != b.parent {
+		dest.touchParent(true)
+	}
 }

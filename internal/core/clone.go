@@ -262,7 +262,8 @@ func (cl *moduleCloner) constant(c Constant) Constant {
 // globals, initializers, named types, and the mutable parts of the type
 // graph. The clone prints identically to src and shares no mutable state
 // with it, so it can serve as a rollback snapshot while passes transform
-// (and possibly corrupt) the original — or vice versa.
+// (and possibly corrupt) the original — or vice versa. The clone starts
+// at src's stamps and version.
 func CloneModule(src *Module) *Module {
 	cl := &moduleCloner{
 		tmap: map[Type]Type{},
@@ -323,5 +324,11 @@ func CloneModule(src *Module) *Module {
 			nf.AddBlock(b)
 		}
 	}
+	// The clone carries src's stamps, so its version equals src's until
+	// one of them is edited.
+	for i, f := range src.Funcs {
+		dst.Funcs[i].cfgStamp, dst.Funcs[i].bodyStamp = f.cfgStamp, f.bodyStamp
+	}
+	dst.stamp = src.stamp
 	return dst
 }

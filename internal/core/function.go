@@ -49,6 +49,11 @@ func (a *Argument) Index() int { return a.index }
 // InsertAt, InsertBefore) — and never by an analysis, so reading a
 // function, concurrently or not, writes nothing. The verifier checks the
 // contract.
+//
+// The same mutation paths move the function's stamps (CFGStamp,
+// BodyStamp), so a cached analysis can tell whether f changed since it
+// was computed. Blocks and each block's Instrs are read-only outside this
+// package: every edit goes through a method here.
 type Function struct {
 	valueBase
 	parent  *Module
@@ -58,6 +63,7 @@ type Function struct {
 	Blocks  []*BasicBlock
 
 	lastBlockID, lastInstID int32
+	cfgStamp, bodyStamp     uint64
 }
 
 // NewFunction creates a detached function with the given name and
@@ -97,6 +103,32 @@ func (f *Function) NumBlockIDs() int { return int(f.lastBlockID) + 1 }
 // NumInstIDs bounds the instruction IDs of f the same way.
 func (f *Function) NumInstIDs() int { return int(f.lastInstID) + 1 }
 
+// CFGStamp counts the edits to f's control-flow graph: blocks joining,
+// leaving, or reordered within f, and terminators inserted, removed or
+// given a different successor. A dominator tree or loop nest computed at
+// one stamp holds while the stamp is unchanged. Only the goroutine that
+// edits f writes the stamp, so it is read the same way f's blocks are.
+func (f *Function) CFGStamp() uint64 { return f.cfgStamp }
+
+// BodyStamp counts every edit to f: each CFG edit, and each instruction
+// inserted, removed, or given a different operand.
+func (f *Function) BodyStamp() uint64 { return f.bodyStamp }
+
+// touch moves f's body stamp, and its CFG stamp when cfg is set.
+func (f *Function) touch(cfg bool) {
+	if cfg {
+		f.cfgStamp++
+	}
+	f.bodyStamp++
+}
+
+// touchParent moves the stamps of the function holding b, if any.
+func (b *BasicBlock) touchParent(cfg bool) {
+	if b != nil && b.parent != nil {
+		b.parent.touch(cfg)
+	}
+}
+
 // adopt makes f the parent of b and gives b and its instructions fresh
 // IDs; a block keeps no number from a function it belonged to before.
 func (f *Function) adopt(b *BasicBlock) {
@@ -118,6 +150,7 @@ func (f *Function) numberInst(inst Instruction) {
 func (f *Function) AddBlock(b *BasicBlock) {
 	f.adopt(b)
 	f.Blocks = append(f.Blocks, b)
+	f.touch(true)
 }
 
 // InsertBlockAfter inserts nb immediately after mark.
@@ -134,6 +167,7 @@ func (f *Function) InsertBlocksAfter(mark *BasicBlock, bs ...*BasicBlock) {
 		f.adopt(b)
 	}
 	f.Blocks = slices.Insert(f.Blocks, i+1, bs...)
+	f.touch(true)
 }
 
 // RemoveBlock unlinks b from the function. The caller is responsible for
@@ -144,6 +178,7 @@ func (f *Function) RemoveBlock(b *BasicBlock) {
 			copy(f.Blocks[i:], f.Blocks[i+1:])
 			f.Blocks = f.Blocks[:len(f.Blocks)-1]
 			b.parent = nil
+			f.touch(true)
 			return
 		}
 	}
@@ -151,11 +186,54 @@ func (f *Function) RemoveBlock(b *BasicBlock) {
 
 // EraseBlock unlinks b and drops all operand uses of its instructions.
 func (f *Function) EraseBlock(b *BasicBlock) {
+	f.RemoveBlock(b)
+	b.dropInstrs()
+}
+
+// dropInstrs drops every operand use of b's instructions and empties it.
+func (b *BasicBlock) dropInstrs() {
 	for _, inst := range b.Instrs {
 		DropOperands(inst)
 	}
 	b.Instrs = nil
-	f.RemoveBlock(b)
+}
+
+// TakeBlocks detaches every block of f, with its instructions, and
+// returns them in order, leaving f a declaration. The blocks can then
+// join another function (AddBlock, InsertBlocksAfter).
+func (f *Function) TakeBlocks() []*BasicBlock {
+	bs := f.Blocks
+	for _, b := range bs {
+		b.parent = nil
+	}
+	f.Blocks = nil
+	f.touch(true)
+	return bs
+}
+
+// DropBody drops every operand use of f's instructions and deletes its
+// blocks, leaving f a declaration.
+func (f *Function) DropBody() {
+	for _, b := range f.TakeBlocks() {
+		b.dropInstrs()
+	}
+}
+
+// SortBlocks stably sorts the blocks after the entry block by cmp and
+// reports whether their order changed.
+func (f *Function) SortBlocks(cmp func(a, b *BasicBlock) int) bool {
+	if len(f.Blocks) < 2 || slices.IsSortedFunc(f.Blocks[1:], cmp) {
+		return false
+	}
+	slices.SortStableFunc(f.Blocks[1:], cmp)
+	f.touch(true)
+	return true
+}
+
+// SetLinkage changes f's linkage.
+func (f *Function) SetLinkage(l Linkage) {
+	f.Linkage = l
+	f.parent.touch()
 }
 
 // NumInstructions returns the total instruction count across all blocks.
@@ -243,6 +321,18 @@ func NewGlobal(name string, valueType Type, init Constant) *GlobalVariable {
 
 // Parent returns the module containing the global, or nil.
 func (g *GlobalVariable) Parent() *Module { return g.parent }
+
+// SetLinkage changes g's linkage.
+func (g *GlobalVariable) SetLinkage(l Linkage) {
+	g.Linkage = l
+	g.parent.touch()
+}
+
+// SetInit replaces g's initializer; nil makes g a declaration.
+func (g *GlobalVariable) SetInit(c Constant) {
+	g.Init = c
+	g.parent.touch()
+}
 
 // IsDeclaration reports whether the global has no initializer.
 func (g *GlobalVariable) IsDeclaration() bool { return g.Init == nil }

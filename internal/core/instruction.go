@@ -212,6 +212,7 @@ func (i *BranchInst) FalseDest() *BasicBlock {
 func (i *BranchInst) MakeUnconditional(dest *BasicBlock) {
 	i.dropOperandsFrom(i)
 	i.setOperands(i, []Value{dest})
+	edited(i, true)
 }
 
 // SwitchInst is a multiway branch on an integer value.

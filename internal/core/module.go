@@ -16,6 +16,33 @@ type Module struct {
 	Funcs        []*Function
 	globalByName map[string]*GlobalVariable
 	funcByName   map[string]*Function
+
+	// stamp counts the edits to the module outside function bodies (see
+	// Version).
+	stamp uint64
+}
+
+// touch records an edit to m outside function bodies; m may be nil (a
+// detached function or global).
+func (m *Module) touch() {
+	if m != nil {
+		m.stamp++
+	}
+}
+
+// Version identifies the state of m: it moves on every edit to the
+// function or global lists, a linkage, an initializer, a named type, or
+// any function's body: it is the module's own stamp plus the sum of its
+// functions' body stamps, and every edit makes it grow. A module-level
+// analysis computed at one version holds while the version is unchanged.
+// It reads every function's body stamp, so call it only while no pass is
+// editing m's functions.
+func (m *Module) Version() uint64 {
+	v := m.stamp
+	for _, f := range m.Funcs {
+		v += f.bodyStamp
+	}
+	return v
 }
 
 // NewModule creates an empty module.
@@ -35,6 +62,7 @@ func (m *Module) AddTypeName(name string, t Type) {
 		m.typeOrder = append(m.typeOrder, name)
 	}
 	m.typeNames[name] = t
+	m.touch()
 	if st, ok := t.(*StructType); ok && st.Name == "" {
 		st.Name = name
 	}
@@ -55,6 +83,7 @@ func (m *Module) RemoveTypeName(name string) {
 		return
 	}
 	delete(m.typeNames, name)
+	m.touch()
 	for i, n := range m.typeOrder {
 		if n == name {
 			m.typeOrder = append(m.typeOrder[:i], m.typeOrder[i+1:]...)
@@ -72,6 +101,7 @@ func (m *Module) AddGlobal(g *GlobalVariable) {
 	g.parent = m
 	m.Globals = append(m.Globals, g)
 	m.globalByName[g.Name()] = g
+	m.touch()
 }
 
 // AddFunc inserts f into the module. The name must be unique among globals
@@ -83,6 +113,7 @@ func (m *Module) AddFunc(f *Function) {
 	f.parent = m
 	m.Funcs = append(m.Funcs, f)
 	m.funcByName[f.Name()] = f
+	m.touch()
 }
 
 // Global looks up a global variable by name.
@@ -98,6 +129,7 @@ func (m *Module) RemoveGlobal(g *GlobalVariable) {
 			m.Globals = append(m.Globals[:i], m.Globals[i+1:]...)
 			delete(m.globalByName, g.Name())
 			g.parent = nil
+			m.touch()
 			return
 		}
 	}
@@ -110,6 +142,7 @@ func (m *Module) RemoveFunc(f *Function) {
 			m.Funcs = append(m.Funcs[:i], m.Funcs[i+1:]...)
 			delete(m.funcByName, f.Name())
 			f.parent = nil
+			m.stamp += f.bodyStamp + 1 // the version still only grows
 			return
 		}
 	}
@@ -124,6 +157,7 @@ func (m *Module) RenameFunc(f *Function, newName string) {
 	delete(m.funcByName, f.Name())
 	f.SetName(newName)
 	m.funcByName[newName] = f
+	m.touch()
 }
 
 // UniqueSymbol returns base if it is unused, else base.N for the smallest
@@ -165,7 +199,9 @@ func (m *Module) GetOrInsertFunction(name string, sig *FunctionType) *Function {
 // afterwards. The pass manager uses this to commit a transformed scratch
 // clone back into the caller's module (or, symmetrically, to roll a module
 // back to a snapshot) without invalidating the caller's *Module pointer.
+// m's version moves past both its own and src's.
 func (m *Module) AdoptFrom(src *Module) {
+	m.stamp = m.Version() + 1 + src.stamp
 	m.Name = src.Name
 	m.typeNames = src.typeNames
 	m.typeOrder = src.typeOrder
@@ -181,6 +217,18 @@ func (m *Module) AdoptFrom(src *Module) {
 	}
 }
 
+// PermuteFields moves field i of st, a struct type of m, to position
+// perm[i]. Rewriting the GEPs and constants that index st is the caller's
+// responsibility.
+func (m *Module) PermuteFields(st *StructType, perm []int) {
+	fields := make([]Type, len(st.Fields))
+	for oldPos, newPos := range perm {
+		fields[newPos] = st.Fields[oldPos]
+	}
+	st.Fields = fields
+	m.touch()
+}
+
 // MoveTypeNameToEnd reorders a named type to the end of the declaration
 // order; parsers use it so printing reflects declaration order even when a
 // type was first seen as a forward reference.
@@ -189,6 +237,7 @@ func (m *Module) MoveTypeNameToEnd(name string) {
 		if n == name {
 			m.typeOrder = append(m.typeOrder[:i], m.typeOrder[i+1:]...)
 			m.typeOrder = append(m.typeOrder, name)
+			m.touch()
 			return
 		}
 	}

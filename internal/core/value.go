@@ -169,6 +169,21 @@ func (u *userBase) setOperands(self User, ops []Value) {
 	}
 }
 
+// edited moves the stamps of the function holding self, when self is an
+// instruction in one, after an edit of its operands; retarget reports
+// that a *BasicBlock operand was among those written or removed, which
+// on a terminator changes the CFG.
+func edited(self User, retarget bool) {
+	if inst, ok := self.(Instruction); ok {
+		inst.Parent().touchParent(retarget && inst.IsTerminator())
+	}
+}
+
+func isBlock(v Value) bool {
+	_, ok := v.(*BasicBlock)
+	return ok
+}
+
 // appendOperand adds one operand to the end of the list.
 func (u *userBase) appendOperand(self User, v Value) {
 	idx := len(u.ops)
@@ -176,6 +191,7 @@ func (u *userBase) appendOperand(self User, v Value) {
 	if v != nil {
 		v.addUse(Use{User: self, Index: idx})
 	}
+	edited(self, isBlock(v))
 }
 
 // setOperandAt implements SetOperand for the concrete user 'self'.
@@ -191,6 +207,7 @@ func (u *userBase) setOperandAt(self User, i int, v Value) {
 	if v != nil {
 		v.addUse(Use{User: self, Index: i})
 	}
+	edited(self, isBlock(old) || isBlock(v))
 }
 
 // dropOperandsFrom removes all operand uses; call before deleting the user.
@@ -206,10 +223,13 @@ func (u *userBase) dropOperandsFrom(self User) {
 // truncateOperands removes operands [n:] from the list (used by phi and
 // switch editing), maintaining use lists.
 func (u *userBase) truncateOperands(self User, n int) {
+	retarget := false
 	for i := n; i < len(u.ops); i++ {
 		if u.ops[i] != nil {
 			u.ops[i].removeUse(Use{User: self, Index: i})
+			retarget = retarget || isBlock(u.ops[i])
 		}
 	}
 	u.ops = u.ops[:n]
+	edited(self, retarget)
 }

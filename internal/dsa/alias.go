@@ -64,9 +64,8 @@ func ResetStats() {
 }
 
 // Key registers the points-to analysis with the pass manager's analysis
-// cache. Passes whose edits keep the (over-approximate) points-to relation
-// valid — anything that only removes or moves instructions — may claim
-// Key.Mask() in Preserves().
+// cache. A cached result holds while the module's version is unchanged:
+// the first pass that edits the module drops it.
 var Key = analysis.NewModuleKey("dsa.pointsto")
 
 // Of returns the cached points-to result for m, computing it on a miss.

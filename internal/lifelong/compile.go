@@ -184,8 +184,8 @@ func compileCanonical(st *Store, hash string, canonical []byte, spec string, opt
 	// Seed the pipeline's analysis cache with persisted points-to summaries
 	// for this content address, when present: sound because `work` is a
 	// fresh decode of exactly the canonical bytes the blob was computed
-	// against, and the first transforming pass that does not preserve
-	// dsa.Key invalidates the seed like any cached analysis.
+	// against, and the first pass that edits the module moves its version,
+	// which drops the seed like any cached module analysis.
 	if data, ok := st.GetSummaries(hash); ok {
 		if pt, derr := dsa.Decode(data, work); derr == nil {
 			pm.AM = analysis.NewManager()

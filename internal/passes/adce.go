@@ -1,7 +1,6 @@
 package passes
 
 import (
-	"repro/internal/analysis"
 	"repro/internal/core"
 )
 
@@ -14,10 +13,6 @@ type ADCE struct{}
 
 // NewADCE returns the pass.
 func NewADCE() *ADCE { return &ADCE{} }
-
-// Preserves: only non-terminator instructions are erased, so the CFG
-// stands; calls are control (live) and never removed.
-func (*ADCE) Preserves() analysis.Preserved { return analysis.PreserveAll }
 
 // Name returns the pass name.
 func (*ADCE) Name() string { return "adce" }

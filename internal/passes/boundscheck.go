@@ -28,10 +28,6 @@ func NewBoundsCheck() *BoundsCheck { return &BoundsCheck{} }
 // Name returns the pass name.
 func (*BoundsCheck) Name() string { return "boundscheck" }
 
-// Preserves: nothing — every inserted guard splits a block and adds a trap
-// successor, restructuring the CFG and adding call sites.
-func (*BoundsCheck) Preserves() analysis.Preserved { return analysis.PreserveNone }
-
 // RunOnModule instruments every function; the count is checks inserted.
 func (bc *BoundsCheck) RunOnModule(m *core.Module) int {
 	bc.Inserted, bc.Elided = 0, 0
@@ -139,15 +135,14 @@ func EliminateDominatedChecks(m *core.Module) int {
 }
 
 // eliminateDominatedChecks is the manager-aware body: the dominator tree
-// comes from the cache, and any function whose guards were folded has its
-// entries invalidated (the fold rewrites CFG edges).
+// comes from the cache. Folding a guard rewrites CFG edges, which moves
+// the function's CFG stamp, so the next lookup recomputes the tree.
 func eliminateDominatedChecks(m *core.Module, am *analysis.Manager) int {
 	removed := 0
 	for _, f := range m.Funcs {
 		if f.IsDeclaration() {
 			continue
 		}
-		removedHere := 0
 		dt := am.DomTree(f)
 		type key struct {
 			idx   core.Value
@@ -191,15 +186,11 @@ func eliminateDominatedChecks(m *core.Module, am *analysis.Manager) int {
 						cont := later.FalseDest()
 						later.MakeUnconditional(cont)
 						trap.RemovePredecessor(later.Parent())
-						removedHere++
+						removed++
 						break
 					}
 				}
 			}
-		}
-		if removedHere > 0 {
-			am.InvalidateFunction(f, analysis.PreserveNone)
-			removed += removedHere
 		}
 	}
 	return removed

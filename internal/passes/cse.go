@@ -33,10 +33,6 @@ func NewCSE() *CSE { return &CSE{} }
 // Name returns the pass name.
 func (*CSE) Name() string { return "cse" }
 
-// Preserves: erasing redundant pure instructions and loads leaves the CFG
-// and call sites intact; removals only shrink the points-to relation.
-func (*CSE) Preserves() analysis.Preserved { return analysis.PreserveAll | dsa.Key.Mask() }
-
 func (c *CSE) setRemarks(r *obs.Remarks) { c.rem = r }
 
 // RunOnFunction walks the dominator tree with a scoped expression table.

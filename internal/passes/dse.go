@@ -28,10 +28,6 @@ func NewDSE() *DSE { return &DSE{} }
 // Name returns the pass name.
 func (*DSE) Name() string { return "dse" }
 
-// Preserves: erasing stores leaves the CFG and call sites intact, and only
-// shrinks the points-to relation.
-func (*DSE) Preserves() analysis.Preserved { return analysis.PreserveAll | dsa.Key.Mask() }
-
 func (d *DSE) setRemarks(r *obs.Remarks) { d.rem = r }
 
 // RunOnFunction eliminates dead stores in every block of f.

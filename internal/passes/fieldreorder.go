@@ -1,7 +1,6 @@
 package passes
 
 import (
-	"repro/internal/analysis"
 	"sort"
 
 	"repro/internal/core"
@@ -28,10 +27,6 @@ type FieldReorder struct {
 
 // NewFieldReorder returns the pass.
 func NewFieldReorder() *FieldReorder { return &FieldReorder{} }
-
-// Preserves: permuting struct fields rewrites GEP indices and initializers
-// in place; no block, edge, or call changes.
-func (*FieldReorder) Preserves() analysis.Preserved { return analysis.PreserveAll }
 
 // Name returns the pass name.
 func (*FieldReorder) Name() string { return "fieldreorder" }
@@ -95,11 +90,7 @@ func isIdentity(perm []int) bool {
 // applyPermutation rewrites the type, all GEPs, and all struct constants.
 func (fr *FieldReorder) applyPermutation(m *core.Module, st *core.StructType, perm []int) {
 	// 1. The type itself.
-	newFields := make([]core.Type, len(st.Fields))
-	for oldPos, newPos := range perm {
-		newFields[newPos] = st.Fields[oldPos]
-	}
-	st.Fields = newFields
+	m.PermuteFields(st, perm)
 
 	// 2. Every getelementptr whose path steps through st.
 	for _, f := range m.Funcs {
@@ -148,7 +139,7 @@ func (fr *FieldReorder) applyPermutation(m *core.Module, st *core.StructType, pe
 	}
 	for _, g := range m.Globals {
 		if g.Init != nil {
-			g.Init = fix(g.Init)
+			g.SetInit(fix(g.Init))
 		}
 	}
 }

@@ -18,11 +18,6 @@ func NewGlobalLoadElim() *GlobalLoadElim { return &GlobalLoadElim{} }
 // Name returns the pass name.
 func (*GlobalLoadElim) Name() string { return "gloadelim" }
 
-// Preserves: replacing a reload with an earlier value and erasing the load
-// keeps blocks, edges, and calls intact; mod/ref summaries only become more
-// conservative (a pruned Ref), never wrong.
-func (*GlobalLoadElim) Preserves() analysis.Preserved { return analysis.PreserveAll }
-
 // RunOnModule eliminates redundant global loads in every function.
 func (p *GlobalLoadElim) RunOnModule(m *core.Module) int {
 	return p.runOnModuleWith(m, nil)

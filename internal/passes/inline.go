@@ -45,10 +45,6 @@ func NewInline(threshold int) *Inline {
 // Name returns the pass name.
 func (*Inline) Name() string { return "inline" }
 
-// Preserves: nothing — inlining splices blocks into callers and deletes
-// functions, invalidating CFG analyses and the call graph alike.
-func (*Inline) Preserves() analysis.Preserved { return analysis.PreserveNone }
-
 func (inl *Inline) setRemarks(r *obs.Remarks) { inl.rem = r }
 
 // RunOnModule inlines eligible call sites and removes dead internal
@@ -118,7 +114,7 @@ func (inl *Inline) runOnModuleWith(m *core.Module, am *analysis.Manager) int {
 					inl.rem.Analysisf("inline", diag.Pos{Fn: f.Name()},
 						"deleted internal function: no references remain after inlining")
 				}
-				dropFunctionBody(f)
+				f.DropBody()
 				m.RemoveFunc(f)
 				inl.NumDeleted++
 				changed = true
@@ -240,7 +236,7 @@ func integrateCall(call *core.CallInst, move bool) {
 		for i, a := range callee.Args {
 			core.ReplaceAllUses(a, call.Args()[i])
 		}
-		body, callee.Blocks = callee.Blocks, nil
+		body = callee.TakeBlocks()
 	} else {
 		vmap := map[core.Value]core.Value{}
 		for i, a := range callee.Args {
@@ -289,15 +285,4 @@ func integrateCall(call *core.CallInst, move bool) {
 	// Replace the call with a branch into the inlined entry.
 	callBlock.Erase(call)
 	callBlock.Append(core.NewBr(body[0]))
-}
-
-// dropFunctionBody erases all blocks of f, dropping every operand use.
-func dropFunctionBody(f *core.Function) {
-	for _, b := range f.Blocks {
-		for _, inst := range b.Instrs {
-			core.DropOperands(inst)
-		}
-		b.Instrs = nil
-	}
-	f.Blocks = nil
 }

@@ -1,7 +1,6 @@
 package passes
 
 import (
-	"repro/internal/analysis"
 	"repro/internal/core"
 )
 
@@ -17,11 +16,6 @@ func NewInstCombine() *InstCombine { return &InstCombine{} }
 
 // Name returns the pass name.
 func (*InstCombine) Name() string { return "instcombine" }
-
-// Preserves: algebraic rewrites replace values, never edges or call sites
-// (a folded branch condition still leaves both successors in place for
-// SimplifyCFG).
-func (*InstCombine) Preserves() analysis.Preserved { return analysis.PreserveAll }
 
 // RunOnFunction applies simplifications until none fire.
 func (ic *InstCombine) RunOnFunction(f *core.Function) int {

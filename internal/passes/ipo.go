@@ -22,10 +22,6 @@ type DeadGlobalElim struct {
 // NewDeadGlobalElim returns the pass.
 func NewDeadGlobalElim() *DeadGlobalElim { return &DeadGlobalElim{} }
 
-// Preserves: surviving functions' bodies are untouched, so their CFG
-// analyses stand; deleting globals and functions invalidates the call graph.
-func (*DeadGlobalElim) Preserves() analysis.Preserved { return analysis.PreserveCFG }
-
 // Name returns the pass name.
 func (*DeadGlobalElim) Name() string { return "dge" }
 
@@ -120,10 +116,10 @@ func (d *DeadGlobalElim) RunOnModule(m *core.Module) int {
 		}
 	}
 	for _, f := range deadF {
-		dropFunctionBody(f)
+		f.DropBody()
 	}
 	for _, g := range deadG {
-		g.Init = nil
+		g.SetInit(nil)
 	}
 	for _, f := range deadF {
 		m.RemoveFunc(f)
@@ -151,12 +147,6 @@ type DeadArgElim struct {
 
 // NewDeadArgElim returns the pass.
 func NewDeadArgElim() *DeadArgElim { return &DeadArgElim{} }
-
-// Preserves: a rewritten function reuses the original's blocks, and caller
-// CFGs are unchanged by call-site rewrites, so per-function analyses stand
-// (entries keyed on replaced *Function objects are pruned by the manager);
-// the call graph's nodes do not.
-func (*DeadArgElim) Preserves() analysis.Preserved { return analysis.PreserveCFG }
 
 // Name returns the pass name.
 func (*DeadArgElim) Name() string { return "dae" }
@@ -213,7 +203,7 @@ func (d *DeadArgElim) rewrite(m *core.Module, f *core.Function, deadArgs []bool,
 
 	name := f.Name()
 	nf := core.NewFunction(m.UniqueSymbol(name+".dae"), newSig)
-	nf.Linkage = f.Linkage
+	nf.SetLinkage(f.Linkage)
 	// Move the body wholesale: blocks keep their instructions; only
 	// argument references and (if deadRet) rets change.
 	k := 0
@@ -225,9 +215,7 @@ func (d *DeadArgElim) rewrite(m *core.Module, f *core.Function, deadArgs []bool,
 		core.ReplaceAllUses(a, nf.Args[k])
 		k++
 	}
-	blocks := append([]*core.BasicBlock(nil), f.Blocks...)
-	f.Blocks = nil
-	for _, b := range blocks {
+	for _, b := range f.TakeBlocks() {
 		nf.AddBlock(b)
 	}
 	if deadRet {
@@ -290,10 +278,6 @@ type IPConstProp struct{}
 
 // NewIPConstProp returns the pass.
 func NewIPConstProp() *IPConstProp { return &IPConstProp{} }
-
-// Preserves: replacing argument uses with constants touches no block
-// structure and no call sites.
-func (*IPConstProp) Preserves() analysis.Preserved { return analysis.PreserveAll }
 
 // Name returns the pass name.
 func (*IPConstProp) Name() string { return "ipcp" }
@@ -363,9 +347,6 @@ type DeadTypeElim struct{}
 
 // NewDeadTypeElim returns the pass.
 func NewDeadTypeElim() *DeadTypeElim { return &DeadTypeElim{} }
-
-// Preserves: dropping unreferenced named types never touches IR bodies.
-func (*DeadTypeElim) Preserves() analysis.Preserved { return analysis.PreserveAll }
 
 // Name returns the pass name.
 func (*DeadTypeElim) Name() string { return "deadtypeelim" }
@@ -444,10 +425,6 @@ func NewPruneEH() *PruneEH { return &PruneEH{} }
 // Name returns the pass name.
 func (*PruneEH) Name() string { return "pruneeh" }
 
-// Preserves: nothing — devolving an invoke to a call removes its unwind
-// edge, changing the caller's CFG and the graph's call-site bookkeeping.
-func (*PruneEH) Preserves() analysis.Preserved { return analysis.PreserveNone }
-
 // RunOnModule devolves invokes whose callee cannot unwind.
 func (p *PruneEH) RunOnModule(m *core.Module) int {
 	return p.runOnModuleWith(m, nil)
@@ -495,9 +472,6 @@ func (p *PruneEH) runOnModuleWith(m *core.Module, am *analysis.Manager) int {
 // interprocedural passes may assume no external callers (§3.3).
 type Internalize struct{ Keep map[string]bool }
 
-// Preserves: linkage changes leave bodies, edges, and calls untouched.
-func (*Internalize) Preserves() analysis.Preserved { return analysis.PreserveAll }
-
 // NewInternalize returns the pass; entries lists symbols to keep external
 // ("main" is always kept).
 func NewInternalize(entries ...string) *Internalize {
@@ -516,13 +490,13 @@ func (p *Internalize) RunOnModule(m *core.Module) int {
 	changed := 0
 	for _, f := range m.Funcs {
 		if !f.IsDeclaration() && !p.Keep[f.Name()] && f.Linkage != core.InternalLinkage {
-			f.Linkage = core.InternalLinkage
+			f.SetLinkage(core.InternalLinkage)
 			changed++
 		}
 	}
 	for _, g := range m.Globals {
 		if !g.IsDeclaration() && !p.Keep[g.Name()] && g.Linkage != core.InternalLinkage {
-			g.Linkage = core.InternalLinkage
+			g.SetLinkage(core.InternalLinkage)
 			changed++
 		}
 	}

@@ -26,11 +26,6 @@ func NewLICM() *LICM { return &LICM{} }
 // Name returns the pass name.
 func (*LICM) Name() string { return "licm" }
 
-// Preserves: hoisting moves instructions between existing blocks; the CFG
-// and call sites are untouched, and moving instructions adds no points-to
-// edges, so the cached DSA result stays a valid over-approximation.
-func (*LICM) Preserves() analysis.Preserved { return analysis.PreserveAll | dsa.Key.Mask() }
-
 func (l *LICM) setRemarks(r *obs.Remarks) { l.rem = r }
 
 // RunOnFunction hoists invariants out of every natural loop, innermost

@@ -22,10 +22,6 @@ func NewMem2Reg() *Mem2Reg { return &Mem2Reg{} }
 // Name returns the pass name.
 func (*Mem2Reg) Name() string { return "mem2reg" }
 
-// Preserves: phi insertion and alloca/load/store removal never touch block
-// structure, edges, or call sites.
-func (*Mem2Reg) Preserves() analysis.Preserved { return analysis.PreserveAll }
-
 func (m *Mem2Reg) setRemarks(r *obs.Remarks) { m.rem = r }
 
 // RunOnFunction promotes every promotable alloca; the returned count is the

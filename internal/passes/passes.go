@@ -36,22 +36,6 @@ type ModulePass interface {
 	RunOnModule(m *core.Module) int
 }
 
-// Preserver is implemented by passes that declare which cached analyses
-// remain valid on IR they changed (LLVM's AnalysisUsage). The pass manager
-// invalidates everything a pass does not claim; passes without the method
-// are treated as preserving nothing.
-type Preserver interface {
-	Preserves() analysis.Preserved
-}
-
-// preservedBy returns p's preservation claim, conservatively PreserveNone.
-func preservedBy(p interface{ Name() string }) analysis.Preserved {
-	if pr, ok := p.(Preserver); ok {
-		return pr.Preserves()
-	}
-	return analysis.PreserveNone
-}
-
 // remarkable is implemented by passes that emit optimization remarks
 // (applied/missed/analysis, LLVM's -Rpass). The pass manager binds its
 // collector before each run; a nil collector disables emission.
@@ -101,7 +85,8 @@ type PassResult struct {
 	Validation *validate.Result
 	// AnalysisHits/Misses/Invalidations are this pass's deltas against the
 	// manager's analysis cache: requests served from cache, requests that
-	// had to compute, and cached results dropped by the pass's invalidation.
+	// had to compute, and cached results dropped because the IR they
+	// describe changed (see analysis.Manager).
 	AnalysisHits          uint64
 	AnalysisMisses        uint64
 	AnalysisInvalidations uint64
@@ -322,6 +307,7 @@ func (pm *PassManager) runOne(m *core.Module, p ModulePass) PassResult {
 		pm.Snapshots++
 	}
 	am := pm.manager()
+	am.Prune(m) // drops what edits made outside the pipeline staled
 	before := am.Stats()
 	pm.Remarks.BeginPass()
 	if rp, ok := p.(remarkable); ok {
@@ -379,7 +365,9 @@ func (pm *PassManager) runOne(m *core.Module, p ModulePass) PassResult {
 		res.Failed = true
 		res.Err = out.err
 		res.RolledBack = isolated
-		pm.settleAfterFailure(m, am, isolated, timedOut)
+		// Isolated, m is untouched; otherwise the stamps of whatever
+		// the failed pass edited have moved, and Prune sees that.
+		am.Prune(m)
 		res.addStatsDelta(am.Stats(), before)
 		if timedOut {
 			// The abandoned goroutine may keep publishing into this
@@ -399,37 +387,22 @@ func (pm *PassManager) runOne(m *core.Module, p ModulePass) PassResult {
 			res.Err = fmt.Errorf("pass %q miscompiled %%%s (counterexample %v): %s",
 				p.Name(), v.Function, v.Counterexample, v.Detail)
 			res.RolledBack = true
-			pm.settleAfterFailure(m, am, true, false)
+			am.Prune(m)
 			res.addStatsDelta(am.Stats(), before)
 			return res
 		}
 	}
 	res.Changed = out.n
-	if isolated {
+	// The clone carries m's stamps, so an isolated pass that edited
+	// nothing leaves m, and every analysis cached for it, in place.
+	if isolated && target.Version() != m.Version() {
 		m.AdoptFrom(target)
 	}
-	if out.n > 0 {
-		am.InvalidateModule(preservedBy(p))
-	}
-	// Drop entries for functions no longer in m: deleted by IPO, or
-	// originals replaced when a scratch clone was committed (the adopted
-	// clone functions keep the analyses computed during the pass).
+	// Drop what the pass's edits staled, and the entries of functions no
+	// longer in m (adopted clone functions keep theirs).
 	am.Prune(m)
 	res.addStatsDelta(am.Stats(), before)
 	return res
-}
-
-// settleAfterFailure reconciles the analysis cache with a failed pass. With
-// isolation the real module was never touched, so its cached analyses stay
-// valid and only entries for the discarded clone are dropped. Without
-// isolation the pass may have died mid-mutation, so nothing can be trusted.
-func (pm *PassManager) settleAfterFailure(m *core.Module, am *analysis.Manager, isolated, timedOut bool) {
-	if isolated || timedOut {
-		am.Prune(m)
-		return
-	}
-	am.InvalidateModule(analysis.PreserveNone)
-	am.Prune(m)
 }
 
 // dispatch runs p over target, routing manager-aware passes through am.
@@ -490,20 +463,11 @@ func (r *PassResult) addStatsDelta(after, before analysis.Stats) {
 // independent per function — the only cross-function state they touch is the
 // use lists of shared values (functions, globals, constants), which the core
 // guards with per-value locks — so any worker count produces the same module
-// as a serial run. Change counts are aggregated, and changed functions'
-// analyses invalidated, in module order after all workers finish, keeping
-// stats and cache state deterministic too.
+// as a serial run. Change counts are aggregated in module order after all
+// workers finish, keeping stats deterministic too.
 type funcPassAdapter struct{ p FunctionPass }
 
 func (a *funcPassAdapter) Name() string { return a.p.Name() }
-
-// Preserves extends the wrapped pass's claim with the per-function CFG
-// analyses: the adapter invalidates changed functions itself, one by one,
-// so the pass manager's module-level invalidation must not also drop the
-// entries of functions the pass left alone.
-func (a *funcPassAdapter) Preserves() analysis.Preserved {
-	return preservedBy(a.p) | analysis.PreserveCFG
-}
 
 // setRemarks forwards the collector to the wrapped pass.
 func (a *funcPassAdapter) setRemarks(r *obs.Remarks) {
@@ -544,12 +508,9 @@ func (a *funcPassAdapter) runTimed(m *core.Module, am *analysis.Manager, paralle
 	}
 	n := 0
 	var cpu time.Duration
-	for i, f := range fns {
+	for i := range fns {
 		cpu += durs[i]
-		if counts[i] > 0 {
-			am.InvalidateFunction(f, preservedBy(a.p))
-			n += counts[i]
-		}
+		n += counts[i]
 	}
 	return n, cpu
 }

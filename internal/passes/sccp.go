@@ -1,7 +1,6 @@
 package passes
 
 import (
-	"repro/internal/analysis"
 	"repro/internal/core"
 )
 
@@ -15,10 +14,6 @@ type SCCP struct{}
 
 // NewSCCP returns the pass.
 func NewSCCP() *SCCP { return &SCCP{} }
-
-// Preserves: SCCP folds values and erases dead pure instructions but leaves
-// all branches (even ones proven one-sided) for SimplifyCFG to restructure.
-func (*SCCP) Preserves() analysis.Preserved { return analysis.PreserveAll }
 
 // Name returns the pass name.
 func (*SCCP) Name() string { return "sccp" }

@@ -14,10 +14,6 @@ type SimplifyCFG struct{}
 // NewSimplifyCFG returns the pass.
 func NewSimplifyCFG() *SimplifyCFG { return &SimplifyCFG{} }
 
-// Preserves: nothing — this is the one standard pass that restructures the
-// CFG (and can delete whole blocks, calls included).
-func (*SimplifyCFG) Preserves() analysis.Preserved { return analysis.PreserveNone }
-
 // Name returns the pass name.
 func (*SimplifyCFG) Name() string { return "simplifycfg" }
 
@@ -129,8 +125,7 @@ func (s *SimplifyCFG) removeUnreachable(f *core.Function) int {
 				core.ReplaceAllUses(inst, core.NewUndef(inst.Type()))
 			}
 		}
-		b.Instrs = nil
-		f.RemoveBlock(b)
+		f.EraseBlock(b)
 	}
 	return len(dead)
 }
@@ -162,11 +157,7 @@ func (s *SimplifyCFG) mergeBlocks(f *core.Function) int {
 			succ.Erase(phi)
 		}
 		b.Erase(br)
-		moved := succ.Instrs
-		succ.Instrs = nil
-		for _, inst := range moved {
-			b.Append(inst)
-		}
+		succ.MoveTailTo(0, b)
 		// succ's successors now see b as the predecessor; phis referencing
 		// succ must be retargeted to b.
 		for _, u := range append([]core.Use(nil), succ.Uses()...) {

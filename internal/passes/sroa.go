@@ -1,7 +1,6 @@
 package passes
 
 import (
-	"repro/internal/analysis"
 	"repro/internal/core"
 )
 
@@ -22,10 +21,6 @@ func NewSROA() *SROA { return &SROA{MaxArrayLen: 16} }
 
 // Name returns the pass name.
 func (*SROA) Name() string { return "sroa" }
-
-// Preserves: expanding an aggregate alloca into scalar allocas rewrites
-// loads/stores in place; block structure and calls are untouched.
-func (*SROA) Preserves() analysis.Preserved { return analysis.PreserveAll }
 
 // RunOnFunction expands aggregates until no more can be expanded (an
 // expansion of a struct of structs exposes new candidates).

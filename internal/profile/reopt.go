@@ -1,7 +1,7 @@
 package profile
 
 import (
-	"sort"
+	"cmp"
 
 	"repro/internal/core"
 	"repro/internal/passes"
@@ -118,14 +118,5 @@ func layoutHotFirst(f *core.Function, d *Data) bool {
 	if len(f.Blocks) < 3 {
 		return false
 	}
-	rest := append([]*core.BasicBlock(nil), f.Blocks[1:]...)
-	sort.SliceStable(rest, func(i, j int) bool { return d.Count(rest[i]) > d.Count(rest[j]) })
-	changed := false
-	for i, b := range rest {
-		if f.Blocks[1+i] != b {
-			changed = true
-		}
-		f.Blocks[1+i] = b
-	}
-	return changed
+	return f.SortBlocks(func(a, b *core.BasicBlock) int { return cmp.Compare(d.Count(b), d.Count(a)) })
 }
