@@ -37,12 +37,11 @@ func NewCallGraph(m *core.Module) *CallGraph {
 		cg.Nodes[f] = &CallGraphNode{Fn: f}
 	}
 
-	// Address-taken functions, grouped by signature string, for resolving
+	// Address-taken functions, grouped by signature, for resolving
 	// indirect calls.
-	bySig := map[string][]*core.Function{}
+	bySig := map[*core.FunctionType][]*core.Function{}
 	for f := range AddressTakenFunctions(m) {
-		key := f.Sig.String()
-		bySig[key] = append(bySig[key], f)
+		bySig[f.Sig] = append(bySig[f.Sig], f)
 	}
 
 	addEdge := func(from, to *core.Function) {
@@ -94,7 +93,7 @@ func NewCallGraph(m *core.Module) *CallGraph {
 			// the pointer may also have come from outside.
 			ft := core.CalleeFunctionType(callee)
 			if ft != nil {
-				for _, cand := range bySig[ft.String()] {
+				for _, cand := range bySig[ft] {
 					addEdge(f, cand)
 				}
 			}

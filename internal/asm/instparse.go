@@ -486,7 +486,7 @@ func (p *parser) parseCallLike(isInvoke bool) (core.Instruction, error) {
 		for i, a := range args {
 			params[i] = a.Type()
 		}
-		calleeType = core.NewPointer(&core.FunctionType{Ret: declared, Params: params})
+		calleeType = core.NewPointer(core.NewFunctionType(declared, params...))
 	}
 	callee := p.localRef(calleeName, calleeType)
 	if core.CalleeFunctionType(callee) == nil {

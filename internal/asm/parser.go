@@ -204,20 +204,20 @@ func (p *parser) parseTypeDecl(name string) error {
 		return err
 	}
 	defer p.m.MoveTypeNameToEnd(name)
-	if err := core.ValidateTypeGraph(body); err != nil {
-		return p.errf("%v", err)
-	}
 	existing, had := p.m.NamedType(name)
+	bs, isStruct := body.(*core.StructType)
 	if !had {
+		if isStruct && bs.Name == "" {
+			body = &core.StructType{Name: name, Fields: append([]core.Type{}, bs.Fields...)}
+		}
 		p.m.AddTypeName(name, body)
 		return nil
 	}
-	// A forward-declared struct placeholder: patch its fields in place so
-	// recursive types knot correctly.
-	ph, okP := existing.(*core.StructType)
-	bs, okB := body.(*core.StructType)
-	if okP && ph.Fields == nil && okB {
-		ph.Fields = bs.Fields
+	// A forward-declared struct placeholder: fill in its fields so
+	// recursive types knot correctly. Only here can a struct come to
+	// contain itself: a new one is referred to by nothing yet.
+	if ph, ok := existing.(*core.StructType); ok && ph.Fields == nil && isStruct {
+		ph.Fields = append([]core.Type{}, bs.Fields...)
 		if err := core.ValidateTypeGraph(ph); err != nil {
 			return p.errf("%v", err)
 		}
@@ -272,7 +272,7 @@ func (p *parser) parseFunctionDef(linkage core.Linkage) error {
 		if !f.IsDeclaration() {
 			return p.errf("redefinition of function %%%s", name)
 		}
-		if !core.TypesEqual(f.Sig, sig) {
+		if f.Sig != sig {
 			return p.errf("definition of %%%s does not match earlier declaration", name)
 		}
 	} else {
@@ -298,16 +298,17 @@ func (p *parser) parseParamList(ret core.Type, named bool) (*core.FunctionType, 
 	if err := p.expectPunct("("); err != nil {
 		return nil, nil, err
 	}
-	sig := &core.FunctionType{Ret: ret}
+	var params []core.Type
 	var names []string
+	variadic := false
 	for !p.atPunct(")") {
-		if len(sig.Params) > 0 {
+		if len(params) > 0 {
 			if err := p.expectPunct(","); err != nil {
 				return nil, nil, err
 			}
 		}
 		if p.tok.kind == tokEllipsis {
-			sig.Variadic = true
+			variadic = true
 			if err := p.advance(); err != nil {
 				return nil, nil, err
 			}
@@ -317,7 +318,7 @@ func (p *parser) parseParamList(ret core.Type, named bool) (*core.FunctionType, 
 		if err != nil {
 			return nil, nil, err
 		}
-		sig.Params = append(sig.Params, pt)
+		params = append(params, pt)
 		name := ""
 		if named && p.tok.kind == tokLocal {
 			name = p.tok.text
@@ -327,7 +328,7 @@ func (p *parser) parseParamList(ret core.Type, named bool) (*core.FunctionType, 
 		}
 		names = append(names, name)
 	}
-	return sig, names, p.expectPunct(")")
+	return core.FunctionTypeOf(ret, params, variadic), names, p.expectPunct(")")
 }
 
 // ---------------------------------------------------------------------------
@@ -347,30 +348,8 @@ func (p *parser) parseType() (core.Type, error) {
 				return nil, err
 			}
 		case p.atPunct("("):
-			if err := p.advance(); err != nil {
-				return nil, err
-			}
-			ft := &core.FunctionType{Ret: t}
-			for !p.atPunct(")") {
-				if len(ft.Params) > 0 {
-					if err := p.expectPunct(","); err != nil {
-						return nil, err
-					}
-				}
-				if p.tok.kind == tokEllipsis {
-					ft.Variadic = true
-					if err := p.advance(); err != nil {
-						return nil, err
-					}
-					break
-				}
-				pt, err := p.parseType()
-				if err != nil {
-					return nil, err
-				}
-				ft.Params = append(ft.Params, pt)
-			}
-			if err := p.expectPunct(")"); err != nil {
+			ft, _, err := p.parseParamList(t, false)
+			if err != nil {
 				return nil, err
 			}
 			t = ft
@@ -447,9 +426,9 @@ func (p *parser) parseBaseType() (core.Type, error) {
 		if err := p.advance(); err != nil {
 			return nil, err
 		}
-		st := &core.StructType{Fields: []core.Type{}}
+		var fields []core.Type
 		for !p.atPunct("}") {
-			if len(st.Fields) > 0 {
+			if len(fields) > 0 {
 				if err := p.expectPunct(","); err != nil {
 					return nil, err
 				}
@@ -458,9 +437,9 @@ func (p *parser) parseBaseType() (core.Type, error) {
 			if err != nil {
 				return nil, err
 			}
-			st.Fields = append(st.Fields, ft)
+			fields = append(fields, ft)
 		}
-		return st, p.expectPunct("}")
+		return core.NewStruct(fields...), p.expectPunct("}")
 	}
 	return nil, p.errf("expected type, got %q", p.tok.text)
 }

@@ -41,7 +41,7 @@ func randConstant(r *rand.Rand, depth int) core.Constant {
 				// Arrays are homogeneous: regenerate until type matches.
 				for {
 					c := randConstant(r, depth-1)
-					if core.TypesEqual(c.Type(), et) {
+					if c.Type() == et {
 						elems[i] = c
 						break
 					}

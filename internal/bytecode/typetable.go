@@ -18,6 +18,10 @@ var primBySlot = []core.Type{
 	core.FloatType, core.DoubleType, core.LabelType,
 }
 
+// maxTypeNesting bounds how deep the decoder follows literal type records
+// that refer to later ones.
+const maxTypeNesting = 1 << 12
+
 // Derived-type record kinds.
 const (
 	tkPointer byte = iota
@@ -41,31 +45,23 @@ func newTypeTable() *typeTable {
 	return tt
 }
 
-// id returns the id for t, registering it (and its components) on first use.
+// id returns the id for t, registering it and its components on first
+// use. A literal type's components are registered before it, so the
+// decoder can build it through its constructor at once; a named struct is
+// registered before its fields, which may refer back to it.
 func (tt *typeTable) id(t core.Type) uint64 {
 	if id, ok := tt.ids[t]; ok {
 		return id
 	}
-	if pt, ok := t.(*core.PrimitiveType); ok {
-		// Distinct pointer instances of primitives can't occur (singletons),
-		// but guard against hand-built ones.
-		for i, p := range primBySlot {
-			if p.Kind() == pt.Kind() {
-				return uint64(i)
-			}
-		}
-	}
-	// Register the shell first so recursive types terminate.
-	id := uint64(firstDerivedType + len(tt.derived))
-	tt.ids[t] = id
-	tt.derived = append(tt.derived, t)
-	// Force registration of components.
 	switch tp := t.(type) {
 	case *core.PointerType:
 		tt.id(tp.Elem)
 	case *core.ArrayType:
 		tt.id(tp.Elem)
 	case *core.StructType:
+		if tp.Name != "" {
+			tt.add(t)
+		}
 		for _, f := range tp.Fields {
 			tt.id(f)
 		}
@@ -75,12 +71,21 @@ func (tt *typeTable) id(t core.Type) uint64 {
 			tt.id(p)
 		}
 	}
+	if id, ok := tt.ids[t]; ok {
+		return id // a named struct, or registered through one's fields
+	}
+	return tt.add(t)
+}
+
+func (tt *typeTable) add(t core.Type) uint64 {
+	id := uint64(firstDerivedType + len(tt.derived))
+	tt.ids[t] = id
+	tt.derived = append(tt.derived, t)
 	return id
 }
 
-// write emits the derived-type records. Component references use type ids,
-// which may point forward (recursive types); the decoder patches in a
-// second pass.
+// write emits the derived-type records. Component references use type ids;
+// only a reference to a named struct may point forward.
 func (tt *typeTable) write(w *wire.Writer, strs *stringTable) error {
 	w.Uvarint(uint64(len(tt.derived)))
 	for _, t := range tt.derived {
@@ -117,22 +122,29 @@ func (tt *typeTable) write(w *wire.Writer, strs *stringTable) error {
 	return nil
 }
 
-// readTypeTable decodes the derived types into d.types in three passes:
-// the raw records, then a shell per type so recursive references resolve,
-// then the component references.
+// readTypeTable decodes the derived types into d.types. Named structs and
+// opaque types are nominal: each record makes a fresh object as it is read,
+// so any record may refer to it. Literal types are built through their
+// constructors, components first, so equal records collapse to one object.
+// This encoder writes a literal type's components before it; older images
+// may list them after, so a record may wait on a later one, but a literal
+// record that leads back to itself is refused.
 func (d *decoder) readTypeTable() {
 	r := d.r
 	type rawType struct {
 		kind   byte
-		name   string
 		length uint64
 		vararg bool
 		// refs holds the component type ids: the element, the fields, or
 		// the return type followed by the parameters.
 		refs []uint64
+		// building marks a literal record whose construction has started.
+		building bool
 	}
 	// Each record is a kind byte and at least one varint.
 	raws := make([]rawType, r.Count(2))
+	types := make([]core.Type, firstDerivedType+len(raws))
+	copy(types, primBySlot)
 	for i := 0; i < len(raws) && r.Err() == nil; i++ {
 		raw := &raws[i]
 		raw.kind = r.Byte()
@@ -147,7 +159,9 @@ func (d *decoder) readTypeTable() {
 			}
 			raw.refs = []uint64{r.Uvarint()}
 		case tkStruct:
-			raw.name = d.str(r.Uvarint())
+			if name := d.str(r.Uvarint()); name != "" {
+				types[firstDerivedType+i] = &core.StructType{Name: name}
+			}
 			raw.refs = make([]uint64, r.Count(1))
 			for j := range raw.refs {
 				raw.refs[j] = r.Uvarint()
@@ -161,7 +175,7 @@ func (d *decoder) readTypeTable() {
 			}
 			raw.vararg = r.Byte() != 0
 		case tkOpaque:
-			raw.name = d.str(r.Uvarint())
+			types[firstDerivedType+i] = &core.OpaqueType{Name: d.str(r.Uvarint())}
 		default:
 			r.Failf("bad type kind %d", raw.kind)
 		}
@@ -170,51 +184,58 @@ func (d *decoder) readTypeTable() {
 		return
 	}
 
-	types := make([]core.Type, firstDerivedType+len(raws))
-	copy(types, primBySlot)
-	for i, raw := range raws {
-		var t core.Type
+	d.types = types
+	// Build the literal types components first. Nesting is capped, so a
+	// hostile chain of forward references cannot exhaust the stack.
+	var build func(id uint64, depth int) core.Type
+	build = func(id uint64, depth int) core.Type {
+		if t := d.typeByID(id); t != nil || r.Err() != nil {
+			return t
+		}
+		raw := &raws[id-firstDerivedType]
+		if raw.building {
+			r.Failf("type record %d leads back to itself through literal types", id)
+		} else if depth > maxTypeNesting {
+			r.Failf("type record %d nests deeper than %d records", id, maxTypeNesting)
+		}
+		if r.Err() != nil {
+			return nil
+		}
+		raw.building = true
+		c := make([]core.Type, len(raw.refs))
+		for j, ref := range raw.refs {
+			if c[j] = build(ref, depth+1); c[j] == nil {
+				return nil
+			}
+		}
 		switch raw.kind {
 		case tkPointer:
-			t = &core.PointerType{}
+			types[id] = core.NewPointer(c[0])
 		case tkArray:
-			t = &core.ArrayType{Len: int(raw.length)}
+			types[id] = core.NewArray(c[0], int(raw.length))
 		case tkStruct:
-			t = &core.StructType{Name: raw.name}
+			types[id] = core.NewStruct(c...)
 		case tkFunction:
-			t = &core.FunctionType{Variadic: raw.vararg}
-		case tkOpaque:
-			t = &core.OpaqueType{Name: raw.name}
+			types[id] = core.FunctionTypeOf(c[0], c[1:], raw.vararg)
 		}
-		types[firstDerivedType+i] = t
+		return types[id]
 	}
-	d.types = types
-	resolve := func(ids []uint64) []core.Type {
-		ts := make([]core.Type, len(ids))
-		for j, id := range ids {
-			ts[j] = d.typeByID(id)
-		}
-		return ts
-	}
-	for i, raw := range raws {
-		switch t := types[firstDerivedType+i].(type) {
-		case *core.PointerType:
-			t.Elem = d.typeByID(raw.refs[0])
-		case *core.ArrayType:
-			t.Elem = d.typeByID(raw.refs[0])
-		case *core.StructType:
-			t.Fields = resolve(raw.refs)
-		case *core.FunctionType:
-			all := resolve(raw.refs)
-			t.Ret, t.Params = all[0], all[1:]
-		}
+	for i := range raws {
+		build(uint64(firstDerivedType+i), 0)
 	}
 	if r.Err() != nil {
 		return
 	}
-	// Reject malformed graphs (self-referential function types, pointer
-	// cycles without a named struct, infinite-size structs): they would
-	// hang printing or layout computation downstream.
+	for i, raw := range raws {
+		if st, ok := types[firstDerivedType+i].(*core.StructType); ok && st.Name != "" {
+			st.Fields = make([]core.Type, len(raw.refs))
+			for j, ref := range raw.refs {
+				st.Fields[j] = d.typeByID(ref)
+			}
+		}
+	}
+	// Reject infinite-size structs: they would hang layout computation
+	// downstream.
 	for _, t := range types[firstDerivedType:] {
 		if err := core.ValidateTypeGraph(t); err != nil {
 			r.Fail(err)

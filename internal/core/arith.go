@@ -290,7 +290,7 @@ func FoldBinary(op Opcode, lhs, rhs Constant) Constant {
 // FoldCast evaluates "cast c to t" over a constant, or nil.
 func FoldCast(c Constant, to Type) Constant {
 	from := c.Type()
-	if TypesEqual(from, to) {
+	if from == to {
 		return c
 	}
 	switch cc := c.(type) {

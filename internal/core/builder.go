@@ -170,7 +170,7 @@ func (bld *Builder) CreatePhi(t Type, name string) *PhiInst {
 // CreateCast emits "cast <v> to <t>". If the value already has type t it is
 // returned unchanged (no-op casts are never emitted).
 func (bld *Builder) CreateCast(v Value, t Type, name string) Value {
-	if TypesEqual(v.Type(), t) {
+	if v.Type() == t {
 		return v
 	}
 	c := NewCast(v, t)

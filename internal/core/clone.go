@@ -1,6 +1,9 @@
 package core
 
-import "fmt"
+import (
+	"fmt"
+	"maps"
+)
 
 // CloneBlocks deep-copies the body of src. vmap seeds the value remapping
 // (typically src arguments to replacement values); it is extended with
@@ -145,17 +148,21 @@ func CloneFunction(f *Function, name string) *Function {
 }
 
 // moduleCloner carries the shared remapping state of one CloneModule call:
-// the type graph (struct bodies are mutable, so the clone must not share
-// them), module-level values, and already-cloned constants.
+// the type graph (named struct bodies are mutable, so the clone must not
+// share them), module-level values, and already-cloned constants.
 type moduleCloner struct {
 	tmap map[Type]Type
 	vmap map[Value]Value
 	cmap map[Constant]Constant
+	// inPlace keeps named structs and opaque types, retyping the fields of
+	// the named structs in place (RetypeModule).
+	inPlace bool
 }
 
-// typ deep-copies a derived type, sharing the primitive singletons.
-// Recursive types terminate because the shell is memoized before its
-// components are visited.
+// typ maps a type into the clone: named structs and opaque types are
+// copied, literal types above them rebuilt through their constructors, and
+// types built from primitives only shared. A named struct's image is
+// memoized before its fields are visited, so recursion terminates.
 func (cl *moduleCloner) typ(t Type) Type {
 	if t == nil {
 		return nil
@@ -163,42 +170,44 @@ func (cl *moduleCloner) typ(t Type) Type {
 	if nt, ok := cl.tmap[t]; ok {
 		return nt
 	}
-	switch tt := t.(type) {
-	case *PointerType:
-		np := &PointerType{}
-		cl.tmap[t] = np
-		np.Elem = cl.typ(tt.Elem)
-		return np
-	case *ArrayType:
-		na := &ArrayType{Len: tt.Len}
-		cl.tmap[t] = na
-		na.Elem = cl.typ(tt.Elem)
-		return na
-	case *StructType:
-		ns := &StructType{Name: tt.Name}
-		cl.tmap[t] = ns
-		ns.Fields = make([]Type, len(tt.Fields))
-		for i, f := range tt.Fields {
-			ns.Fields[i] = cl.typ(f)
-		}
-		return ns
-	case *FunctionType:
-		nf := &FunctionType{Variadic: tt.Variadic}
-		cl.tmap[t] = nf
-		nf.Ret = cl.typ(tt.Ret)
-		nf.Params = make([]Type, len(tt.Params))
-		for i, p := range tt.Params {
-			nf.Params[i] = cl.typ(p)
-		}
-		return nf
-	case *OpaqueType:
-		nt := &OpaqueType{Name: tt.Name}
-		cl.tmap[t] = nt
-		return nt
-	default:
-		cl.tmap[t] = t // primitive singleton
+	if !mentionsNominal(t) {
 		return t
 	}
+	var nt Type
+	switch tt := t.(type) {
+	case *PointerType:
+		nt = NewPointer(cl.typ(tt.Elem))
+	case *ArrayType:
+		nt = NewArray(cl.typ(tt.Elem), tt.Len)
+	case *StructType:
+		if tt.Name == "" {
+			nt = NewStruct(cl.types(tt.Fields)...)
+			break
+		}
+		ns := tt
+		if !cl.inPlace {
+			ns = &StructType{Name: tt.Name}
+		}
+		cl.tmap[t] = ns
+		ns.Fields = cl.types(tt.Fields)
+		return ns
+	case *FunctionType:
+		nt = FunctionTypeOf(cl.typ(tt.Ret), cl.types(tt.Params), tt.Variadic)
+	case *OpaqueType:
+		if nt = t; !cl.inPlace {
+			nt = &OpaqueType{Name: tt.Name}
+		}
+	}
+	cl.tmap[t], cl.tmap[nt] = nt, nt
+	return nt
+}
+
+func (cl *moduleCloner) types(ts []Type) []Type {
+	out := make([]Type, len(ts))
+	for i, t := range ts {
+		out[i] = cl.typ(t)
+	}
+	return out
 }
 
 // constant remaps a constant into the clone. Scalars over primitive types
@@ -300,11 +309,9 @@ func CloneModule(src *Module) *Module {
 		if f.IsDeclaration() {
 			continue
 		}
-		nf := dst.Funcs[i]
-		vmap := make(map[Value]Value, len(cl.vmap)+len(f.Args))
-		for k, v := range cl.vmap {
-			vmap[k] = v
-		}
+		// One map serves every function: the values of one function never
+		// appear in another's body.
+		nf, vmap := dst.Funcs[i], cl.vmap
 		for j, a := range f.Args {
 			vmap[a] = nf.Args[j]
 		}
@@ -331,4 +338,63 @@ func CloneModule(src *Module) *Module {
 	}
 	dst.stamp = src.stamp
 	return dst
+}
+
+// RetypeModule replaces, in place, every use in m of a type in remap by its
+// image, and rebuilds the literal types above them through their
+// constructors; m's own named structs keep their identity and have their
+// fields retyped. The linker uses it to move a module onto another
+// module's equal named structs before merging the two.
+func RetypeModule(m *Module, remap map[Type]Type) {
+	cl := &moduleCloner{tmap: maps.Clone(remap), inPlace: true}
+	var retype func(v Value)
+	retype = func(v Value) {
+		v.base().typ = cl.typ(v.Type())
+		switch c := v.(type) {
+		case *ConstantArray:
+			for _, e := range c.Elems {
+				retype(e)
+			}
+		case *ConstantStruct:
+			for _, f := range c.Fields {
+				retype(f)
+			}
+		case *ConstantExpr:
+			for _, op := range c.Operands() {
+				retype(op)
+			}
+		case *AllocaInst:
+			c.AllocType = cl.typ(c.AllocType)
+		case *MallocInst:
+			c.AllocType = cl.typ(c.AllocType)
+		}
+	}
+	for name, t := range m.typeNames {
+		m.typeNames[name] = cl.typ(t)
+	}
+	for _, g := range m.Globals {
+		g.ValueType = cl.typ(g.ValueType)
+		retype(g)
+		if g.Init != nil {
+			retype(g.Init)
+		}
+	}
+	for _, f := range m.Funcs {
+		f.Sig = cl.typ(f.Sig).(*FunctionType)
+		retype(f)
+		for _, a := range f.Args {
+			retype(a)
+		}
+		f.ForEachInst(func(inst Instruction) bool {
+			retype(inst)
+			for _, op := range inst.Operands() {
+				if c, ok := op.(Constant); ok {
+					retype(c)
+				}
+			}
+			return true
+		})
+		f.touch(false)
+	}
+	m.touch()
 }

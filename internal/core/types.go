@@ -11,8 +11,12 @@
 package core
 
 import (
+	"encoding/binary"
 	"fmt"
+	"slices"
 	"strings"
+	"sync"
+	"sync/atomic"
 )
 
 // TypeKind discriminates the concrete implementations of Type.
@@ -43,16 +47,79 @@ const (
 	OpaqueKind
 )
 
-// Type is the interface implemented by every type in the IR. Types are
-// immutable after construction except for named struct bodies, which may be
-// filled in once to form recursive types.
+// Type is the interface implemented by every type in the IR. There is one
+// object per type, so two types of a module are equal exactly when they
+// are ==. Primitive types are singletons; the constructors of pointer,
+// array, function and literal (unnamed) struct types return one object per
+// set of components; named struct and opaque types are nominal, one object
+// per (module, name). Canonical types are keyed on the identity of their
+// components, not their contents, so a named struct's body may be filled
+// in or permuted in place. Every other type is immutable.
 type Type interface {
 	Kind() TypeKind
 	String() string
+	derived() *derivedTypes
+}
+
+// derivedTypes is embedded in every type: it caches the canonical types
+// built directly on this one. The pointer to T lives on T; the arrays of T
+// live on T, keyed by length; a function type or literal struct lives on
+// its first component that mentions a named struct or opaque type (see
+// canonical). A cache therefore lives exactly as long as the types it
+// derives from: nothing process-wide keeps a module's named types alive.
+type derivedTypes struct {
+	serial  atomic.Uint64 // this type's identity in component keys; 0 until first asked
+	nominal bool          // the type mentions a named struct or opaque type
+	ptr     atomic.Pointer[PointerType]
+	more    sync.Map // int length -> *ArrayType; component key -> *FunctionType or *StructType
+}
+
+func (d *derivedTypes) derived() *derivedTypes { return d }
+
+// lastSerial numbers types on first use as a component.
+var lastSerial atomic.Uint64
+
+// literalTypes holds the function types and literal structs built from
+// primitive types only; there are no other process-wide type tables.
+var literalTypes sync.Map
+
+// mentionsNominal reports whether t is, or is built from, a named struct
+// or an opaque type.
+func mentionsNominal(t Type) bool {
+	switch tt := t.(type) {
+	case *StructType:
+		return tt.Name != "" || tt.nominal
+	case *OpaqueType:
+		return true
+	}
+	return t.derived().nominal
+}
+
+// canonical returns the one function type or literal struct with t's
+// components comps, registering t if it is the first.
+func canonical[T Type](t T, tag byte, comps []Type) T {
+	key := append(make([]byte, 0, 1+2*len(comps)), tag)
+	table := &literalTypes
+	for _, c := range comps {
+		d := c.derived()
+		if d.serial.Load() == 0 {
+			d.serial.CompareAndSwap(0, lastSerial.Add(1))
+		}
+		key = binary.AppendUvarint(key, d.serial.Load())
+		if table == &literalTypes && mentionsNominal(c) {
+			table = &d.more
+		}
+	}
+	t.derived().nominal = table != &literalTypes
+	got, _ := table.LoadOrStore(string(key), t)
+	return got.(T)
 }
 
 // PrimitiveType is one of the predefined-size primitive types (and label).
-type PrimitiveType struct{ kind TypeKind }
+type PrimitiveType struct {
+	derivedTypes
+	kind TypeKind
+}
 
 // Kind returns the type's kind.
 func (t *PrimitiveType) Kind() TypeKind { return t.kind }
@@ -90,29 +157,40 @@ func (t *PrimitiveType) String() string {
 	return "<badprim>"
 }
 
-// Singleton instances of the primitive types. All IR construction shares
-// these; comparing primitive types by pointer identity is valid.
+// Singleton instances of the primitive types.
 var (
-	VoidType   = &PrimitiveType{VoidKind}
-	BoolType   = &PrimitiveType{BoolKind}
-	SByteType  = &PrimitiveType{SByteKind}
-	UByteType  = &PrimitiveType{UByteKind}
-	ShortType  = &PrimitiveType{ShortKind}
-	UShortType = &PrimitiveType{UShortKind}
-	IntType    = &PrimitiveType{IntKind}
-	UIntType   = &PrimitiveType{UIntKind}
-	LongType   = &PrimitiveType{LongKind}
-	ULongType  = &PrimitiveType{ULongKind}
-	FloatType  = &PrimitiveType{FloatKind}
-	DoubleType = &PrimitiveType{DoubleKind}
-	LabelType  = &PrimitiveType{LabelKind}
+	VoidType   = &PrimitiveType{kind: VoidKind}
+	BoolType   = &PrimitiveType{kind: BoolKind}
+	SByteType  = &PrimitiveType{kind: SByteKind}
+	UByteType  = &PrimitiveType{kind: UByteKind}
+	ShortType  = &PrimitiveType{kind: ShortKind}
+	UShortType = &PrimitiveType{kind: UShortKind}
+	IntType    = &PrimitiveType{kind: IntKind}
+	UIntType   = &PrimitiveType{kind: UIntKind}
+	LongType   = &PrimitiveType{kind: LongKind}
+	ULongType  = &PrimitiveType{kind: ULongKind}
+	FloatType  = &PrimitiveType{kind: FloatKind}
+	DoubleType = &PrimitiveType{kind: DoubleKind}
+	LabelType  = &PrimitiveType{kind: LabelKind}
 )
 
 // PointerType is a typed pointer to Elem.
-type PointerType struct{ Elem Type }
+type PointerType struct {
+	derivedTypes
+	Elem Type
+}
 
 // NewPointer returns the pointer type *elem.
-func NewPointer(elem Type) *PointerType { return &PointerType{Elem: elem} }
+func NewPointer(elem Type) *PointerType {
+	d := elem.derived()
+	if p := d.ptr.Load(); p != nil {
+		return p
+	}
+	p := &PointerType{Elem: elem}
+	p.nominal = mentionsNominal(elem)
+	d.ptr.CompareAndSwap(nil, p)
+	return d.ptr.Load()
+}
 
 // Kind returns PointerKind.
 func (t *PointerType) Kind() TypeKind { return PointerKind }
@@ -122,12 +200,18 @@ func (t *PointerType) String() string { return t.Elem.String() + "*" }
 
 // ArrayType is a fixed-size array [Len x Elem].
 type ArrayType struct {
+	derivedTypes
 	Elem Type
 	Len  int
 }
 
 // NewArray returns the array type [n x elem].
-func NewArray(elem Type, n int) *ArrayType { return &ArrayType{Elem: elem, Len: n} }
+func NewArray(elem Type, n int) *ArrayType {
+	a := &ArrayType{Elem: elem, Len: n}
+	a.nominal = mentionsNominal(elem)
+	got, _ := elem.derived().more.LoadOrStore(n, a)
+	return got.(*ArrayType)
+}
 
 // Kind returns ArrayKind.
 func (t *ArrayType) Kind() TypeKind { return ArrayKind }
@@ -135,16 +219,20 @@ func (t *ArrayType) Kind() TypeKind { return ArrayKind }
 // String returns the assembly spelling, e.g. "[10 x int]".
 func (t *ArrayType) String() string { return fmt.Sprintf("[%d x %s]", t.Len, t.Elem) }
 
-// StructType is a structure with an ordered field list. A StructType may be
-// named (registered in a Module's type table); named structs may be
-// recursive, in which case identity (pointer) equality is used.
+// StructType is a structure with an ordered field list. A named struct is
+// built as &StructType{Name: ...} and registered in one Module's type
+// table; its body may be set after construction, so it may be recursive.
+// A literal struct (Name "") comes only from NewStruct.
 type StructType struct {
-	Name   string // optional; "" for literal struct types
+	derivedTypes
+	Name   string // "" for literal struct types
 	Fields []Type
 }
 
-// NewStruct returns a literal (unnamed) struct type with the given fields.
-func NewStruct(fields ...Type) *StructType { return &StructType{Fields: fields} }
+// NewStruct returns the literal (unnamed) struct type with the given fields.
+func NewStruct(fields ...Type) *StructType {
+	return canonical(&StructType{Fields: append([]Type{}, fields...)}, 's', fields)
+}
 
 // Kind returns StructKind.
 func (t *StructType) Kind() TypeKind { return StructKind }
@@ -175,6 +263,7 @@ func (t *StructType) LiteralString() string {
 
 // FunctionType is a function signature.
 type FunctionType struct {
+	derivedTypes
 	Ret      Type
 	Params   []Type
 	Variadic bool
@@ -182,7 +271,18 @@ type FunctionType struct {
 
 // NewFunctionType returns the function type ret(params...).
 func NewFunctionType(ret Type, params ...Type) *FunctionType {
-	return &FunctionType{Ret: ret, Params: params}
+	return FunctionTypeOf(ret, params, false)
+}
+
+// FunctionTypeOf returns the function type ret(params), followed by "..."
+// when variadic.
+func FunctionTypeOf(ret Type, params []Type, variadic bool) *FunctionType {
+	tag := byte('f')
+	if variadic {
+		tag = 'v'
+	}
+	ft := &FunctionType{Ret: ret, Params: append([]Type{}, params...), Variadic: variadic}
+	return canonical(ft, tag, append([]Type{ret}, params...))
 }
 
 // Kind returns FunctionKind.
@@ -209,10 +309,13 @@ func (t *FunctionType) String() string {
 	return b.String()
 }
 
-// OpaqueType is a named type with an unknown body, used while parsing
-// forward references; it should not appear in verified modules except
-// behind a pointer.
-type OpaqueType struct{ Name string }
+// OpaqueType is a type with an unknown body; it should not appear in
+// verified modules except behind a pointer. Like a named struct it is
+// nominal: each object is its own type.
+type OpaqueType struct {
+	derivedTypes
+	Name string
+}
 
 // Kind returns OpaqueKind.
 func (t *OpaqueType) Kind() TypeKind { return OpaqueKind }
@@ -391,68 +494,43 @@ func alignUp(n, a int) int {
 	return (n + a - 1) / a * a
 }
 
-// TypesEqual reports structural equality of two types. Struct types —
-// including named, possibly recursive ones — compare structurally, using
-// coinductive assumptions so recursion terminates; structurally identical
-// types from different modules therefore unify at link time.
-func TypesEqual(a, b Type) bool {
-	return typesEq(a, b, nil)
-}
-
-type typePair struct{ a, b Type }
-
-func typesEq(a, b Type, assume map[typePair]bool) bool {
+// Isomorphic reports whether a and b, types of two modules (a program and
+// a unit being linked in, or a module and the clone a pass changed), have
+// the same structure, a named struct matching only one of its own name.
+// m maps b's named structs to the a-side structs taken to equal them, so
+// recursion terminates; Isomorphic extends it with every pair it relies
+// on, so a caller keeps m only when the answer is true.
+func Isomorphic(a, b Type, m map[Type]Type) bool {
 	if a == b {
 		return true
 	}
-	if a == nil || b == nil {
-		return false
-	}
-	if a.Kind() != b.Kind() {
-		return false
+	same := func(as, bs []Type) bool {
+		return slices.EqualFunc(as, bs, func(x, y Type) bool { return Isomorphic(x, y, m) })
 	}
 	switch at := a.(type) {
-	case *PrimitiveType:
-		return at.Kind() == b.Kind()
 	case *PointerType:
-		return typesEq(at.Elem, b.(*PointerType).Elem, assume)
+		bt, ok := b.(*PointerType)
+		return ok && Isomorphic(at.Elem, bt.Elem, m)
 	case *ArrayType:
-		bt := b.(*ArrayType)
-		return at.Len == bt.Len && typesEq(at.Elem, bt.Elem, assume)
+		bt, ok := b.(*ArrayType)
+		return ok && at.Len == bt.Len && Isomorphic(at.Elem, bt.Elem, m)
 	case *StructType:
-		bt := b.(*StructType)
-		if len(at.Fields) != len(bt.Fields) {
+		bt, ok := b.(*StructType)
+		if !ok || at.Name != bt.Name {
 			return false
 		}
-		pair := typePair{a, b}
-		if assume[pair] {
-			return true // coinductive hypothesis for recursive types
-		}
-		if assume == nil {
-			assume = map[typePair]bool{}
-		}
-		assume[pair] = true
-		for i := range at.Fields {
-			if !typesEq(at.Fields[i], bt.Fields[i], assume) {
-				return false
+		if bt.Name != "" {
+			if x, seen := m[b]; seen {
+				return x == a
 			}
+			m[b] = a
 		}
-		return true
+		return same(at.Fields, bt.Fields)
 	case *FunctionType:
-		bt := b.(*FunctionType)
-		if at.Variadic != bt.Variadic || len(at.Params) != len(bt.Params) || !typesEq(at.Ret, bt.Ret, assume) {
-			return false
-		}
-		for i := range at.Params {
-			if !typesEq(at.Params[i], bt.Params[i], assume) {
-				return false
-			}
-		}
-		return true
-	case *OpaqueType:
-		return a == b
+		bt, ok := b.(*FunctionType)
+		return ok && at.Variadic == bt.Variadic && Isomorphic(at.Ret, bt.Ret, m) && same(at.Params, bt.Params)
 	}
-	return false
+	return false // distinct primitives, or opaque types, which are nominal
 }
 
 // IsLosslesslyConvertible reports whether a cast from 'from' to 'to' cannot
@@ -460,7 +538,7 @@ func typesEq(a, b Type, assume map[typePair]bool) bool {
 // This mirrors the "physical subtyping" casts the paper distinguishes from
 // reinterpreting casts.
 func IsLosslesslyConvertible(from, to Type) bool {
-	if TypesEqual(from, to) {
+	if from == to {
 		return true
 	}
 	if IsInteger(from) && IsInteger(to) {

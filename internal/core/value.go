@@ -21,6 +21,7 @@ type Value interface {
 	addUse(u Use)
 	removeUse(u Use)
 	numUses() int
+	base() *valueBase
 }
 
 // Use records a single reference to a value: the using instruction (or
@@ -70,6 +71,7 @@ type valueBase struct {
 func (v *valueBase) Name() string        { return v.name }
 func (v *valueBase) SetName(name string) { v.name = name }
 func (v *valueBase) Type() Type          { return v.typ }
+func (v *valueBase) base() *valueBase    { return v }
 
 // markShared flags the value as reachable from multiple functions; set once
 // at construction, before the value can be visible to any other goroutine.

@@ -56,7 +56,7 @@ func (v *verifier) errf(format string, args ...interface{}) {
 }
 
 func (v *verifier) verifyGlobal(g *GlobalVariable) {
-	if g.Init != nil && !TypesEqual(g.Init.Type(), g.ValueType) {
+	if g.Init != nil && g.Init.Type() != g.ValueType {
 		v.errf("global %%%s initializer type %s does not match value type %s",
 			g.Name(), g.Init.Type(), g.ValueType)
 	}
@@ -71,7 +71,7 @@ func (v *verifier) verifyFunction(f *Function) {
 		return
 	}
 	for i, a := range f.Args {
-		if !TypesEqual(a.Type(), f.Sig.Params[i]) {
+		if a.Type() != f.Sig.Params[i] {
 			v.errf("argument %d has type %s, signature says %s", i, a.Type(), f.Sig.Params[i])
 		}
 	}
@@ -171,7 +171,7 @@ func (v *verifier) verifyInst(inst Instruction) {
 			if ret != VoidType {
 				v.errf("ret void in function returning %s", ret)
 			}
-		} else if !TypesEqual(i.Value().Type(), ret) {
+		} else if i.Value().Type() != ret {
 			v.errf("ret %s in function returning %s", i.Value().Type(), ret)
 		}
 	case *BranchInst:
@@ -184,7 +184,7 @@ func (v *verifier) verifyInst(inst Instruction) {
 		}
 		for n := 0; n < i.NumCases(); n++ {
 			val, _ := i.Case(n)
-			if !TypesEqual(val.Type(), i.Value().Type()) {
+			if val.Type() != i.Value().Type() {
 				v.errf("switch case %d type %s does not match value type %s", n, val.Type(), i.Value().Type())
 			}
 		}
@@ -213,7 +213,7 @@ func (v *verifier) verifyInst(inst Instruction) {
 			v.errf("load from non-pointer type %s", i.Ptr().Type())
 		} else if pt.Elem.Kind() == VoidKind {
 			v.errf("load through void*-typed address: void values cannot be loaded")
-		} else if !TypesEqual(pt.Elem, i.Type()) {
+		} else if pt.Elem != i.Type() {
 			v.errf("load result type %s does not match pointee %s", i.Type(), pt.Elem)
 		} else if !IsFirstClass(pt.Elem) {
 			v.errf("load of non-first-class type %s", pt.Elem)
@@ -224,7 +224,7 @@ func (v *verifier) verifyInst(inst Instruction) {
 			v.errf("store to non-pointer type %s", i.Ptr().Type())
 		} else if pt.Elem.Kind() == VoidKind {
 			v.errf("store through void*-typed address: void values cannot be stored")
-		} else if !TypesEqual(pt.Elem, i.Val().Type()) {
+		} else if pt.Elem != i.Val().Type() {
 			v.errf("store of %s through %s", i.Val().Type(), i.Ptr().Type())
 		} else if !IsFirstClass(i.Val().Type()) {
 			v.errf("store of non-first-class type %s", i.Val().Type())
@@ -233,7 +233,7 @@ func (v *verifier) verifyInst(inst Instruction) {
 		rt, err := GEPResultType(i.Base().Type(), i.Indices())
 		if err != nil {
 			v.errf("%v", err)
-		} else if !TypesEqual(rt, i.Type()) {
+		} else if rt != i.Type() {
 			v.errf("getelementptr result type %s, computed %s", i.Type(), rt)
 		}
 	case *PhiInst:
@@ -242,7 +242,7 @@ func (v *verifier) verifyInst(inst Instruction) {
 		}
 		for n := 0; n < i.NumIncoming(); n++ {
 			val, _ := i.Incoming(n)
-			if !TypesEqual(val.Type(), i.Type()) {
+			if val.Type() != i.Type() {
 				v.errf("phi incoming value %d has type %s, want %s", n, val.Type(), i.Type())
 			}
 		}
@@ -295,10 +295,10 @@ func (v *verifier) verifyBinary(i *BinaryInst) {
 			v.errf("%s result must be bool", i.Opcode())
 		}
 	}
-	if !TypesEqual(lt, rt) {
+	if lt != rt {
 		v.errf("%s operand types differ: %s vs %s", i.Opcode(), lt, rt)
 	}
-	if IsBinaryOp(i.Opcode()) && !TypesEqual(i.Type(), lt) {
+	if IsBinaryOp(i.Opcode()) && i.Type() != lt {
 		v.errf("%s result type %s does not match operands %s", i.Opcode(), i.Type(), lt)
 	}
 }
@@ -309,7 +309,7 @@ func (v *verifier) verifyCallArgs(callee Value, args []Value, resultType Type) {
 		v.errf("call of non-function-pointer type %s", callee.Type())
 		return
 	}
-	if !TypesEqual(resultType, ft.Ret) {
+	if resultType != ft.Ret {
 		v.errf("call result type %s does not match callee return %s", resultType, ft.Ret)
 	}
 	if ft.Variadic {
@@ -322,7 +322,7 @@ func (v *verifier) verifyCallArgs(callee Value, args []Value, resultType Type) {
 		return
 	}
 	for i := range ft.Params {
-		if !TypesEqual(args[i].Type(), ft.Params[i]) {
+		if args[i].Type() != ft.Params[i] {
 			v.errf("call argument %d has type %s, callee wants %s", i, args[i].Type(), ft.Params[i])
 		}
 	}

@@ -162,8 +162,8 @@ func (r *Result) aliasImpl(p, q core.Value) AliasResult {
 // pointer type followed by one token per index, so equal prefixes guarantee
 // the divergent indices select within the same aggregate.
 type pathTok struct {
-	hdr string     // gep header: base pointer type string ("" for index toks)
-	c   int64      // constant index value (valid when v == nil && hdr == "")
+	hdr core.Type  // gep header: the indexed pointer type (nil for index toks)
+	c   int64      // constant index value (valid when v == nil && hdr == nil)
 	v   core.Value // non-constant index (compared by identity)
 }
 
@@ -216,7 +216,7 @@ func appendGEPToks(rev []pathTok, baseTy core.Type, indices []core.Value) []path
 			rev = append(rev, pathTok{v: indices[i]})
 		}
 	}
-	return append(rev, pathTok{hdr: baseTy.String()})
+	return append(rev, pathTok{hdr: baseTy})
 }
 
 func reversePath(rev []pathTok) []pathTok {
@@ -243,7 +243,7 @@ func comparePaths(tp, tq []pathTok) AliasResult {
 			continue
 		}
 		// First divergence. Disjointness needs two constant index tokens.
-		if a.hdr == "" && b.hdr == "" && a.v == nil && b.v == nil {
+		if a.hdr == nil && b.hdr == nil && a.v == nil && b.v == nil {
 			return NoAlias
 		}
 		return MayAlias

@@ -372,7 +372,7 @@ func (a *analyzer) unify(x, y *Node) *Node {
 		x.Ty = y.Ty
 	case y.Ty == nil:
 		// keep x.Ty
-	case !core.TypesEqual(x.Ty, y.Ty):
+	case x.Ty != y.Ty:
 		// Two different object types flowing together: type info is gone
 		// (e.g. "using different structure types for the same objects",
 		// which the paper cites as a leading cause of untyped accesses).
@@ -424,12 +424,7 @@ func (a *analyzer) pointeeOf(n *Node) *Node {
 // and DSA tolerates them as long as the types agree at the ends (§4.1.1
 // footnote 8).
 func isBytePointer(t core.Type) bool {
-	pt, ok := t.(*core.PointerType)
-	if !ok {
-		return false
-	}
-	k := pt.Elem.Kind()
-	return k == core.SByteKind || k == core.UByteKind
+	return t == core.NewPointer(core.SByteType) || t == core.NewPointer(core.UByteType)
 }
 
 // castNode models "cast val to dst" for pointer results.
@@ -454,7 +449,7 @@ func (a *analyzer) castNode(val core.Value, dst core.Type) *Node {
 	}
 	srcT, dstT := val.Type(), dst
 	switch {
-	case core.TypesEqual(srcT, dstT):
+	case srcT == dstT:
 	case isBytePointer(dstT):
 		// T* -> void*: generic view; keep the node's type.
 	case isBytePointer(srcT):
@@ -486,7 +481,7 @@ func (a *analyzer) castNode(val core.Value, dst core.Type) *Node {
 // struct (recursively), or the element type of an array.
 func typeFitsAtZero(obj, view core.Type) bool {
 	for {
-		if core.TypesEqual(obj, view) {
+		if obj == view {
 			return true
 		}
 		switch t := obj.(type) {
@@ -643,12 +638,12 @@ func (r *Result) TypeReliable(t core.Type) bool {
 		if !n.Collapsed && !n.Unknown {
 			continue
 		}
-		if n.Ty == nil || core.TypesEqual(n.Ty, t) || typeContains(n.Ty, t, nil) {
+		if n.Ty == nil || n.Ty == t || typeContains(n.Ty, t, nil) {
 			return false
 		}
 	}
 	for _, dv := range r.dirtyViews {
-		if core.TypesEqual(dv, t) || typeContains(dv, t, nil) {
+		if dv == t || typeContains(dv, t, nil) {
 			return false
 		}
 	}
@@ -658,7 +653,7 @@ func (r *Result) TypeReliable(t core.Type) bool {
 // typeContains reports whether t transitively embeds target (arrays and
 // struct fields; pointers do not embed their pointee's layout).
 func typeContains(t, target core.Type, visiting map[core.Type]bool) bool {
-	if core.TypesEqual(t, target) {
+	if t == target {
 		return true
 	}
 	if visiting[t] {

@@ -377,7 +377,7 @@ func (g *irgen) pointerBinary(op string, l, r core.Value) (core.Value, error) {
 			if err != nil {
 				return nil, err
 			}
-		} else if !core.TypesEqual(l.Type(), r.Type()) {
+		} else if l.Type() != r.Type() {
 			r = g.b.CreateCast(r, l.Type(), "")
 		}
 		cmp := g.b.CreateBinary(cmpOpcode(op), l, r, "")
@@ -578,7 +578,7 @@ func (g *irgen) castExpr(x *CastExpr) (core.Value, error) {
 	if err != nil {
 		return nil, err
 	}
-	if core.TypesEqual(v.Type(), t) {
+	if v.Type() == t {
 		return v, nil
 	}
 	if t == core.VoidType {
@@ -594,7 +594,7 @@ func (g *irgen) matchSizeofExact(e Expr, want core.Type) bool {
 		return false
 	}
 	t, err := g.resolveType(so.Type)
-	return err == nil && core.TypesEqual(t, want)
+	return err == nil && t == want
 }
 
 // matchSizeofCount recognizes "n * sizeof(T)" or "sizeof(T) * n".
@@ -637,7 +637,7 @@ func (g *irgen) condition(e Expr) (core.Value, error) {
 
 // convert coerces v to type t (C-style implicit conversion).
 func (g *irgen) convert(v core.Value, t core.Type) (core.Value, error) {
-	if core.TypesEqual(v.Type(), t) {
+	if v.Type() == t {
 		return v, nil
 	}
 	from := v.Type()
@@ -699,7 +699,7 @@ func (g *irgen) usualArith(l, r core.Value) (core.Value, core.Value, error) {
 		return nil, nil, err
 	}
 	lt, rt := l.Type(), r.Type()
-	if core.TypesEqual(lt, rt) {
+	if lt == rt {
 		return l, r, nil
 	}
 	// Floating point dominates.

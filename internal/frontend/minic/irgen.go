@@ -69,15 +69,15 @@ func (g *irgen) resolveType(te *TypeExpr) (core.Type, error) {
 		if err != nil {
 			return nil, err
 		}
-		ft := &core.FunctionType{Ret: ret, Variadic: te.Variadic}
+		var params []core.Type
 		for _, pt := range te.Params {
 			p, err := g.resolveType(pt)
 			if err != nil {
 				return nil, err
 			}
-			ft.Params = append(ft.Params, p)
+			params = append(params, p)
 		}
-		return core.NewPointer(ft), nil
+		return core.NewPointer(core.FunctionTypeOf(ret, params, te.Variadic)), nil
 	}
 	var t core.Type
 	if te.IsStruct {
@@ -200,16 +200,17 @@ func (g *irgen) declareFunction(fd *FuncDecl) error {
 	if err != nil {
 		return err
 	}
-	sig := &core.FunctionType{Ret: ret, Variadic: fd.Variadic}
+	var params []core.Type
 	for _, p := range fd.Params {
 		pt, err := g.resolveType(p.Type)
 		if err != nil {
 			return err
 		}
-		sig.Params = append(sig.Params, pt)
+		params = append(params, pt)
 	}
+	sig := core.FunctionTypeOf(ret, params, fd.Variadic)
 	if existing := g.m.Func(fd.Name); existing != nil {
-		if !core.TypesEqual(existing.Sig, sig) {
+		if existing.Sig != sig {
 			return g.errf("conflicting declarations of %q", fd.Name)
 		}
 		return nil

@@ -1,14 +1,15 @@
 // Package linker combines IR modules into one whole-program module, the
 // first stage of the link-time optimizer in Figure 4 of the paper:
-// declarations are resolved against definitions, structurally identical
-// named types unify, and clashing internal symbols are renamed. The result
-// preserves the full representation so the interprocedural optimizer (and
-// later the runtime and idle-time optimizers) can operate on the entire
-// program.
+// declarations are resolved against definitions, named types of one name
+// and equal bodies unify, and clashing internal symbols are renamed. The
+// result preserves the full representation so the interprocedural
+// optimizer (and later the runtime and idle-time optimizers) can operate
+// on the entire program.
 package linker
 
 import (
 	"fmt"
+	"maps"
 
 	"repro/internal/core"
 )
@@ -27,15 +28,31 @@ func Link(name string, modules ...*core.Module) (*core.Module, error) {
 }
 
 func linkInto(dest, src *core.Module) error {
-	// Named types: keep the destination's entry when structurally equal;
-	// otherwise register under a fresh name.
+	// Named types: where the destination already has a type of the same
+	// name and an equal body, every use of the source's type is retyped to
+	// the destination's before any value moves, so each name keeps one
+	// object. A conflicting definition is registered under a fresh name.
+	remap := map[core.Type]core.Type{}
 	for _, tn := range src.TypeNames() {
 		st, _ := src.NamedType(tn)
 		if dt, ok := dest.NamedType(tn); ok {
-			if core.TypesEqual(dt, st) {
-				continue
+			if try := maps.Clone(remap); core.Isomorphic(dt, st, try) {
+				remap = try
 			}
-			// Conflicting definition: rename the incoming type.
+		}
+	}
+	if len(remap) > 0 {
+		core.RetypeModule(src, remap)
+	}
+	for _, tn := range src.TypeNames() {
+		st, _ := src.NamedType(tn)
+		dt, taken := dest.NamedType(tn)
+		switch {
+		case dt == st:
+			// Merged, or a type both modules build alike.
+		case !taken:
+			dest.AddTypeName(tn, st)
+		default:
 			fresh := tn
 			for i := 1; ; i++ {
 				fresh = fmt.Sprintf("%s.%d", tn, i)
@@ -47,9 +64,7 @@ func linkInto(dest, src *core.Module) error {
 				s.Name = fresh
 			}
 			dest.AddTypeName(fresh, st)
-			continue
 		}
-		dest.AddTypeName(tn, st)
 	}
 
 	// Globals.
@@ -85,7 +100,7 @@ func linkGlobal(dest, src *core.Module, g *core.GlobalVariable) error {
 		dest.AddGlobal(g)
 		return nil
 	}
-	if !core.TypesEqual(dg.ValueType, g.ValueType) {
+	if dg.ValueType != g.ValueType {
 		return fmt.Errorf("global %%%s declared with type %s and %s", name, dg.ValueType, g.ValueType)
 	}
 	switch {
@@ -122,7 +137,7 @@ func linkFunction(dest, src *core.Module, f *core.Function) error {
 		dest.AddFunc(f)
 		return nil
 	}
-	if !core.TypesEqual(df.Sig, f.Sig) {
+	if df.Sig != f.Sig {
 		return fmt.Errorf("function %%%s declared with signature %s and %s", name, df.Sig, f.Sig)
 	}
 	switch {

@@ -111,7 +111,7 @@ func (c *CSE) runOnFunctionWith(f *core.Function, am *analysis.Manager) int {
 // list of a getelementptr after its first index is an interned list ID.
 type exprKey struct {
 	op   core.Opcode
-	typ  int32 // canonical type: a binary operator's operand type, a cast's result type
+	typ  core.Type // a binary operator's operand type, a cast's result type
 	a, b operandKey
 	rest int32
 }
@@ -121,11 +121,11 @@ func (k exprKey) commutes() bool { return core.IsCommutative(k.op) && k.a != k.b
 func (k exprKey) swapped() exprKey { k.a, k.b = k.b, k.a; return k }
 
 // operandKey identifies an operand: int, float, bool and null constants by
-// canonical type and bits, every other value by identity.
+// type and bits, every other value by identity.
 type operandKey struct {
 	v    core.Value
 	kind uint8
-	typ  int32
+	typ  core.Type
 	bits uint64
 }
 
@@ -137,14 +137,11 @@ const (
 	opNull
 )
 
-// cseKeys builds keys. It interns types, so that equal types built as
-// different objects get one ID, and operand lists. Its tables, and the
-// scoped expression table with its buffers, live for one function and
-// are then pooled for the next.
+// cseKeys builds keys. It interns operand lists; types need no interning,
+// as each has one object. Its tables, and the scoped expression table with
+// its buffers, live for one function and are then pooled for the next.
 type cseKeys struct {
-	types  map[core.Type]int32
-	shapes map[typeShape]int32
-	lists  map[listLink]int32
+	lists map[listLink]int32
 
 	table map[exprKey]core.Instruction
 	added []exprKey // the table's entries, innermost scope last
@@ -153,78 +150,19 @@ type cseKeys struct {
 }
 
 var cseKeysPool = sync.Pool{New: func() any {
-	return &cseKeys{types: map[core.Type]int32{}, shapes: map[typeShape]int32{},
-		lists: map[listLink]int32{}, table: map[exprKey]core.Instruction{}}
+	return &cseKeys{lists: map[listLink]int32{}, table: map[exprKey]core.Instruction{}}
 }}
 
 func (k *cseKeys) reset() {
-	clear(k.types)
-	clear(k.shapes)
 	clear(k.lists)
 	clear(k.table)
 }
 
-// typeShape is a type with its component types replaced by their IDs. Two
-// types get the same shape exactly when they print the same: a named
-// struct (or opaque type) is its name.
-type typeShape struct {
-	kind      core.TypeKind
-	name      string
-	elem, ret int32 // elem: pointee, array element, or interned field/parameter list
-	n         int   // array length; 1 for a variadic function
-}
-
 // listLink is one step of an interned list: the list so far, then one more
-// element (a type ID, or an operand).
+// operand.
 type listLink struct {
 	prev int32
-	typ  int32
 	op   operandKey
-}
-
-// typeID returns t's canonical ID.
-func (k *cseKeys) typeID(t core.Type) int32 {
-	if p, ok := t.(*core.PrimitiveType); ok {
-		return int32(p.Kind()) + 1 // primitive types are singletons
-	}
-	if id, ok := k.types[t]; ok {
-		return id
-	}
-	var s typeShape
-	switch x := t.(type) {
-	case *core.PointerType:
-		s = typeShape{kind: core.PointerKind, elem: k.typeID(x.Elem)}
-	case *core.ArrayType:
-		s = typeShape{kind: core.ArrayKind, elem: k.typeID(x.Elem), n: x.Len}
-	case *core.StructType:
-		if x.Name != "" {
-			s = typeShape{kind: core.OpaqueKind, name: x.Name}
-		} else {
-			s = typeShape{kind: core.StructKind, elem: k.typeList(x.Fields)}
-		}
-	case *core.FunctionType:
-		s = typeShape{kind: core.FunctionKind, ret: k.typeID(x.Ret), elem: k.typeList(x.Params)}
-		if x.Variadic {
-			s.n = 1
-		}
-	case *core.OpaqueType:
-		s = typeShape{kind: core.OpaqueKind, name: x.Name}
-	}
-	id, ok := k.shapes[s]
-	if !ok {
-		id = int32(len(k.shapes)) + 64 // above the primitive IDs
-		k.shapes[s] = id
-	}
-	k.types[t] = id
-	return id
-}
-
-func (k *cseKeys) typeList(ts []core.Type) int32 {
-	id := int32(0)
-	for _, t := range ts {
-		id = k.link(listLink{prev: id, typ: k.typeID(t)})
-	}
-	return id
 }
 
 func (k *cseKeys) link(l listLink) int32 {
@@ -239,20 +177,20 @@ func (k *cseKeys) link(l listLink) int32 {
 func (k *cseKeys) operand(v core.Value) operandKey {
 	switch c := v.(type) {
 	case *core.ConstantInt:
-		return operandKey{kind: opInt, typ: k.typeID(c.Type()), bits: c.Val}
+		return operandKey{kind: opInt, typ: c.Type(), bits: c.Val}
 	case *core.ConstantFloat:
 		bits := math.Float64bits(c.Val)
 		if math.IsNaN(c.Val) {
 			bits = math.Float64bits(math.NaN()) // every NaN prints alike
 		}
-		return operandKey{kind: opFloat, typ: k.typeID(c.Type()), bits: bits}
+		return operandKey{kind: opFloat, typ: c.Type(), bits: bits}
 	case *core.ConstantBool:
 		if c.Val {
 			return operandKey{kind: opBool, bits: 1}
 		}
 		return operandKey{kind: opBool}
 	case *core.ConstantNull:
-		return operandKey{kind: opNull, typ: k.typeID(c.Type())}
+		return operandKey{kind: opNull, typ: c.Type()}
 	}
 	return operandKey{v: v}
 }
@@ -262,9 +200,9 @@ func (k *cseKeys) operand(v core.Value) operandKey {
 func (k *cseKeys) expr(inst core.Instruction) (exprKey, bool) {
 	switch i := inst.(type) {
 	case *core.BinaryInst:
-		return exprKey{op: i.Opcode(), typ: k.typeID(i.LHS().Type()), a: k.operand(i.LHS()), b: k.operand(i.RHS())}, true
+		return exprKey{op: i.Opcode(), typ: i.LHS().Type(), a: k.operand(i.LHS()), b: k.operand(i.RHS())}, true
 	case *core.CastInst:
-		return exprKey{op: core.OpCast, typ: k.typeID(i.Type()), a: k.operand(i.Val())}, true
+		return exprKey{op: core.OpCast, typ: i.Type(), a: k.operand(i.Val())}, true
 	case *core.GetElementPtrInst:
 		key := exprKey{op: core.OpGetElementPtr, a: k.operand(i.Base())}
 		if ix := i.Indices(); len(ix) > 0 {
@@ -304,7 +242,7 @@ func (c *CSE) memCSE(f *core.Function, b *core.BasicBlock, inst core.Instruction
 	switch i := inst.(type) {
 	case *core.LoadInst:
 		for _, e := range *avail {
-			if pt.Alias(i.Ptr(), e.ptr) == dsa.MustAlias && core.TypesEqual(e.val.Type(), i.Type()) {
+			if pt.Alias(i.Ptr(), e.ptr) == dsa.MustAlias && e.val.Type() == i.Type() {
 				if c.rem.Enabled() {
 					c.rem.Appliedf("cse",
 						diag.Pos{Fn: f.Name(), Block: b.Name(), Inst: core.InstDebugString(inst)},

@@ -95,7 +95,7 @@ func (d *DSE) runBlock(f *core.Function, b *core.BasicBlock, pt *dsa.Result) int
 			for k := 0; k < len(pending); k++ {
 				s := pending[k]
 				if pt.Alias(s.Ptr(), i.Ptr()) == dsa.MustAlias &&
-					core.TypesEqual(s.Val().Type(), i.Val().Type()) {
+					s.Val().Type() == i.Val().Type() {
 					erase(s, "overwritten before any possible read")
 					pending = append(pending[:k], pending[k+1:]...)
 					k--

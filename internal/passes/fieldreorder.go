@@ -39,8 +39,8 @@ func (fr *FieldReorder) RunOnModule(m *core.Module) int {
 	for _, name := range m.TypeNames() {
 		t, _ := m.NamedType(name)
 		st, ok := t.(*core.StructType)
-		if !ok || len(st.Fields) < 2 {
-			continue
+		if !ok || st.Name == "" || len(st.Fields) < 2 {
+			continue // a literal struct is shared by every module
 		}
 		perm := paddingMinimizingOrder(st)
 		if isIdentity(perm) {

@@ -169,7 +169,7 @@ func (ic *InstCombine) simplifyBinary(i *core.BinaryInst) (core.Value, bool) {
 func (ic *InstCombine) simplifyCast(i *core.CastInst) core.Value {
 	src := i.Val()
 	// cast x to sametype = x.
-	if core.TypesEqual(src.Type(), i.Type()) {
+	if src.Type() == i.Type() {
 		return src
 	}
 	// Fold constant casts.
@@ -182,7 +182,7 @@ func (ic *InstCombine) simplifyCast(i *core.CastInst) core.Value {
 	// A is x's type.
 	if inner, ok := src.(*core.CastInst); ok {
 		x := inner.Val()
-		if core.TypesEqual(x.Type(), i.Type()) && core.IsLosslesslyConvertible(x.Type(), inner.Type()) {
+		if x.Type() == i.Type() && core.IsLosslesslyConvertible(x.Type(), inner.Type()) {
 			return x
 		}
 	}
@@ -206,7 +206,7 @@ func (ic *InstCombine) simplifyPhi(i *core.PhiInst) core.Value {
 			// Distinct constants with equal value also merge.
 			ca, aok := same.(*core.ConstantInt)
 			cb, bok := v.(*core.ConstantInt)
-			if aok && bok && ca.Val == cb.Val && core.TypesEqual(ca.Type(), cb.Type()) {
+			if aok && bok && ca.Val == cb.Val && ca.Type() == cb.Type() {
 				continue
 			}
 			return nil

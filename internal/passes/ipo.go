@@ -191,15 +191,17 @@ func (d *DeadArgElim) RunOnModule(m *core.Module) int {
 
 func (d *DeadArgElim) rewrite(m *core.Module, f *core.Function, deadArgs []bool, deadRet bool) {
 	// Build the new signature.
-	newSig := &core.FunctionType{Ret: f.Sig.Ret}
+	ret := f.Sig.Ret
 	if deadRet {
-		newSig.Ret = core.VoidType
+		ret = core.VoidType
 	}
+	var params []core.Type
 	for i, p := range f.Sig.Params {
 		if !deadArgs[i] {
-			newSig.Params = append(newSig.Params, p)
+			params = append(params, p)
 		}
 	}
+	newSig := core.NewFunctionType(ret, params...)
 
 	name := f.Name()
 	nf := core.NewFunction(m.UniqueSymbol(name+".dae"), newSig)

@@ -1930,6 +1930,30 @@ entry:
 	}
 }
 
+// TestFieldReorderKeepsLiteralStructs: a name may stand for a literal
+// struct type (a bytecode image can register one). Literal types are
+// shared by every module of the process, so field reordering must leave
+// them alone.
+func TestFieldReorderKeepsLiteralStructs(t *testing.T) {
+	m := parse(t, `
+int %main() {
+entry:
+	%p = malloc { sbyte, double, sbyte }
+	%b = getelementptr { sbyte, double, sbyte }* %p, long 0, ubyte 1
+	store double 2.5, double* %b
+	ret int 0
+}
+`)
+	lit := core.NewStruct(core.SByteType, core.DoubleType, core.SByteType)
+	m.AddTypeName("lit", lit)
+	fr := NewFieldReorder()
+	fr.RunOnModule(m)
+	mustVerify(t, m)
+	if fr.Reordered != 0 || lit.Fields[1] != core.DoubleType {
+		t.Fatalf("a literal struct was reordered (%d): %s", fr.Reordered, lit.LiteralString())
+	}
+}
+
 func TestFieldReorderRewritesConstants(t *testing.T) {
 	m := parse(t, `
 %padded = type { sbyte, double, sbyte }

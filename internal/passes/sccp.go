@@ -314,10 +314,10 @@ func constEq(a, b core.Constant) bool {
 	switch ca := a.(type) {
 	case *core.ConstantInt:
 		cb, ok := b.(*core.ConstantInt)
-		return ok && core.TypesEqual(ca.Type(), cb.Type()) && ca.Val == cb.Val
+		return ok && ca.Type() == cb.Type() && ca.Val == cb.Val
 	case *core.ConstantFloat:
 		cb, ok := b.(*core.ConstantFloat)
-		return ok && core.TypesEqual(ca.Type(), cb.Type()) && ca.Val == cb.Val
+		return ok && ca.Type() == cb.Type() && ca.Val == cb.Val
 	case *core.ConstantBool:
 		cb, ok := b.(*core.ConstantBool)
 		return ok && ca.Val == cb.Val

@@ -102,7 +102,7 @@ func newDiffRunner(opts Options, before, after *core.Module) *diffRunner {
 	d.layoutStable = layoutStable(before, after)
 	for _, gb := range before.Globals {
 		ga := after.Global(gb.Name())
-		if ga == nil || !core.TypesEqual(gb.ValueType, ga.ValueType) {
+		if ga == nil || !sameType(gb.ValueType, ga.ValueType) {
 			continue
 		}
 		if !pointerFree(gb.ValueType) {

@@ -213,7 +213,7 @@ func normalize(s *sym) *sym {
 			}
 			return &sym{kind: symConst, typ: s.typ, val: core.EvalIntCast(a.typ, s.typ, a.val)}
 		}
-		if core.TypesEqual(a.typ, s.typ) {
+		if a.typ == s.typ {
 			return a
 		}
 		return s
@@ -274,7 +274,7 @@ func normalizeACOp(s *sym) *sym {
 	var flat []*sym
 	var collect func(v *sym)
 	collect = func(v *sym) {
-		if v.kind == symOp && v.op == s.op && core.TypesEqual(v.typ, s.typ) {
+		if v.kind == symOp && v.op == s.op && v.typ == s.typ {
 			for _, c := range v.args {
 				collect(c)
 			}

@@ -203,7 +203,7 @@ func (o *Oracle) ValidatePass(pass string, before, after *core.Module) (res *Res
 		if bf.Linkage != core.InternalLinkage {
 			exported++
 		}
-		if bf.Sig.Variadic || af.Sig.Variadic || !core.TypesEqual(bf.Sig, af.Sig) {
+		if bf.Sig.Variadic || af.Sig.Variadic || !sameType(bf.Sig, af.Sig) {
 			res.Skipped++
 			continue
 		}
@@ -367,12 +367,17 @@ func globalsDiffer(before, after *core.Module) bool {
 		if ga == nil {
 			continue
 		}
-		if !core.TypesEqual(gb.ValueType, ga.ValueType) || !constsEqual(gb.Init, ga.Init) {
+		if !sameType(gb.ValueType, ga.ValueType) || !constsEqual(gb.Init, ga.Init) {
 			return true
 		}
 	}
 	return false
 }
+
+// sameType reports whether a type of the module before a pass equals one
+// of the module after it. The pass ran on a clone, whose named structs are
+// copies, so the two compare by structure.
+func sameType(a, b core.Type) bool { return core.Isomorphic(a, b, map[core.Type]core.Type{}) }
 
 // constsEqual structurally compares two constants (nil-tolerant). Unknown
 // constant kinds compare unequal, erring toward more probing.
@@ -380,7 +385,7 @@ func constsEqual(a, b core.Constant) bool {
 	if a == nil || b == nil {
 		return a == nil && b == nil
 	}
-	if !core.TypesEqual(a.Type(), b.Type()) {
+	if !sameType(a.Type(), b.Type()) {
 		return false
 	}
 	switch x := a.(type) {

@@ -331,6 +331,36 @@ entry:
 	}
 }
 
+// TestNamedStructSignatureChecked: the two modules of a pass run hold
+// separate copies of each named struct, so a function whose signature and
+// globals mention one is still compared by structure and probed, not
+// skipped as a signature change.
+func TestNamedStructSignatureChecked(t *testing.T) {
+	src := func(body string) string {
+		return `
+%S = type { int, int }
+%g = global %S { int 1, int 2 }
+
+int %f(%S* %p) {
+entry:
+	%a = getelementptr %S* %p, long 0, ubyte 0
+	%v = load int* %a
+` + body + `
+}
+
+int %main() {
+entry:
+	%r = call int %f(%S* %g)
+	ret int %r
+}
+`
+	}
+	res := validatePair(t, src("\t%w = add int %v, 0\n\tret int %w"), src("\tret int %v"))
+	if res.Verdict != Equivalent || res.Skipped != 0 {
+		t.Fatalf("got %s, want equivalent with nothing skipped", res.Summary())
+	}
+}
+
 // TestDeletedFunctionTolerated: deleting an internal function (inliner,
 // global DCE) is not by itself suspicious.
 func TestDeletedFunctionTolerated(t *testing.T) {
